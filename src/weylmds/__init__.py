@@ -10,7 +10,7 @@ from .chars import (character_gt, character_weyl_oracle, deformation_D,
 from .coeffs import (HTable, gamma_a, gamma_b, h_table, pattern_G,
                      verify_k_sum)
 from .gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
-                    numeric_eval, residue_symbol)
+                    numeric_eval)
 from .laurent import LaurentPoly
 from .patterns import (GTPattern, PatternData, classify_entry,
                        enumerate_patterns, is_stable, is_strict,

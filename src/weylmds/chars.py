@@ -13,10 +13,11 @@ from .coeffs import h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
 from .patterns import (GTPattern, LambdaTwist, classify_entry,
-                       enumerate_patterns, entry_bounds_flags, is_strict)
-from .roots import (RootSystemC, WeylElement, build_root_system, dot, inner,
+                       entry_bounds_flags, entry_positions, enumerate_patterns,
+                       is_strict)
+from .roots import (RootSystemC, WeylElement, build_root_system, inner,
                     simple_coords)
-from .tableaux import tableau_from_pattern, tableau_stats
+from .tableaux import standard_tableaux, tableau_stats
 
 
 def ring_size(r: int) -> int:
@@ -35,10 +36,6 @@ def x_monomial(r: int, exps, coeff=1, t_exp: int = 0,
                q_exp: int = 0) -> LaurentPoly:
     e = list(exps) + [t_exp, q_exp]
     return LaurentPoly.monomial(ring_size(r), e, coeff)
-
-
-def partition_from_twist(twist: LambdaTwist) -> tuple:
-    return twist.partition
 
 
 def _check_partition(lam, r):
@@ -127,17 +124,6 @@ def scale_x_by_t(poly: LaurentPoly, r: int) -> LaurentPoly:
     return poly.scale_vars_into(t_index(r), list(range(r)))
 
 
-def standard_tableau_stats(twist: LambdaTwist):
-    """Statistics of every standard tableau of shape lambda+rho, read off
-    the strict patterns."""
-    for P in enumerate_patterns(twist.top_row):
-        if not is_strict(P):
-            continue
-        S = tableau_from_pattern(P)
-        if S.is_standard():
-            yield tableau_stats(S)
-
-
 def _binomials(n: int):
     row = [1]
     for _ in range(n):
@@ -145,13 +131,12 @@ def _binomials(n: int):
     return row
 
 
-def hk_rhs(twist: LambdaTwist) -> LaurentPoly:
-    """sum over standard tableaux of
+def hk_rhs(r: int, stats) -> LaurentPoly:
+    """sum over the statistics of the standard tableaux of
     t^{height + r(r+1)/2} (1 + t)^{str - r} x^{wgt}."""
-    r = twist.rank
     offset = r * (r + 1) // 2
     acc = {}
-    for st in standard_tableau_stats(twist):
+    for st in stats:
         base = st.height + offset
         for k, binom in enumerate(_binomials(st.str_total - r)):
             e = st.wgt + (base + k, 0)
@@ -166,28 +151,11 @@ def verify_deformation_identity(twist: LambdaTwist):
     r = twist.rank
     offset = r * (r + 1) // 2
     fixed = offset + sum((r - i) * li for i, li in enumerate(twist.l))
-    acc = {}
-    bridging = True
-    for st in standard_tableau_stats(twist):
-        bridging &= sum(st.wgt) == fixed - 2 * st.barred
-        base = st.height + offset
-        for k, binom in enumerate(_binomials(st.str_total - r)):
-            e = st.wgt + (base + k, 0)
-            acc[e] = acc.get(e, 0) + binom
-    rhs = LaurentPoly(ring_size(r), acc)
+    stats = [tableau_stats(S) for S in standard_tableaux(twist.top_row)]
+    bridging = all(sum(st.wgt) == fixed - 2 * st.barred for st in stats)
     lhs = scale_x_by_t(deformation_D(r), r) * character_gt(twist.partition, r)
-    diff = lhs - rhs
+    diff = lhs - hk_rhs(r, stats)
     return (diff.is_zero() and bridging), diff
-
-
-def all_weight_sums_match(twist: LambdaTwist) -> bool:
-    """sum wgt_i(S) = r(r+1)/2 - 2 barred(S) + sum (r-i+1) l_i for every
-    standard tableau."""
-    r = twist.rank
-    fixed = r * (r + 1) // 2 + sum((r - i) * li
-                                   for i, li in enumerate(twist.l))
-    return all(sum(st.wgt) == fixed - 2 * st.barred
-               for st in standard_tableau_stats(twist))
 
 
 # ---------------------------------------------------------------------
@@ -215,11 +183,7 @@ def reduced_pattern_weight(P: GTPattern, r: int) -> LaurentPoly:
     qinv = LaurentPoly.variable(n, qi, -1)
     factors = {"minimal": one, "generic": one - qinv, "maximal": -qinv}
     out = one
-    positions = [("b", i, j) for i in range(1, r + 1)
-                 for j in range(i, r + 1)]
-    positions += [("a", i, j) for i in range(1, r)
-                  for j in range(i + 1, r + 1)]
-    for pos in positions:
+    for pos in entry_positions(r):
         is_min, is_max = entry_bounds_flags(P, pos)
         if is_min and is_max:
             return LaurentPoly.zero(n)

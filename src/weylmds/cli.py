@@ -7,6 +7,7 @@ deterministic byte-for-byte for a fixed command line.
 
 import argparse
 import json
+import signal
 import sys
 
 from .chars import (character_gt, euler_product_n1,
@@ -16,8 +17,8 @@ from .coeffs import h_table, verify_k_sum
 from .gauss import ArithContext, gauss_brute, gauss_eval, numeric_eval
 from .patterns import LambdaTwist, enumerate_patterns, is_strict
 from .stable import verify_stable_match
-from .tableaux import (pattern_from_tableau, tableau_from_pattern,
-                       tableau_stats)
+from .tableaux import (pattern_from_tableau, standard_tableaux,
+                       tableau_from_pattern, tableau_stats)
 
 
 def _emit(text):
@@ -63,12 +64,7 @@ def cmd_patterns(args):
 def cmd_tableaux(args):
     twist = _twist(args)
     out = []
-    for P in enumerate_patterns(twist.top_row):
-        if not is_strict(P):
-            continue
-        S = tableau_from_pattern(P)
-        if not S.is_standard():
-            continue
+    for S in standard_tableaux(twist.top_row):
         if args.format == "text":
             _emit(S.render_text())
             _emit("")
@@ -79,7 +75,7 @@ def cmd_tableaux(args):
                         "str": st.str_total,
                         "barred": st.barred,
                         "height": st.height})
-    if args.format != "text":
+    if args.format == "json":
         _emit(_dump(out))
     return 0
 
@@ -214,26 +210,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "checks for type-C multiple Dirichlet series")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_l=True):
+    def common(p, *formats):
         p.add_argument("--rank", type=int, required=True)
-        if with_l:
-            p.add_argument("--l", type=str, required=True,
-                           help="comma-separated twisting exponents")
-        p.add_argument("--format", choices=("json", "csv", "text"),
+        p.add_argument("--l", type=str, required=True,
+                       help="comma-separated twisting exponents")
+        add_format(p, *formats)
+
+    def add_format(p, *formats):
+        p.add_argument("--format", choices=("json",) + formats,
                        default="json")
 
     p = sub.add_parser("patterns", help="enumerate patterns for a twist")
-    common(p)
+    common(p, "csv")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--strict-only", action="store_true")
     p.set_defaults(func=cmd_patterns)
 
     p = sub.add_parser("tableaux", help="dump the standard shifted tableaux")
-    common(p)
+    common(p, "text")
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser("hcoeff", help="prime-power coefficient table")
-    common(p)
+    common(p, "csv")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int)
     p.add_argument("--numeric", action="store_true",
@@ -241,15 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hcoeff)
 
     p = sub.add_parser("character", help="symplectic character for a twist")
-    common(p)
+    common(p, "csv")
     p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("euler", help="global coefficients at n = 1")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--m", type=str, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default="json")
+    add_format(p, "csv")
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -259,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=str, default="0")
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=int)
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default="json")
     p.set_defaults(func=cmd_verify)
 
     return ap
@@ -283,6 +278,9 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # a reader that closes stdout early (`| head`) ends the process quietly
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

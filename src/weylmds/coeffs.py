@@ -13,10 +13,11 @@ are not standard shifted tableaux).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gauss import GaussValue, gauss_eval
-from .patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                       entry_bounds_flags, is_strict)
+from .patterns import (GTPattern, LambdaTwist, entry_bounds_flags,
+                       entry_positions, enumerate_patterns, is_strict)
 
 
 def gamma_b(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
@@ -36,23 +37,6 @@ def gamma_b(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
     return gauss_eval(t, v + b - low - 1, v, n)
 
 
-def gamma_b_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
-    """Factor attached to b_{i,j}, spelled out case by case."""
-    r = P.rank
-    is_min, is_max = entry_bounds_flags(P, ("b", i, j))
-    if is_min and is_max:
-        return GaussValue.zero(n)
-    v = P.v_data(i, j)
-    t = 2 if j == r else 1
-    if is_max:
-        return gauss_eval(t, v - 1, v, n)
-    if is_min:
-        return GaussValue.q_power(n, v)
-    if (v * t) % n == 0:
-        return GaussValue.phi(n, v)
-    return GaussValue.zero(n)
-
-
 def gamma_a(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
     """Factor attached to a_{i,j}, i >= 1 (compact form)."""
     a = P.a_entry(i, j)
@@ -64,46 +48,24 @@ def gamma_a(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
     return gauss_eval(1, u - a + P.b_entry(i, j - 1) - 1, u, n)
 
 
-def gamma_a_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
-    """Factor attached to a_{i,j}, spelled out case by case."""
-    is_min, is_max = entry_bounds_flags(P, ("a", i, j))
-    u = P.u_data(i, j)
-    if is_min:
-        return GaussValue.q_power(n, u)
-    if is_max:
-        return gauss_eval(1, u - 1, u, n)
-    if u % n == 0:
-        return GaussValue.phi(n, u)
-    return GaussValue.zero(n)
-
-
 def pattern_G(P: GTPattern, n: int) -> GaussValue:
     """Product of all entry factors; zero for non-strict patterns."""
     if not is_strict(P):
         return GaussValue.zero(n)
-    r = P.rank
     out = GaussValue.one(n)
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            out = out * gamma_b(P, i, j, n)
-            if out.is_zero():
-                return out
-        for j in range(i + 1, r + 1):
-            if i <= r - 1:
-                out = out * gamma_a(P, i, j, n)
-                if out.is_zero():
-                    return out
+    for kind, i, j in entry_positions(P.rank):
+        gamma = gamma_b if kind == "b" else gamma_a
+        out = out * gamma(P, i, j, n)
+        if out.is_zero():
+            return out
     return out
 
 
 def verify_k_sum(P: GTPattern) -> bool:
     """sum k_i = sum v_{i,j} + sum u_{i,j}, exactly."""
-    r = P.rank
-    total_v = sum(P.v_data(i, j) for i in range(1, r + 1)
-                  for j in range(i, r + 1))
-    total_u = sum(P.u_data(i, j) for i in range(1, r + 1)
-                  for j in range(i + 1, r + 1))
-    return sum(P.k_vec) == total_v + total_u
+    total = sum(P.v_data(i, j) if kind == "b" else P.u_data(i, j)
+                for kind, i, j in entry_positions(P.rank))
+    return sum(P.k_vec) == total
 
 
 @dataclass(frozen=True)
@@ -117,12 +79,12 @@ class HTable:
     n: int
     entries: tuple  # ((k, GaussValue), ...) sorted by k
 
+    @cached_property
+    def _by_key(self) -> dict:
+        return dict(self.entries)
+
     def value(self, k) -> GaussValue:
-        k = tuple(k)
-        for key, val in self.entries:
-            if key == k:
-                return val
-        return GaussValue.zero(self.n)
+        return self._by_key.get(tuple(k), GaussValue.zero(self.n))
 
     def keys(self):
         return [k for k, _ in self.entries]

@@ -206,11 +206,6 @@ class ArithContext:
         return cmath.exp(2j * cmath.pi * ((s * power) % self.n) / self.n)
 
 
-def residue_symbol(d: int, ctx: ArithContext):
-    """Index of the n-th power residue symbol of d, or None when p | d."""
-    return ctx.chi_index(d)
-
-
 def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
     """Literal exponential sum over d mod p^{v_exp}, the numeric oracle."""
     if v_exp < 0:

@@ -18,7 +18,7 @@ of a b-row acts as the lower bound 0).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .roots import LambdaTwist, WeylElement
@@ -152,6 +152,20 @@ def validate_pattern(P: GTPattern) -> None:
                     raise ValueError(f"a_{{{i},{j}}} is below its lower bound")
 
 
+@cache
+def pair_positions(r: int, i: int) -> tuple:
+    """The entries of row pair i in reading order:
+    b_{i,i} .. b_{i,r}, then a_{i,r} .. a_{i,i+1}."""
+    return (tuple(("b", i, j) for j in range(i, r + 1))
+            + tuple(("a", i, j) for j in range(r, i, -1)))
+
+
+@cache
+def entry_positions(r: int) -> tuple:
+    """All r^2 weighted entries (every row below the top), pair by pair."""
+    return tuple(pos for i in range(1, r + 1) for pos in pair_positions(r, i))
+
+
 @dataclass(frozen=True)
 class PatternData:
     """Row sums, weight, support vector, entry data and classification."""
@@ -168,23 +182,17 @@ class PatternData:
 
 def pattern_data(P: GTPattern) -> PatternData:
     r = P.rank
-    v = {(i, j): P.v_data(i, j) for i in range(1, r + 1)
-         for j in range(i, r + 1)}
-    w = {(i, j): P.w_data(i, j) for i in range(1, r + 1)
-         for j in range(i, r + 1)}
-    u = {(i, j): P.u_data(i, j) for i in range(1, r + 1)
-         for j in range(i + 1, r + 1)}
-    classes = {}
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            classes[("b", i, j)] = classify_entry(P, ("b", i, j))
-    for i in range(1, r):
-        for j in range(i + 1, r + 1):
-            classes[("a", i, j)] = classify_entry(P, ("a", i, j))
+    positions = entry_positions(r)
+    b_keys = [(i, j) for kind, i, j in positions if kind == "b"]
+    a_keys = [(i, j) for kind, i, j in positions if kind == "a"]
     return PatternData(
         s_a=tuple(P.s_a(i) for i in range(r + 1)),
         s_b=tuple(P.s_b(i) for i in range(1, r + 1)),
-        wgt=P.wgt, k=P.k_vec, v=v, w=w, u=u, entry_class=classes)
+        wgt=P.wgt, k=P.k_vec,
+        v={key: P.v_data(*key) for key in b_keys},
+        w={key: P.w_data(*key) for key in b_keys},
+        u={key: P.u_data(*key) for key in a_keys},
+        entry_class={pos: classify_entry(P, pos) for pos in positions})
 
 
 def entry_bounds_flags(P: GTPattern, pos):
@@ -222,24 +230,10 @@ def classify_entry(P: GTPattern, pos) -> str:
     return "generic"
 
 
-def is_ambiguous_entry(P: GTPattern, pos) -> bool:
-    """True for the degenerate b_{i,r} = a_{i-1,r} = 0 coincidence."""
-    is_min, is_max = entry_bounds_flags(P, pos)
-    return is_min and is_max
-
-
 def is_strict(P: GTPattern) -> bool:
     """True iff every horizontal row strictly decreases."""
     return all(all(row[k] > row[k + 1] for k in range(len(row) - 1))
                for row in P.a + P.b)
-
-
-def _pair_string(P: GTPattern, i: int):
-    """The ordered entries {b_{i,i}..b_{i,r}, a_{i,r}..a_{i,i+1}} of pair i."""
-    r = P.rank
-    out = [("b", i, j) for j in range(i, r + 1)]
-    out += [("a", i, j) for j in range(r, i, -1)]
-    return out
 
 
 def is_stable(P: GTPattern) -> bool:
@@ -249,7 +243,7 @@ def is_stable(P: GTPattern) -> bool:
         return False
     for i in range(1, P.rank + 1):
         seen_max = False
-        for pos in _pair_string(P, i):
+        for pos in pair_positions(P.rank, i):
             is_min, is_max = entry_bounds_flags(P, pos)
             if is_max:
                 seen_max = True

@@ -43,20 +43,12 @@ class RootSystemC:
     rho: tuple
     fundamental_weights: tuple
 
-    def is_positive(self, v) -> bool:
-        return v in self._positive_set
-
     def is_negative(self, v) -> bool:
         return tuple(-c for c in v) in self._positive_set
 
     @cached_property
     def _positive_set(self):
         return frozenset(self.positive_roots)
-
-    def simple_coords(self, alpha):
-        """Express a vector in the root lattice as integer coefficients of the
-        simple roots.  Raises on non-lattice input."""
-        return simple_coords(self.rank, alpha)
 
 
 def simple_coords(r: int, alpha):
@@ -218,16 +210,12 @@ class LambdaTwist:
 
     @property
     def L(self) -> tuple:
+        """lambda + rho = (L_1, ..., L_r) in Euclidean coordinates."""
         out, acc = [], 0
         for j, lj in enumerate(self.l, start=1):
             acc += lj
             out.append(acc + j)
         return tuple(out)
-
-    @property
-    def lambda_plus_rho(self) -> tuple:
-        """(L_1, ..., L_r) in Euclidean coordinates."""
-        return self.L
 
     @property
     def top_row(self) -> tuple:
@@ -245,16 +233,17 @@ def d_lambda(rs: RootSystemC, twist: LambdaTwist, alpha) -> int:
     """d(alpha) = 2<lambda+rho, alpha> / <alpha, alpha> as an exact integer."""
     if alpha not in rs._positive_set:
         raise ValueError(f"{alpha} is not a positive root")
-    val = Fraction(2) * inner(twist.lambda_plus_rho, alpha) / inner(alpha, alpha)
+    val = Fraction(2) * inner(twist.L, alpha) / inner(alpha, alpha)
     if val.denominator != 1:
         raise AssertionError("d_lambda is not integral")
     return int(val)
 
 
 def stability_bound(twist: LambdaTwist) -> int:
-    """The lower bound on odd n coming from the largest positive root."""
+    """The largest d_lambda over the positive roots: L_{r-1} + L_r from
+    e_{r-1} + e_r, or L_1 at rank 1."""
     l = twist.l
-    return l[0] + 1 + sum(2 * (li + 1) for li in l[1:])
+    return l[-1] + 1 + sum(2 * (li + 1) for li in l[:-1])
 
 
 def stability_min_n(twist: LambdaTwist) -> int:

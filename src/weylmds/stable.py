@@ -5,11 +5,12 @@ pattern-sum table.
 
 from dataclasses import dataclass
 
-from .coeffs import HTable, h_table
+from .coeffs import h_table
 from .gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
-from .patterns import GTPattern, classify_entry, is_stable
+from .patterns import GTPattern, classify_entry, is_stable, pair_positions
 from .roots import (LambdaTwist, RootSystemC, WeylElement, build_root_system,
-                    d_lambda, inv_pr_counts, norm_sq, phi_w, stability_bound)
+                    d_lambda, inv_pr_counts, norm_sq, phi_w, simple_coords,
+                    stability_bound)
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,8 @@ def maximal_count(P: GTPattern, i: int) -> int:
     """Number of maximal entries in rows b_{r+1-i} and a_{r+1-i} together."""
     if not is_stable(P):
         raise ValueError("pattern is not stable")
-    r = P.rank
-    count = sum(1 for j in range(r + 1 - i, r + 1)
-                if classify_entry(P, ("b", r + 1 - i, j)) == "maximal")
-    if r + 1 - i <= r - 1:
-        count += sum(1 for j in range(r + 2 - i, r + 1)
-                     if classify_entry(P, ("a", r + 1 - i, j)) == "maximal")
-    return count
+    return sum(1 for pos in pair_positions(P.rank, P.rank + 1 - i)
+               if classify_entry(P, pos) == "maximal")
 
 
 def maximal_count_formula(w: WeylElement, i: int) -> int:
@@ -108,19 +104,11 @@ def maximal_count_formula(w: WeylElement, i: int) -> int:
 
 def k_of_weyl(w: WeylElement, twist: LambdaTwist) -> tuple:
     """Solve lambda+rho - w(lambda+rho) = sum k_i alpha_i for k."""
-    r = w.rank
-    lam = twist.lambda_plus_rho
-    diff = tuple(a - b for a, b in zip(lam, w.act(lam)))
-    k = [0] * r
-    for j in range(r, 1, -1):
-        k[j - 1] = diff[j - 1] + (k[j] if j < r else 0)
-    t = diff[0] + (k[1] if r > 1 else 0)
-    if t % 2:
-        raise AssertionError("support vector is not integral")
-    k[0] = t // 2
+    L = twist.L
+    k = simple_coords(w.rank, tuple(a - b for a, b in zip(L, w.act(L))))
     if any(x < 0 for x in k):
         raise AssertionError("negative support vector")
-    return tuple(k)
+    return k
 
 
 def verify_stable_match(twist: LambdaTwist, n: int,

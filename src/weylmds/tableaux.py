@@ -14,9 +14,9 @@ those with letters <= (r-i+1)'.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .patterns import GTPattern, classify_entry, is_strict
+from .patterns import (GTPattern, classify_entry, entry_positions,
+                       enumerate_patterns, is_strict)
 
 
 def letter_key(value: int, barred: bool) -> int:
@@ -129,6 +129,16 @@ def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
     return S
 
 
+def standard_tableaux(top_row):
+    """The standard tableaux of shape top_row, read off the strict patterns
+    in canonical order."""
+    for P in enumerate_patterns(top_row):
+        if is_strict(P):
+            S = tableau_from_pattern(P)
+            if S.is_standard():
+                yield S
+
+
 def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
     """Read the counting rules backwards; inverse of tableau_from_pattern."""
     S.validate(standard=False)
@@ -202,19 +212,8 @@ def tableau_stats(S: ShiftedTableau) -> TableauStats:
 
 def classification_counts(P: GTPattern):
     """(#generic, #maximal) entries over the whole pattern."""
-    r = P.rank
-    gen = mx = 0
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            tag = classify_entry(P, ("b", i, j))
-            gen += tag == "generic"
-            mx += tag == "maximal"
-    for i in range(1, r):
-        for j in range(i + 1, r + 1):
-            tag = classify_entry(P, ("a", i, j))
-            gen += tag == "generic"
-            mx += tag == "maximal"
-    return gen, mx
+    tags = [classify_entry(P, pos) for pos in entry_positions(P.rank)]
+    return tags.count("generic"), tags.count("maximal")
 
 
 def verify_tableau_stats(P: GTPattern) -> bool:

@@ -13,6 +13,7 @@ from weylmds.chars import (character_gt, character_weyl_oracle, deformation_D,
 from weylmds.coeffs import h_table
 from weylmds.laurent import LaurentPoly
 from weylmds.patterns import LambdaTwist
+from weylmds.tableaux import standard_tableaux, tableau_stats
 
 
 def _mono(r, exps, coeff=1, t=0, q=0):
@@ -79,7 +80,8 @@ def test_deformation_examples():
 
 def test_hk_rhs_rank1_matches_deformation():
     twist = LambdaTwist((0,))
-    rhs = hk_rhs(twist)
+    rhs = hk_rhs(1, [tableau_stats(S)
+                     for S in standard_tableaux(twist.top_row)])
     # the two single-box tableaux give x^{-1} + t x
     assert rhs == _mono(1, (-1,)) + _mono(1, (1,), t=1)
     assert rhs == scale_x_by_t(deformation_D(1), 1) * character_gt((0,), 1)

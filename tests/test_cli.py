@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylmds
 from weylmds.cli import main
 
 
@@ -118,3 +123,26 @@ def test_empty_table_serialization():
     from weylmds.patterns import LambdaTwist
     table = HTable(LambdaTwist((0,)), 1, ())
     assert table.to_json()["entries"] == []
+
+
+def test_format_values_a_command_does_not_render_exit_two(capsys):
+    assert run(capsys, "verify", "gauss", "--n", "3", "--p", "7",
+               "--format", "csv")[0] == 2
+    assert run(capsys, "character", "--rank", "1", "--l", "1",
+               "--format", "text")[0] == 2
+
+
+def test_closed_stdout_ends_quietly():
+    src = str(Path(weylmds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylmds.cli", "patterns", "--rank", "3",
+         "--l", "1,1,1", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()  # like `| head -1`
+    proc.wait(timeout=120)
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.returncode != 1

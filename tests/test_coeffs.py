@@ -2,13 +2,42 @@ from itertools import combinations
 
 import pytest
 
-from weylmds.coeffs import (gamma_a, gamma_a_long, gamma_b, gamma_b_long,
-                            h_table, pattern_G, verify_k_sum)
-from weylmds.gauss import ArithContext, GaussValue, numeric_eval
-from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              is_strict)
+from weylmds.coeffs import gamma_a, gamma_b, h_table, pattern_G, verify_k_sum
+from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
+from weylmds.patterns import (GTPattern, LambdaTwist, entry_bounds_flags,
+                              enumerate_patterns, is_strict)
 
 from test_patterns import FIG1
+
+
+def gamma_b_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
+    """Oracle: the factor attached to b_{i,j}, spelled out case by case."""
+    r = P.rank
+    is_min, is_max = entry_bounds_flags(P, ("b", i, j))
+    if is_min and is_max:
+        return GaussValue.zero(n)
+    v = P.v_data(i, j)
+    t = 2 if j == r else 1
+    if is_max:
+        return gauss_eval(t, v - 1, v, n)
+    if is_min:
+        return GaussValue.q_power(n, v)
+    if (v * t) % n == 0:
+        return GaussValue.phi(n, v)
+    return GaussValue.zero(n)
+
+
+def gamma_a_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
+    """Oracle: the factor attached to a_{i,j}, spelled out case by case."""
+    is_min, is_max = entry_bounds_flags(P, ("a", i, j))
+    u = P.u_data(i, j)
+    if is_min:
+        return GaussValue.q_power(n, u)
+    if is_max:
+        return gauss_eval(1, u - 1, u, n)
+    if u % n == 0:
+        return GaussValue.phi(n, u)
+    return GaussValue.zero(n)
 
 
 def test_gamma_b_minimal_is_unit():

@@ -1,27 +1,28 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
-                           numeric_eval, residue_symbol)
+                           numeric_eval)
 
 
 def test_residue_symbol_identity_and_vanishing():
     ctx = ArithContext(3, 7)
-    assert residue_symbol(1, ctx) == 0
-    assert residue_symbol(8, ctx) == 0
-    assert residue_symbol(7, ctx) is None
+    assert ctx.chi_index(1) == 0
+    assert ctx.chi_index(8) == 0
+    assert ctx.chi_index(7) is None
 
 
 def test_residue_symbol_order_and_multiplicativity():
     ctx = ArithContext(3, 7)
-    s = residue_symbol(2, ctx)
+    s = ctx.chi_index(2)
     assert s is not None and s % 3 != 0  # chi(2) != 1
     # chi(2)^3 = 1 is automatic for an index mod 3; check multiplicativity
     for d1 in range(1, 7):
         for d2 in range(1, 7):
-            lhs = residue_symbol(d1 * d2, ctx)
-            rhs = (residue_symbol(d1, ctx) + residue_symbol(d2, ctx)) % 3
+            lhs = ctx.chi_index(d1 * d2)
+            rhs = (ctx.chi_index(d1) + ctx.chi_index(d2)) % 3
             assert lhs == rhs
 
 
@@ -104,3 +105,24 @@ def test_json_canonical_form():
     v = GaussValue.symbol(3, 2, q_exp=1, coeff=-4) + GaussValue.q_power(3, 0)
     blob = v.to_json()
     assert GaussValue.from_json(3, blob) == v
+
+
+# g_t(p^c, p^v) with c in {v - 1, v, v + 1}: every evaluation rule except
+# c <= v - 2, which is always 0
+_factor = st.tuples(st.integers(1, 2), st.integers(-1, 1), st.integers(0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from((1, 3, 5, 7)), factors=st.lists(_factor, max_size=7),
+       data=st.data())
+def test_gauss_eval_product_ignores_factor_order(n, factors, data):
+    values = [gauss_eval(t, max(v + dc, 0), v, n) for t, dc, v in factors]
+    shuffled = data.draw(st.permutations(values))
+
+    def product(vals):
+        out = GaussValue.one(n)
+        for g in vals:
+            out = out * g
+        return out
+
+    assert product(shuffled).to_json() == product(values).to_json()

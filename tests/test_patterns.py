@@ -4,9 +4,11 @@ from itertools import combinations, permutations, product
 import pytest
 
 from weylmds.patterns import (GTPattern, LambdaTwist, classify_entry,
-                              count_patterns, enumerate_patterns, is_stable,
-                              is_strict, pattern_data, stable_pattern_for,
-                              stable_patterns, weyl_from_stable)
+                              count_patterns, entry_bounds_flags,
+                              entry_positions, enumerate_patterns, is_stable,
+                              is_strict, pair_positions, pattern_data,
+                              stable_pattern_for, stable_patterns,
+                              weyl_from_stable)
 from weylmds.roots import WeylElement
 
 
@@ -175,3 +177,21 @@ def test_weight_multiset_is_weyl_invariant():
 def test_json_roundtrip():
     blob = json.dumps(FIG1.to_json())
     assert GTPattern.from_json(json.loads(blob)) == FIG1
+
+
+def test_entry_positions_list_every_entry_in_pair_order():
+    def reading_order(pos):
+        kind, i, j = pos
+        return (i, 0, j) if kind == "b" else (i, 1, -j)
+
+    for r in range(1, 6):
+        positions = entry_positions(r)
+        assert len(set(positions)) == len(positions) == r * r
+        assert set(positions) == (
+            {("b", i, j) for i in range(1, r + 1) for j in range(i, r + 1)}
+            | {("a", i, j) for i in range(1, r) for j in range(i + 1, r + 1)})
+        assert list(positions) == sorted(positions, key=reading_order)
+        assert positions == sum((pair_positions(r, i)
+                                 for i in range(1, r + 1)), ())
+    for pos in entry_positions(FIG1.rank):
+        entry_bounds_flags(FIG1, pos)  # every position names a real entry

@@ -78,8 +78,8 @@ def test_stability_bounds():
     assert stability_bound(LambdaTwist((0, 0))) == 3
     assert stability_min_n(LambdaTwist((0, 0))) == 3
     assert stability_min_n(LambdaTwist((0,))) == 1
-    assert stability_bound(LambdaTwist((1, 0, 2))) == 10
-    assert stability_min_n(LambdaTwist((1, 0, 2))) == 11
+    assert stability_bound(LambdaTwist((1, 0, 2))) == 9
+    assert stability_min_n(LambdaTwist((1, 0, 2))) == 9
 
 
 def test_phi_w_examples():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from weylmds.coeffs import h_table, pattern_G
@@ -5,7 +7,8 @@ from weylmds.gauss import ArithContext, GaussValue
 from weylmds.patterns import (LambdaTwist, enumerate_patterns, is_strict,
                               pattern_data, stable_pattern_for,
                               weyl_from_stable)
-from weylmds.roots import WeylElement, build_root_system, d_lambda, phi_w
+from weylmds.roots import (WeylElement, build_root_system, d_lambda, phi_w,
+                           stability_bound, stability_min_n)
 from weylmds.stable import (d_sets, h_stable, k_of_weyl, maximal_count,
                             maximal_count_formula, phi_w_typed,
                             verify_stable_match)
@@ -128,3 +131,13 @@ def test_verify_stable_match_examples():
     assert rep["checked"] == 8 and not rep["mismatches"]
     rep = verify_stable_match(LambdaTwist((1, 0)), 5, ArithContext(5, 11))
     assert rep["checked"] == 8 and not rep["mismatches"]
+
+
+def test_stability_bound_is_largest_d_lambda_and_suffices():
+    rs = build_root_system(2)
+    for l in product(range(4), repeat=2):
+        twist = LambdaTwist(l)
+        assert stability_bound(twist) == max(
+            d_lambda(rs, twist, alpha) for alpha in rs.positive_roots)
+        report = verify_stable_match(twist, stability_min_n(twist))
+        assert report["checked"] == 8 and report["mismatches"] == [], l
