@@ -12,10 +12,9 @@ from .coeffs import (HTable, gamma_a, gamma_b, h_table, pattern_G,
 from .gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                     numeric_eval)
 from .laurent import LaurentPoly
-from .patterns import (GTPattern, PatternData, classify_entry,
-                       enumerate_patterns, is_stable, is_strict,
-                       pattern_data, stable_pattern_for, stable_patterns,
-                       weyl_from_stable)
+from .patterns import (EntryRecord, GTPattern, enumerate_patterns,
+                       interleave_bounds, is_stable, is_strict, pair_entries,
+                       stable_pattern_for, stable_patterns, weyl_from_stable)
 from .roots import (LambdaTwist, RootSystemC, WeylElement, build_root_system,
                     d_lambda, inv_pr_counts, phi_w, s_action, stability_bound,
                     stability_min_n)

@@ -12,9 +12,7 @@ from fractions import Fraction
 from .coeffs import h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
-from .patterns import (GTPattern, LambdaTwist, classify_entry,
-                       entry_bounds_flags, entry_positions, enumerate_patterns,
-                       is_strict)
+from .patterns import GTPattern, LambdaTwist, enumerate_patterns, is_strict
 from .roots import (RootSystemC, WeylElement, build_root_system, inner,
                     simple_coords)
 from .tableaux import standard_tableaux, tableau_stats
@@ -183,11 +181,10 @@ def reduced_pattern_weight(P: GTPattern, r: int) -> LaurentPoly:
     qinv = LaurentPoly.variable(n, qi, -1)
     factors = {"minimal": one, "generic": one - qinv, "maximal": -qinv}
     out = one
-    for pos in entry_positions(r):
-        is_min, is_max = entry_bounds_flags(P, pos)
-        if is_min and is_max:
+    for e in P.records():
+        if e.is_min and not e.slack:
             return LaurentPoly.zero(n)
-        out = out * factors[classify_entry(P, pos)]
+        out = out * factors[e.tag]
     return out
 
 

@@ -18,7 +18,8 @@ from .gauss import ArithContext, gauss_brute, gauss_eval, numeric_eval
 from .patterns import LambdaTwist, enumerate_patterns, is_strict
 from .stable import verify_stable_match
 from .tableaux import (pattern_from_tableau, standard_tableaux,
-                       tableau_from_pattern, tableau_stats)
+                       tableau_from_pattern, tableau_stats,
+                       verify_tableau_stats)
 
 
 def _emit(text):
@@ -82,10 +83,15 @@ def cmd_tableaux(args):
 
 def cmd_hcoeff(args):
     twist = _twist(args)
+    if args.numeric:
+        if args.p is None:
+            raise SystemExit2("--numeric needs --p")
+        ctx = ArithContext(args.n, args.p)
+    elif args.p is not None:
+        raise SystemExit2("--p is only read with --numeric")
     table = h_table(twist, args.n)
     obj = table.to_json()
     if args.numeric:
-        ctx = _context(args)
         for entry, (_, val) in zip(obj["entries"], table.entries):
             z = numeric_eval(val, ctx)
             entry["numeric"] = [z.real, z.imag]
@@ -124,83 +130,74 @@ def cmd_euler(args):
     return 0
 
 
-def _context(args) -> ArithContext:
-    if args.p is None:
-        raise SystemExit2("--p is required here")
-    n = getattr(args, "n", 1) or 1
-    if (args.p - 1) % n:
-        raise SystemExit2("p must be congruent to 1 mod n")
-    return ArithContext(n, args.p)
+def _verdict(ok, report):
+    _emit(_dump(report))
+    return 0 if ok else 1
 
 
-def cmd_verify(args):
-    if args.what == "stable":
-        twist = _twist(args)
-        if args.n is None:
-            raise SystemExit2("--n is required for stable verification")
-        ctx = _context(args) if args.p else None
-        report = verify_stable_match(twist, args.n, ctx)
-        _emit(_dump(report))
-        return 0 if not report["mismatches"] else 1
+def cmd_verify_stable(args):
+    twist = _twist(args)
+    ctx = None if args.p is None else ArithContext(args.n, args.p)
+    report = verify_stable_match(twist, args.n, ctx)
+    return _verdict(not report["mismatches"], report)
 
-    if args.what == "hamel-king":
-        twist = _twist(args)
-        ok, diff = verify_deformation_identity(twist)
-        _emit(_dump({"ok": ok, "residual": diff.to_json()}))
-        return 0 if ok else 1
 
-    if args.what == "lemma3":
-        twist = _twist(args)
-        bad = [P.to_json() for P in enumerate_patterns(twist.top_row)
-               if not verify_k_sum(P)]
-        _emit(_dump({"ok": not bad, "failures": bad}))
-        return 0 if not bad else 1
+def cmd_verify_hamel_king(args):
+    ok, diff = verify_deformation_identity(_twist(args))
+    return _verdict(ok, {"ok": ok, "residual": diff.to_json()})
 
-    if args.what == "lemma4":
-        from .tableaux import verify_tableau_stats
-        twist = _twist(args)
-        bad = []
-        for P in enumerate_patterns(twist.top_row):
-            if not is_strict(P):
-                continue
-            if not verify_tableau_stats(P):
-                bad.append(P.to_json())
-            elif pattern_from_tableau(tableau_from_pattern(P)) != P:
-                bad.append(P.to_json())
-        _emit(_dump({"ok": not bad, "failures": bad}))
-        return 0 if not bad else 1
 
-    if args.what == "gauss":
-        n = args.n or 1
-        p = args.p or {1: 5, 3: 7, 5: 11}.get(n)
-        if p is None:
-            raise SystemExit2("--p is required for this degree")
-        ctx = ArithContext(n, p)
-        bad = []
-        for t in (1, 2):
-            for c in range(0, 6):
-                for v in range(0, 5):
-                    sym = numeric_eval(gauss_eval(t, c, v, n), ctx)
-                    brute = gauss_brute(t, c, v, ctx)
-                    if abs(sym - brute) > 1e-9 * p ** v:
-                        bad.append({"t": t, "c": c, "v": v,
-                                    "symbolic": [sym.real, sym.imag],
-                                    "brute": [brute.real, brute.imag]})
-        _emit(_dump({"ok": not bad, "n": n, "p": p, "failures": bad}))
-        return 0 if not bad else 1
+def cmd_verify_lemma3(args):
+    twist = _twist(args)
+    bad = [P.to_json() for P in enumerate_patterns(twist.top_row)
+           if not verify_k_sum(P)]
+    return _verdict(not bad, {"ok": not bad, "failures": bad})
 
-    if args.what == "cs":
-        twist = _twist(args)
-        ok_a, diff_a = verify_euler_bridge(args.rank)
-        ok_b, diff_b = verify_euler_factor_identity(twist)
-        ok_t, bad = verify_h_tilde(twist)
-        _emit(_dump({"ok": ok_a and ok_b and ok_t,
-                     "bridge_residual": diff_a.to_json(),
-                     "full_residual": diff_b.to_json(),
-                     "reduced_table_failures": [list(k) for k in bad]}))
-        return 0 if ok_a and ok_b and ok_t else 1
 
-    raise SystemExit2(f"unknown verification {args.what!r}")
+def cmd_verify_lemma4(args):
+    twist = _twist(args)
+    bad = []
+    for P in enumerate_patterns(twist.top_row):
+        if not is_strict(P):
+            continue
+        if not verify_tableau_stats(P):
+            bad.append(P.to_json())
+        elif pattern_from_tableau(tableau_from_pattern(P)) != P:
+            bad.append(P.to_json())
+    return _verdict(not bad, {"ok": not bad, "failures": bad})
+
+
+def cmd_verify_gauss(args):
+    n = args.n
+    if n < 1:
+        raise SystemExit2("--n must be positive")
+    p = args.p if args.p is not None else {1: 5, 3: 7, 5: 11}.get(n)
+    if p is None:
+        raise SystemExit2("--p is required for this degree")
+    ctx = ArithContext(n, p)
+    bad = []
+    for t in (1, 2):
+        for c in range(0, 6):
+            for v in range(0, 5):
+                sym = numeric_eval(gauss_eval(t, c, v, n), ctx)
+                brute = gauss_brute(t, c, v, ctx)
+                if abs(sym - brute) > 1e-9 * p ** v:
+                    bad.append({"t": t, "c": c, "v": v,
+                                "symbolic": [sym.real, sym.imag],
+                                "brute": [brute.real, brute.imag]})
+    return _verdict(not bad, {"ok": not bad, "n": n, "p": p, "failures": bad})
+
+
+def cmd_verify_cs(args):
+    twist = _twist(args)
+    ok_a, diff_a = verify_euler_bridge(args.rank)
+    ok_b, diff_b = verify_euler_factor_identity(twist)
+    ok_t, bad = verify_h_tilde(twist)
+    ok = ok_a and ok_b and ok_t
+    return _verdict(ok, {"ok": ok,
+                         "bridge_residual": diff_a.to_json(),
+                         "full_residual": diff_b.to_json(),
+                         "reduced_table_failures": [list(k) for k in bad]})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,14 +246,32 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, "csv")
     p.set_defaults(func=cmd_euler)
 
+    # each verification takes only the flags it reads
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("what", choices=("stable", "hamel-king", "lemma3",
-                                    "lemma4", "gauss", "cs"))
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--l", type=str, default="0")
-    p.add_argument("--n", type=int)
+    targets = p.add_subparsers(dest="what", required=True)
+
+    def target(name, func, text, twist=True):
+        parser = targets.add_parser(name, help=text)
+        if twist:
+            parser.add_argument("--rank", type=int, default=1)
+            parser.add_argument("--l", type=str, default="0")
+        parser.set_defaults(func=func)
+        return parser
+
+    p = target("stable", cmd_verify_stable,
+               "pattern-sum table against the stable-case product")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", type=int, help="also compare numerically at p")
+    target("hamel-king", cmd_verify_hamel_king,
+           "deformed-denominator identity over shifted tableaux")
+    target("lemma3", cmd_verify_lemma3, "support-sum identity")
+    target("lemma4", cmd_verify_lemma4,
+           "entry classification against tableau statistics")
+    p = target("gauss", cmd_verify_gauss,
+               "symbolic Gauss sums against brute force", twist=False)
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--p", type=int)
-    p.set_defaults(func=cmd_verify)
+    target("cs", cmd_verify_cs, "n = 1 Euler-factor identities")
 
     return ap
 

@@ -16,36 +16,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gauss import GaussValue, gauss_eval
-from .patterns import (GTPattern, LambdaTwist, entry_bounds_flags,
-                       entry_positions, enumerate_patterns, is_strict)
+from .patterns import (EntryRecord, GTPattern, LambdaTwist,
+                       enumerate_patterns, is_strict)
 
 
-def gamma_b(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
-    """Factor attached to b_{i,j} (compact form)."""
-    r = P.rank
-    b = P.b_entry(i, j)
-    if b is None:
-        raise ValueError(f"no entry b_{{{i},{j}}}")
-    is_min, is_max = entry_bounds_flags(P, ("b", i, j))
-    if is_min and is_max:
-        return GaussValue.zero(n)
-    v = P.v_data(i, j)
-    if is_min:
-        return GaussValue.q_power(n, v)
-    t = 2 if j == r else 1
-    low = P.a_entry(i - 1, j + 1, 0)
-    return gauss_eval(t, v + b - low - 1, v, n)
+def gamma_b(e: EntryRecord, n: int) -> GaussValue:
+    """Factor attached to the b-entry with record e; zero at the degenerate
+    coincidence, where the entry is minimal at zero slack."""
+    if e.is_min:
+        return GaussValue.q_power(n, e.exp) if e.slack else GaussValue.zero(n)
+    return gauss_eval(e.t, e.exp + e.slack - 1, e.exp, n)
 
 
-def gamma_a(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
-    """Factor attached to a_{i,j}, i >= 1 (compact form)."""
-    a = P.a_entry(i, j)
-    if a is None or i < 1:
-        raise ValueError(f"no entry a_{{{i},{j}}}")
-    if a == P.b_entry(i, j):
-        return GaussValue.q_power(n, P.u_data(i, j))
-    u = P.u_data(i, j)
-    return gauss_eval(1, u - a + P.b_entry(i, j - 1) - 1, u, n)
+def gamma_a(e: EntryRecord, n: int) -> GaussValue:
+    """Factor attached to the a-entry with record e."""
+    if e.is_min:
+        return GaussValue.q_power(n, e.exp)
+    return gauss_eval(e.t, e.exp + e.slack - 1, e.exp, n)
 
 
 def pattern_G(P: GTPattern, n: int) -> GaussValue:
@@ -53,9 +40,9 @@ def pattern_G(P: GTPattern, n: int) -> GaussValue:
     if not is_strict(P):
         return GaussValue.zero(n)
     out = GaussValue.one(n)
-    for kind, i, j in entry_positions(P.rank):
-        gamma = gamma_b if kind == "b" else gamma_a
-        out = out * gamma(P, i, j, n)
+    for e in P.records():
+        gamma = gamma_b if e.pos[0] == "b" else gamma_a
+        out = out * gamma(e, n)
         if out.is_zero():
             return out
     return out
@@ -63,9 +50,7 @@ def pattern_G(P: GTPattern, n: int) -> GaussValue:
 
 def verify_k_sum(P: GTPattern) -> bool:
     """sum k_i = sum v_{i,j} + sum u_{i,j}, exactly."""
-    total = sum(P.v_data(i, j) if kind == "b" else P.u_data(i, j)
-                for kind, i, j in entry_positions(P.rank))
-    return sum(P.k_vec) == total
+    return sum(P.k_vec) == sum(e.exp for e in P.records())
 
 
 @dataclass(frozen=True)

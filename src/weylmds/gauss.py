@@ -179,6 +179,8 @@ class ArithContext:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("degree must be positive")
+        if self.p > 10 ** 7:  # the discrete-log table holds p entries
+            raise ValueError(f"p = {self.p} exceeds the limit 10^7")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if (self.p - 1) % self.n:

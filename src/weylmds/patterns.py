@@ -20,6 +20,7 @@ of a b-row acts as the lower bound 0).
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .roots import LambdaTwist, WeylElement
 
@@ -88,19 +89,24 @@ class GTPattern:
             raise AssertionError(f"negative support vector {tuple(k)}")
         return tuple(k)
 
-    def v_data(self, i, j) -> int:
-        """v_{i,j} = sum_{m=i}^{j} (a_{i-1,m} - b_{i,m})."""
-        return sum(self.a_entry(i - 1, m, 0) - self.b_entry(i, m, 0)
-                   for m in range(i, j + 1))
+    def pair_records(self, i: int):
+        """The EntryRecords of row pair i, 1 <= i <= r, lazily."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"no row pair {i}")
+        below = self.a[i] if i < self.rank else ()
+        return pair_entries(self.rank, i, self.a[i - 1], self.b[i - 1], below)
 
-    def w_data(self, i, j) -> int:
-        """w_{i,j} = sum_{m=j}^{r} (a_{i,m} - b_{i,m})."""
-        return sum(self.a_entry(i, m, 0) - self.b_entry(i, m, 0)
-                   for m in range(j, self.rank + 1))
+    def records(self):
+        """Every EntryRecord, pair by pair, lazily."""
+        for i in range(1, self.rank + 1):
+            yield from self.pair_records(i)
 
-    def u_data(self, i, j) -> int:
-        """u_{i,j} = v_{i,r} + w_{i,j}."""
-        return self.v_data(i, self.rank) + self.w_data(i, j)
+    def record(self, pos) -> "EntryRecord":
+        """The EntryRecord at position (kind, i, j)."""
+        for e in self.pair_records(pos[1]):
+            if e.pos == pos:
+                return e
+        raise ValueError(f"no entry {pos}")
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
@@ -121,35 +127,31 @@ def validate_pattern(P: GTPattern) -> None:
         raise ValueError("rank must be positive")
     if len(P.a) != r or len(P.b) != r:
         raise ValueError("pattern must have r a-rows and r b-rows")
-    for i, row in enumerate(P.a):
-        if len(row) != r - i:
-            raise ValueError(f"a-row {i} has the wrong length")
-    for i, row in enumerate(P.b, start=1):
-        if len(row) != r - i + 1:
-            raise ValueError(f"b-row {i} has the wrong length")
+    for i in range(r):
+        if len(P.a[i]) != r - i or len(P.b[i]) != r - i:
+            raise ValueError(f"row pair {i + 1} has the wrong length")
     for row in P.a + P.b:
         if any((not isinstance(x, int)) or x < 0 for x in row):
             raise ValueError("entries must be nonnegative integers")
         if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
             raise ValueError("rows must be weakly decreasing")
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            bij = P.b_entry(i, j)
-            for up in (P.a_entry(i - 1, j), P.a_entry(i, j)):
-                if up is not None and bij > up:
-                    raise ValueError(f"b_{{{i},{j}}} exceeds its upper bound")
-            for lo in (P.a_entry(i - 1, j + 1), P.a_entry(i, j + 1)):
-                if lo is not None and bij < lo:
-                    raise ValueError(f"b_{{{i},{j}}} is below its lower bound")
-    for i in range(1, r):
-        for j in range(i + 1, r + 1):
-            aij = P.a_entry(i, j)
-            for up in (P.b_entry(i + 1, j - 1), P.b_entry(i, j - 1)):
-                if up is not None and aij > up:
-                    raise ValueError(f"a_{{{i},{j}}} exceeds its upper bound")
-            for lo in (P.b_entry(i + 1, j), P.b_entry(i, j)):
-                if lo is not None and aij < lo:
-                    raise ValueError(f"a_{{{i},{j}}} is below its lower bound")
+    rows = [row for pair in zip(P.a, P.b) for row in pair]  # a_0, b_1, a_1..
+    for k in range(1, 2 * r):
+        pad = (0,) if k % 2 else ()  # rows[k] is a b-row for odd k
+        if any(not lo <= x <= hi for x, (hi, lo)
+               in zip(rows[k], interleave_bounds(rows[k - 1], pad))):
+            raise ValueError(f"row {k} below the top does not interleave "
+                             f"with the row above")
+
+
+def interleave_bounds(above, pad) -> list:
+    """(upper, lower) bound of each entry of the row below `above`: entry m
+    lies in [ext[m + 1], ext[m]] with ext = above + pad.  A b-row keeps the
+    columns of the a-row above and takes 0 as its right-edge lower bound
+    (pad = (0,)); an a-row drops the leftmost column of the b-row above
+    (pad = ())."""
+    ext = (*above, *pad)
+    return list(zip(ext, ext[1:]))
 
 
 @cache
@@ -160,74 +162,44 @@ def pair_positions(r: int, i: int) -> tuple:
             + tuple(("a", i, j) for j in range(r, i, -1)))
 
 
-@cache
-def entry_positions(r: int) -> tuple:
-    """All r^2 weighted entries (every row below the top), pair by pair."""
-    return tuple(pos for i in range(1, r + 1) for pos in pair_positions(r, i))
+class EntryRecord(NamedTuple):
+    """What the weight of one entry needs, read off its row pair.
+
+    `slack` is the distance to the bound at which the entry is maximal:
+    b_{i,j} - a_{i-1,j+1} (0 past the right edge), or b_{i,j-1} - a_{i,j}.
+    `is_min` is equality with the other bound, a_{i-1,j} or b_{i,j}.  `exp`
+    is v_{i,j} = sum_{m<=j} (a_{i-1,m} - b_{i,m}) at a b-entry and u_{i,j} =
+    v_{i,r} + sum_{m>=j} (a_{i,m} - b_{i,m}) at an a-entry.  `t` is 2 at
+    b_{i,r} and 1 elsewhere."""
+
+    pos: tuple
+    is_min: bool
+    slack: int
+    exp: int
+    t: int
+
+    @property
+    def tag(self) -> str:
+        """minimal / maximal / generic; maximal whenever the slack is 0,
+        also at the coincidence b_{i,r} = a_{i-1,r} = 0 (see coeffs)."""
+        if not self.slack:
+            return "maximal"
+        return "minimal" if self.is_min else "generic"
 
 
-@dataclass(frozen=True)
-class PatternData:
-    """Row sums, weight, support vector, entry data and classification."""
-
-    s_a: tuple
-    s_b: tuple
-    wgt: tuple
-    k: tuple
-    v: dict
-    w: dict
-    u: dict
-    entry_class: dict
-
-
-def pattern_data(P: GTPattern) -> PatternData:
-    r = P.rank
-    positions = entry_positions(r)
-    b_keys = [(i, j) for kind, i, j in positions if kind == "b"]
-    a_keys = [(i, j) for kind, i, j in positions if kind == "a"]
-    return PatternData(
-        s_a=tuple(P.s_a(i) for i in range(r + 1)),
-        s_b=tuple(P.s_b(i) for i in range(1, r + 1)),
-        wgt=P.wgt, k=P.k_vec,
-        v={key: P.v_data(*key) for key in b_keys},
-        w={key: P.w_data(*key) for key in b_keys},
-        u={key: P.u_data(*key) for key in a_keys},
-        entry_class={pos: classify_entry(P, pos) for pos in positions})
-
-
-def entry_bounds_flags(P: GTPattern, pos):
-    """(hits_upper, hits_lower) for an entry: equality with the minimal
-    (upper) and maximal (lower / zero-at-right-edge) neighbour."""
-    kind, i, j = pos
-    r = P.rank
-    if kind == "b":
-        bij = P.b_entry(i, j)
-        if bij is None:
-            raise ValueError(f"no entry b_{{{i},{j}}}")
-        is_min = bij == P.a_entry(i - 1, j)
-        is_max = (bij == 0) if j == r else (bij == P.a_entry(i - 1, j + 1))
-        return is_min, is_max
-    if kind == "a":
-        aij = P.a_entry(i, j)
-        if aij is None or i < 1:
-            raise ValueError(f"no entry a_{{{i},{j}}}")
-        return aij == P.b_entry(i, j), aij == P.b_entry(i, j - 1)
-    raise ValueError(f"unknown entry kind {kind!r}")
-
-
-def classify_entry(P: GTPattern, pos) -> str:
-    """Tag an entry minimal / maximal / generic.
-
-    The coincidence b_{i,r} = a_{i-1,r} = 0 satisfies both equalities; it is
-    tagged maximal (the right-edge zero rule), and its weighting factor is
-    zero (see coeffs.gamma_b), so such patterns never contribute.
-    """
-    is_min, is_max = entry_bounds_flags(P, pos)
-    if is_max:
-        return "maximal"
-    if is_min:
-        return "minimal"
-    return "generic"
+def pair_entries(r: int, i: int, above, b, below):
+    """Lazily yield the EntryRecord of every entry of row pair i, in
+    pair_positions(r, i) order, from the rows a_{i-1} (`above`), b_i and
+    a_i (`below`, empty for i = r)."""
+    positions = pair_positions(r, i)
+    exp = 0
+    for pos, x, (hi, lo) in zip(positions, b, interleave_bounds(above, (0,))):
+        exp += hi - x
+        yield EntryRecord(pos, x == hi, x - lo, exp, 2 if pos[2] == r else 1)
+    for pos, x, (hi, lo) in zip(positions[len(b):], reversed(below),
+                                reversed(interleave_bounds(b, ()))):
+        exp += x - lo
+        yield EntryRecord(pos, x == lo, hi - x, exp, 1)
 
 
 def is_strict(P: GTPattern) -> bool:
@@ -242,16 +214,10 @@ def is_stable(P: GTPattern) -> bool:
     if not is_strict(P):
         return False
     for i in range(1, P.rank + 1):
-        seen_max = False
-        for pos in pair_positions(P.rank, i):
-            is_min, is_max = entry_bounds_flags(P, pos)
-            if is_max:
-                seen_max = True
-            elif is_min:
-                if seen_max:
-                    return False
-            else:
-                return False
+        tags = [e.tag for e in P.pair_records(i)]
+        m = tags.count("minimal")
+        if tags != ["minimal"] * m + ["maximal"] * (len(tags) - m):
+            return False
     return True
 
 
@@ -265,34 +231,21 @@ def enumerate_patterns(top_row):
     if any(top[k] < top[k + 1] for k in range(r - 1)):
         raise ValueError("top row must be sorted in decreasing order")
 
-    def row_choices(above, lower_shift):
-        """Descending-lex candidates for a row below `above`.
-
-        Entry m of the new row lies in [above[m + lower_shift] or 0,
-        above[m + lower_shift - 1]] when lower_shift = 1 (b-row below a-row,
-        same columns), or in [above[m + 1], above[m]] dropping the leftmost
-        column (a-row below b-row)."""
-        ranges = []
-        if lower_shift:
-            for m in range(len(above)):
-                hi = above[m]
-                lo = above[m + 1] if m + 1 < len(above) else 0
-                ranges.append(range(hi, lo - 1, -1))
-        else:
-            for m in range(1, len(above)):
-                ranges.append(range(above[m - 1], above[m] - 1, -1))
-        return product(*ranges)
+    def row_choices(above, pad):
+        """Descending-lex candidates for a row below `above`."""
+        return product(*[range(hi, lo - 1, -1)
+                         for hi, lo in interleave_bounds(above, pad)])
 
     def descend(rows_a, rows_b):
         i = len(rows_b)
         if i == r:
             yield GTPattern._unchecked(r, tuple(rows_a), tuple(rows_b))
             return
-        for brow in row_choices(rows_a[i], lower_shift=True):
+        for brow in row_choices(rows_a[i], (0,)):
             if i == r - 1:
                 yield from descend(rows_a, rows_b + [brow])
             else:
-                for arow in row_choices(brow, lower_shift=False):
+                for arow in row_choices(brow, ()):
                     yield from descend(rows_a + [arow], rows_b + [brow])
 
     yield from descend([top], [])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .coeffs import h_table
 from .gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
-from .patterns import GTPattern, classify_entry, is_stable, pair_positions
+from .patterns import GTPattern, is_stable
 from .roots import (LambdaTwist, RootSystemC, WeylElement, build_root_system,
                     d_lambda, inv_pr_counts, norm_sq, phi_w, simple_coords,
                     stability_bound)
@@ -92,8 +92,8 @@ def maximal_count(P: GTPattern, i: int) -> int:
     """Number of maximal entries in rows b_{r+1-i} and a_{r+1-i} together."""
     if not is_stable(P):
         raise ValueError("pattern is not stable")
-    return sum(1 for pos in pair_positions(P.rank, P.rank + 1 - i)
-               if classify_entry(P, pos) == "maximal")
+    return sum(1 for e in P.pair_records(P.rank + 1 - i)
+               if e.tag == "maximal")
 
 
 def maximal_count_formula(w: WeylElement, i: int) -> int:

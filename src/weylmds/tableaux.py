@@ -15,8 +15,7 @@ those with letters <= (r-i+1)'.
 
 from dataclasses import dataclass
 
-from .patterns import (GTPattern, classify_entry, entry_positions,
-                       enumerate_patterns, is_strict)
+from .patterns import GTPattern, enumerate_patterns, is_strict
 
 
 def letter_key(value: int, barred: bool) -> int:
@@ -210,18 +209,13 @@ def tableau_stats(S: ShiftedTableau) -> TableauStats:
     return TableauStats(wgt, con, row_unb, row_bar, str_total, barred, height)
 
 
-def classification_counts(P: GTPattern):
-    """(#generic, #maximal) entries over the whole pattern."""
-    tags = [classify_entry(P, pos) for pos in entry_positions(P.rank)]
-    return tags.count("generic"), tags.count("maximal")
-
-
 def verify_tableau_stats(P: GTPattern) -> bool:
     """Entry-classification counts against tableau statistics:
     #generic = str - r and #maximal = height + r(r+1)/2."""
     S = tableau_from_pattern(P)
     stats = tableau_stats(S)
-    gen, mx = classification_counts(P)
+    tags = [e.tag for e in P.records()]
+    gen, mx = tags.count("generic"), tags.count("maximal")
     r = P.rank
     return (gen == stats.str_total - r
             and mx == stats.height + r * (r + 1) // 2

@@ -146,3 +146,33 @@ def test_closed_stdout_ends_quietly():
     assert proc.stderr.read() == b""
     proc.stderr.close()
     assert proc.returncode != 1
+
+
+def test_verify_targets_refuse_flags_they_do_not_read(capsys):
+    assert run(capsys, "verify", "gauss", "--rank", "3",
+               "--l", "1,1,1")[0] == 2
+    assert run(capsys, "verify", "cs", "--n", "9", "--p", "19")[0] == 2
+    assert run(capsys, "verify", "lemma3", "--n", "3")[0] == 2
+
+
+def test_hcoeff_p_without_numeric_exit_two(capsys):
+    code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
+                         "--n", "1", "--p", "5")
+    assert code == 2 and out == "" and "--numeric" in err
+
+
+def test_zero_degree_is_not_absent(capsys):
+    assert run(capsys, "verify", "gauss", "--n", "0")[0] == 2
+    assert run(capsys, "verify", "gauss", "--n", "0", "--p", "7")[0] == 2
+
+
+def test_zero_prime_is_not_absent(capsys):
+    code, out, _ = run(capsys, "verify", "stable", "--rank", "1",
+                       "--l", "0", "--n", "3", "--p", "0")
+    assert code == 2 and out == ""
+
+
+def test_prime_above_limit_exit_two(capsys):
+    code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
+                         "--n", "1", "--p", "10000019", "--numeric")
+    assert code == 2 and out == "" and "10^7" in err

@@ -4,19 +4,19 @@ import pytest
 
 from weylmds.coeffs import gamma_a, gamma_b, h_table, pattern_G, verify_k_sum
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
-from weylmds.patterns import (GTPattern, LambdaTwist, entry_bounds_flags,
-                              enumerate_patterns, is_strict)
+from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
+                              is_strict)
 
-from test_patterns import FIG1
+from test_patterns import FIG1, bound_flags_long, u_long, v_long
 
 
 def gamma_b_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
     """Oracle: the factor attached to b_{i,j}, spelled out case by case."""
     r = P.rank
-    is_min, is_max = entry_bounds_flags(P, ("b", i, j))
+    is_min, is_max = bound_flags_long(P, ("b", i, j))
     if is_min and is_max:
         return GaussValue.zero(n)
-    v = P.v_data(i, j)
+    v = v_long(P, i, j)
     t = 2 if j == r else 1
     if is_max:
         return gauss_eval(t, v - 1, v, n)
@@ -29,8 +29,8 @@ def gamma_b_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
 
 def gamma_a_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
     """Oracle: the factor attached to a_{i,j}, spelled out case by case."""
-    is_min, is_max = entry_bounds_flags(P, ("a", i, j))
-    u = P.u_data(i, j)
+    is_min, is_max = bound_flags_long(P, ("a", i, j))
+    u = u_long(P, i, j)
     if is_min:
         return GaussValue.q_power(n, u)
     if is_max:
@@ -42,38 +42,41 @@ def gamma_a_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
 
 def test_gamma_b_minimal_is_unit():
     P = GTPattern(2, ((2, 1), (1,)), ((2, 1), (1,)))
-    assert gamma_b(P, 1, 1, 1) == GaussValue.one(1)
+    assert gamma_b(P.record(("b", 1, 1)), 1) == GaussValue.one(1)
 
 
 def test_gamma_b_rank1_maximal():
     P = GTPattern(1, ((1,),), ((0,),))
-    assert gamma_b(P, 1, 1, 1) == GaussValue.q_power(1, 0, -1)  # -1
-    assert gamma_b(P, 1, 1, 3) == GaussValue.symbol(3, 2)       # G[2]
+    e = P.record(("b", 1, 1))
+    assert gamma_b(e, 1) == GaussValue.q_power(1, 0, -1)  # -1
+    assert gamma_b(e, 3) == GaussValue.symbol(3, 2)       # G[2]
 
 
 def test_gamma_b_generic_n1_is_phi():
     P = GTPattern(1, ((2,),), ((1,),))
-    assert gamma_b(P, 1, 1, 1) == GaussValue.phi(1, 1)
+    assert gamma_b(P.record(("b", 1, 1)), 1) == GaussValue.phi(1, 1)
 
 
 def test_gamma_a_cases():
     # top (2,1), b1 = (2,0): a12 = 2 maximal, a12 = 0 minimal, a12 = 1 generic
     P_max = GTPattern(2, ((2, 1), (2,)), ((2, 0), (1,)))
-    u = P_max.u_data(1, 2)
-    assert gamma_a(P_max, 1, 2, 1) == GaussValue.q_power(1, u - 1, -1)
+    u = u_long(P_max, 1, 2)
+    assert gamma_a(P_max.record(("a", 1, 2)), 1) == GaussValue.q_power(
+        1, u - 1, -1)
     P_min = GTPattern(2, ((2, 1), (0,)), ((2, 0), (0,)))
-    assert gamma_a(P_min, 1, 2, 1) == GaussValue.q_power(
-        1, P_min.u_data(1, 2))
+    assert gamma_a(P_min.record(("a", 1, 2)), 1) == GaussValue.q_power(
+        1, u_long(P_min, 1, 2))
     P_gen = GTPattern(2, ((2, 1), (1,)), ((2, 0), (1,)))
-    assert P_gen.u_data(1, 2) == 2
-    assert gamma_a(P_gen, 1, 2, 3).is_zero()          # 3 does not divide 2
-    assert gamma_a(P_gen, 1, 2, 1) == GaussValue.phi(1, 2)
+    assert u_long(P_gen, 1, 2) == 2
+    e = P_gen.record(("a", 1, 2))
+    assert gamma_a(e, 3).is_zero()          # 3 does not divide 2
+    assert gamma_a(e, 1) == GaussValue.phi(1, 2)
 
 
 def test_degenerate_right_edge_coincidence_kills_pattern():
     # b_{2,2} = a_{1,2} = 0 meets both equalities; its factor must vanish
     P = GTPattern(2, ((2, 1), (0,)), ((1, 0), (0,)))
-    assert gamma_b(P, 2, 2, 1).is_zero()
+    assert gamma_b(P.record(("b", 2, 2)), 1).is_zero()
     assert pattern_G(P, 1).is_zero()
     assert pattern_G(P, 3).is_zero()
 
@@ -101,10 +104,12 @@ def test_long_and_short_forms_agree_everywhere():
             for n in (1, 3):
                 for i in range(1, r + 1):
                     for j in range(i, r + 1):
-                        assert gamma_b(P, i, j, n) == gamma_b_long(P, i, j, n)
+                        e = P.record(("b", i, j))
+                        assert gamma_b(e, n) == gamma_b_long(P, i, j, n)
                 for i in range(1, r):
                     for j in range(i + 1, r + 1):
-                        assert gamma_a(P, i, j, n) == gamma_a_long(P, i, j, n)
+                        e = P.record(("a", i, j))
+                        assert gamma_a(e, n) == gamma_a_long(P, i, j, n)
 
 
 def test_h_table_rank1_twisted():
@@ -131,7 +136,7 @@ def test_h_table_r2_long_element_value():
 
 def test_verify_k_sum_examples():
     P = GTPattern(1, ((1,),), ((0,),))
-    assert P.k_vec == (1,) and P.v_data(1, 1) == 1
+    assert P.k_vec == (1,) and v_long(P, 1, 1) == 1
     assert verify_k_sum(P)
     assert verify_k_sum(FIG1) and sum(FIG1.k_vec) == 71
 

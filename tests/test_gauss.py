@@ -126,3 +126,9 @@ def test_gauss_eval_product_ignores_factor_order(n, factors, data):
         return out
 
     assert product(shuffled).to_json() == product(values).to_json()
+
+
+def test_context_refuses_prime_above_limit():
+    # refused before the p-entry discrete-log table is built
+    with pytest.raises(ValueError, match="10\\^7"):
+        ArithContext(1, 10_000_019)

@@ -3,10 +3,11 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from weylmds.patterns import (GTPattern, LambdaTwist, classify_entry,
-                              count_patterns, entry_bounds_flags,
-                              entry_positions, enumerate_patterns, is_stable,
-                              is_strict, pair_positions, pattern_data,
+from hypothesis import given, settings, strategies as st
+
+from weylmds.patterns import (GTPattern, LambdaTwist, count_patterns,
+                              enumerate_patterns, is_stable, is_strict,
+                              pair_entries, pair_positions,
                               stable_pattern_for, stable_patterns,
                               weyl_from_stable)
 from weylmds.roots import WeylElement
@@ -16,6 +17,30 @@ FIG1 = GTPattern(
     5,
     a=((9, 6, 5, 3, 2), (7, 5, 4, 2), (5, 3, 1), (4, 2), (3,)),
     b=((7, 6, 5, 3, 2), (5, 4, 3, 1), (4, 2, 1), (3, 2), (1,)))
+
+
+# Oracles: v, u and the bound equalities from their definitions.
+def v_long(P, i, j):
+    """v_{i,j} = sum_{m=i}^{j} (a_{i-1,m} - b_{i,m})."""
+    return sum(P.a_entry(i - 1, m, 0) - P.b_entry(i, m, 0)
+               for m in range(i, j + 1))
+
+
+def u_long(P, i, j):
+    """u_{i,j} = v_{i,r} + sum_{m=j}^{r} (a_{i,m} - b_{i,m})."""
+    return v_long(P, i, P.rank) + sum(P.a_entry(i, m, 0) - P.b_entry(i, m, 0)
+                                      for m in range(j, P.rank + 1))
+
+
+def bound_flags_long(P, pos):
+    """(is minimal, is maximal) from the entry's neighbours."""
+    kind, i, j = pos
+    if kind == "b":
+        x = P.b_entry(i, j)
+        low = 0 if j == P.rank else P.a_entry(i - 1, j + 1)
+        return x == P.a_entry(i - 1, j), x == low
+    x = P.a_entry(i, j)
+    return x == P.b_entry(i, j), x == P.b_entry(i, j - 1)
 
 
 def test_rank1_enumeration():
@@ -82,23 +107,89 @@ def test_mutating_an_entry_fails_validation():
 
 def test_classify_entries():
     P = GTPattern(2, ((2, 1), (1,)), ((2, 1), (0,)))
-    assert classify_entry(P, ("b", 1, 1)) == "minimal"
-    assert classify_entry(P, ("b", 2, 2)) == "maximal"
+    assert P.record(("b", 1, 1)).tag == "minimal"
+    assert P.record(("b", 2, 2)).tag == "maximal"
     single = GTPattern(1, ((1,),), ((0,),))
-    assert classify_entry(single, ("b", 1, 1)) == "maximal"
+    assert single.record(("b", 1, 1)).tag == "maximal"
     Pg = GTPattern(1, ((2,),), ((1,),))
-    assert classify_entry(Pg, ("b", 1, 1)) == "generic"
+    assert Pg.record(("b", 1, 1)).tag == "generic"
 
 
-def test_pattern_data_bundles_everything():
-    data = pattern_data(FIG1)
-    assert data.wgt == FIG1.wgt and data.k == FIG1.k_vec
-    assert all(v >= 0 for v in data.v.values())
-    assert all(v >= 0 for v in data.u.values())
-    assert sum(data.k) == sum(data.v.values()) + sum(data.u.values())
-    assert data.entry_class[("b", 1, 1)] == "generic"
-    assert data.entry_class[("b", 1, 2)] == "minimal"
-    assert data.entry_class[("b", 2, 2)] == "maximal"
+def test_entry_records_bundle_everything():
+    records = {e.pos: e for e in FIG1.records()}
+    assert all(e.exp >= 0 for e in records.values())
+    assert sum(FIG1.k_vec) == sum(e.exp for e in records.values())
+    assert records[("b", 1, 1)].tag == "generic"
+    assert records[("b", 1, 2)].tag == "minimal"
+    assert records[("b", 2, 2)].tag == "maximal"
+
+
+def test_entry_records_match_the_definitions():
+    for top in [(2, 1), (3, 1), (4, 2), (2, 2), (3, 2, 1), (4, 2, 1)]:
+        r = len(top)
+        for P in enumerate_patterns(top):
+            below = P.a[1:] + ((),)
+            for i in range(1, r + 1):
+                records = list(P.pair_records(i))
+                assert records == list(pair_entries(
+                    r, i, P.a[i - 1], P.b[i - 1], below[i - 1]))
+                assert [e.pos for e in records] == list(pair_positions(r, i))
+                for e in records:
+                    kind, _, j = e.pos
+                    exp = v_long(P, i, j) if kind == "b" else u_long(P, i, j)
+                    is_min, is_max = bound_flags_long(P, e.pos)
+                    assert (e.exp, e.is_min, e.slack == 0) == (
+                        exp, is_min, is_max)
+                    assert e.t == (2 if e.pos == ("b", i, r) else 1)
+                    assert P.record(e.pos) == e
+
+
+def _rows(r, flat):
+    """Split a flat entry list into the a-rows and b-rows of rank r."""
+    flat, rows = list(flat), []
+    for length in list(range(r, 0, -1)) * 2:
+        rows.append(tuple(flat[:length]))
+        del flat[:length]
+    return tuple(rows[:r]), tuple(rows[r:])
+
+
+def _constructs(r, a, b):
+    try:
+        GTPattern(r, a, b)
+        return True
+    except ValueError:
+        return False
+
+
+def _enumerated(a, b):
+    try:
+        return any(P.a == a and P.b == b for P in enumerate_patterns(a[0]))
+    except ValueError:  # not a valid top row
+        return False
+
+
+def test_validation_agrees_with_enumeration_exhaustively():
+    for r, box in ((1, 5), (2, 3)):
+        candidates = [_rows(r, flat)
+                      for flat in product(range(box), repeat=r * (r + 1))]
+        valid = {(a, b) for a, b in candidates if _constructs(r, a, b)}
+        tops = {a[0] for a, _ in candidates
+                if list(a[0]) == sorted(a[0], reverse=True)}
+        assert valid == {(P.a, P.b) for top in tops
+                         for P in enumerate_patterns(top)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       st.integers(0, 10 ** 6), st.integers(0, 11), st.integers(-1, 1))
+def test_validation_agrees_with_enumeration_rank3(top, pick, where, delta):
+    # a pattern with one entry nudged: valid, or just across a bound
+    pats = list(enumerate_patterns(tuple(sorted(top, reverse=True))))
+    P = pats[pick % len(pats)]
+    flat = [x for row in P.a + P.b for x in row]
+    flat[where] += delta
+    a, b = _rows(3, flat)
+    assert _constructs(3, a, b) == _enumerated(a, b)
 
 
 def test_strictness():
@@ -145,8 +236,7 @@ def test_weyl_from_stable_rejects_unstable():
 
 def test_stable_entries_all_minimal_or_maximal():
     for P in stable_patterns((3, 2, 1)):
-        data = pattern_data(P)
-        assert "generic" not in data.entry_class.values()
+        assert all(e.tag != "generic" for e in P.records())
 
 
 def test_support_recursion_links_weight_and_k():
@@ -185,13 +275,15 @@ def test_entry_positions_list_every_entry_in_pair_order():
         return (i, 0, j) if kind == "b" else (i, 1, -j)
 
     for r in range(1, 6):
-        positions = entry_positions(r)
+        P = next(enumerate_patterns(tuple(range(r, 0, -1))))
+        positions = [e.pos for e in P.records()]
         assert len(set(positions)) == len(positions) == r * r
         assert set(positions) == (
             {("b", i, j) for i in range(1, r + 1) for j in range(i, r + 1)}
             | {("a", i, j) for i in range(1, r) for j in range(i + 1, r + 1)})
-        assert list(positions) == sorted(positions, key=reading_order)
-        assert positions == sum((pair_positions(r, i)
-                                 for i in range(1, r + 1)), ())
-    for pos in entry_positions(FIG1.rank):
-        entry_bounds_flags(FIG1, pos)  # every position names a real entry
+        assert positions == sorted(positions, key=reading_order)
+        assert positions == [pos for i in range(1, r + 1)
+                             for pos in pair_positions(r, i)]
+    for pos in [("a", 0, 1), ("b", 2, 1), ("a", 5, 5), ("c", 1, 1)]:
+        with pytest.raises(ValueError):
+            FIG1.record(pos)  # not a weighted entry
