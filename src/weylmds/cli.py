@@ -47,11 +47,11 @@ class SystemExit2(Exception):
 
 def cmd_patterns(args):
     twist = _twist(args)
-    pats = list(enumerate_patterns(twist.top_row))
+    pats = enumerate_patterns(twist.top_row)
     if args.strict_only:
-        pats = [P for P in pats if is_strict(P)]
+        pats = filter(is_strict, pats)
     if args.count_only:
-        _emit(str(len(pats)))
+        _emit(str(sum(1 for _ in pats)))
         return 0
     if args.format == "csv":
         for P in pats:

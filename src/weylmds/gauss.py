@@ -12,50 +12,47 @@ independent oracle for all symbolic values.
 """
 
 import cmath
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import isqrt
 
 
-def _fold_symbols(n: int, syms: Counter):
-    """Apply G[s]G[n-s] -> q (odd n only, where chi(-1) = 1); return
-    (extra q exponent, remaining symbols)."""
-    extra = 0
-    if n > 1 and n % 2 == 1:
-        for s in range(1, n):
-            opp = n - s
-            if s >= opp:
-                break
-            pairs = min(syms[s], syms[opp])
-            if pairs:
-                extra += pairs
-                syms[s] -= pairs
-                syms[opp] -= pairs
-    rest = []
-    for s in sorted(syms):
-        rest.extend([s] * syms[s])
-    return extra, tuple(rest)
+def _symbol_product(n: int, s1: tuple, s2: tuple):
+    """(extra q exponent, sorted symbols) of G[s1] G[s2] for two symbol
+    lists that each hold no conjugate pair: at odd n an s of one list meets
+    an n - s of the other and the pair becomes q."""
+    if not (s1 and s2):
+        return 0, s1 or s2
+    rest = list(s1 + s2)
+    if n % 2:
+        for s in s1:
+            if n - s in rest:  # then it is in s2
+                rest.remove(s)
+                rest.remove(n - s)
+    return (len(s1) + len(s2) - len(rest)) // 2, tuple(sorted(rest))
 
 
 @dataclass(frozen=True)
 class GaussValue:
-    """Canonical sum of terms coeff * q^e * G[s_1]...G[s_k] for a fixed n."""
+    """Canonical sum of terms coeff * q^e * G[s_1]...G[s_k] for a fixed n.
+
+    Canonical by construction: only `symbol` and `from_json` read raw symbol
+    indices, and they check them; every operation keeps the form."""
 
     n: int
-    terms: tuple = ()  # ((syms, q_exp, coeff), ...) sorted, coeff != 0
+    # ((syms, q_exp, coeff), ...) sorted, each (syms, q_exp) once, coeff != 0,
+    # syms sorted and, at odd n, never holding both s and n - s
+    terms: tuple = ()
 
     @staticmethod
     def _canonical(n, raw):
+        """Collect equal (syms, q_exp) keys of canonical terms; drop zeros."""
         acc = {}
         for syms, q_exp, coeff in raw:
-            cnt = Counter(syms)
-            if any(not 1 <= s <= n - 1 for s in cnt):
-                raise ValueError("symbol index out of range")
-            extra, folded = _fold_symbols(n, cnt)
-            key = (folded, q_exp + extra)
+            key = (syms, q_exp)
             acc[key] = acc.get(key, 0) + coeff
-        terms = tuple(sorted((syms, e, c) for (syms, e), c in acc.items()
-                             if c != 0))
-        return GaussValue(n, terms)
+        return GaussValue(n, tuple(sorted(
+            (syms, e, c) for (syms, e), c in acc.items() if c)))
 
     @staticmethod
     def zero(n: int) -> "GaussValue":
@@ -76,11 +73,16 @@ class GaussValue:
         """The unit count phi(p^v) = q^{v-1}(q - 1), with phi(p^0) = 1."""
         if v == 0:
             return GaussValue.one(n)
-        return GaussValue._canonical(n, [((), v, 1), ((), v - 1, -1)])
+        return GaussValue(n, (((), v - 1, -1), ((), v, 1)))
 
     @staticmethod
     def symbol(n: int, s: int, q_exp: int = 0, coeff: int = 1) -> "GaussValue":
-        return GaussValue._canonical(n, [((s % n,), q_exp, coeff)])
+        """coeff * q^q_exp * G[s], for 1 <= s <= n - 1."""
+        if not 1 <= s <= n - 1:
+            raise ValueError("symbol index out of range")
+        if coeff == 0:
+            return GaussValue.zero(n)
+        return GaussValue(n, (((s,), q_exp, coeff),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,20 +101,28 @@ class GaussValue:
     def __mul__(self, other: "GaussValue") -> "GaussValue":
         if self.n != other.n:
             raise ValueError("mismatched symbol degree")
-        raw = [(s1 + s2, e1 + e2, c1 * c2)
-               for s1, e1, c1 in self.terms
-               for s2, e2, c2 in other.terms]
-        return GaussValue._canonical(self.n, raw)
+        n = self.n
+        raw = []
+        for s1, e1, c1 in self.terms:
+            for s2, e2, c2 in other.terms:
+                extra, syms = _symbol_product(n, s1, s2)
+                raw.append((syms, e1 + e2 + extra, c1 * c2))
+        return GaussValue._canonical(n, raw)
 
     def to_json(self):
         """Terms in canonical order, big integers as decimal strings."""
-        return [{"c": str(c), "q": e, "g": list(s)}
-                for s, e, c in sorted(self.terms, key=lambda t: (t[0], t[1]))]
+        return [{"c": str(c), "q": e, "g": list(s)} for s, e, c in self.terms]
 
     @staticmethod
     def from_json(n, obj) -> "GaussValue":
-        return GaussValue._canonical(
-            n, [(tuple(t["g"]), int(t["q"]), int(t["c"])) for t in obj])
+        """Inverse of to_json; a term's symbols may be unsorted or unfolded."""
+        out = GaussValue.zero(n)
+        for t in obj:
+            term = GaussValue.q_power(n, int(t["q"]), int(t["c"]))
+            for s in t["g"]:
+                term = term * GaussValue.symbol(n, s)
+            out = out + term
+        return out
 
 
 def gauss_eval(t: int, c_exp: int, v_exp: int, n: int) -> GaussValue:
@@ -138,14 +148,7 @@ def gauss_eval(t: int, c_exp: int, v_exp: int, n: int) -> GaussValue:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _primitive_root(p: int) -> int:
@@ -174,38 +177,32 @@ class ArithContext:
     n: int
     p: int
     root: int = field(init=False)
-    dlog: tuple = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("degree must be positive")
-        if self.p > 10 ** 7:  # the discrete-log table holds p entries
+        if self.p > 10 ** 7:  # a brute-force sum tabulates chi on all of Z/p
             raise ValueError(f"p = {self.p} exceeds the limit 10^7")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if (self.p - 1) % self.n:
             raise ValueError("p must be congruent to 1 mod n")
-        g = _primitive_root(self.p)
-        table = [0] * self.p
-        x = 1
-        for k in range(self.p - 1):
-            table[x] = k
-            x = (x * g) % self.p
-        object.__setattr__(self, "root", g)
-        object.__setattr__(self, "dlog", tuple(table))
+        object.__setattr__(self, "root", _primitive_root(self.p))
 
     def chi_index(self, d: int):
         """Exponent s in Z/n with chi(d) = e^{2 pi i s / n}, or None if p | d."""
         d %= self.p
-        if d == 0:
-            return None
-        return self.dlog[d] % self.n
+        return self.chi_table[d] if d else None
 
-    def chi_value(self, d: int, power: int = 1) -> complex:
-        s = self.chi_index(d)
-        if s is None:
-            return 0.0
-        return cmath.exp(2j * cmath.pi * ((s * power) % self.n) / self.n)
+    @cached_property
+    def chi_table(self) -> list:
+        """chi_index(d) at index d of Z/p, built on first use."""
+        table = [0] * self.p
+        x = 1
+        for k in range(self.p - 1):
+            table[x] = k % self.n
+            x = (x * self.root) % self.p
+        return table
 
 
 def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
@@ -214,17 +211,19 @@ def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
         raise ValueError("negative modulus exponent")
     if v_exp == 0:
         return complex(1.0)
-    modulus = ctx.p ** v_exp
+    n, p = ctx.n, ctx.p
+    modulus = p ** v_exp
     if modulus > 10 ** 7:
         raise OverflowError("modulus too large for brute-force summation")
-    total = 0.0 + 0.0j
+    chi = ctx.chi_table
     tv = t * v_exp
+    chi_tv = [cmath.exp(2j * cmath.pi * ((s * tv) % n) / n) for s in range(n)]
+    total = 0.0 + 0.0j
     for d in range(1, modulus):
-        if d % ctx.p == 0:
+        if d % p == 0:
             continue
-        phase = (d * ctx.p ** c_exp) % modulus
-        total += (ctx.chi_value(d, tv)
-                  * cmath.exp(2j * cmath.pi * phase / modulus))
+        phase = (d * p ** c_exp) % modulus
+        total += chi_tv[chi[d % p]] * cmath.exp(2j * cmath.pi * phase / modulus)
     return total
 
 

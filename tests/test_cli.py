@@ -43,6 +43,18 @@ def test_patterns_count_only(capsys):
     assert code == 0 and out.strip() == "16"
 
 
+def test_patterns_strict_count_and_csv_match_enumeration(capsys):
+    from weylmds.patterns import LambdaTwist, enumerate_patterns, is_strict
+    pats = list(enumerate_patterns(LambdaTwist((1, 0, 1)).top_row))
+    strict = sum(1 for P in pats if is_strict(P))
+    assert 0 < strict < len(pats)
+    args = ("patterns", "--rank", "3", "--l", "1,0,1", "--strict-only")
+    code, out, _ = run(capsys, *args, "--count-only")
+    assert code == 0 and out == f"{strict}\n"
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == strict
+
+
 def test_patterns_json_roundtrip(capsys):
     from weylmds.patterns import GTPattern
     code, out, _ = run(capsys, "patterns", "--rank", "1", "--l", "0")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +73,11 @@ def test_symbol_folding_only_for_conjugate_pairs():
     assert v == GaussValue.q_power(3, 1)
     v2 = GaussValue.symbol(3, 1) * GaussValue.symbol(3, 1)
     assert v2.terms == (((1, 1), 0, 1),)
+    # even n: chi(-1) may be -1, so G[s]G[n-s] stays formal
+    v3 = GaussValue.symbol(4, 1) * GaussValue.symbol(4, 3)
+    assert v3.terms == (((1, 3), 0, 1),)
+    v4 = GaussValue.symbol(4, 2) * GaussValue.symbol(4, 2)
+    assert v4.terms == (((2, 2), 0, 1),)
 
 
 def test_oracle_equivalence_grid():
@@ -105,6 +111,10 @@ def test_json_canonical_form():
     v = GaussValue.symbol(3, 2, q_exp=1, coeff=-4) + GaussValue.q_power(3, 0)
     blob = v.to_json()
     assert GaussValue.from_json(3, blob) == v
+    # raw input is folded: G[1]G[2] = q at n = 3, in either order
+    q = GaussValue.q_power(3, 1)
+    assert GaussValue.from_json(3, [{"c": "1", "q": 0, "g": [1, 2]}]) == q
+    assert GaussValue.from_json(3, [{"c": "1", "q": 0, "g": [2, 1]}]) == q
 
 
 # g_t(p^c, p^v) with c in {v - 1, v, v + 1}: every evaluation rule except
@@ -129,6 +139,124 @@ def test_gauss_eval_product_ignores_factor_order(n, factors, data):
 
 
 def test_context_refuses_prime_above_limit():
-    # refused before the p-entry discrete-log table is built
+    # refused up front: a brute-force sum would tabulate chi on all p residues
     with pytest.raises(ValueError, match="10\\^7"):
         ArithContext(1, 10_000_019)
+
+
+def test_context_builds_no_p_entry_table_for_symbol_free_values():
+    p = 9_999_991
+    ctx = ArithContext(1, p)
+
+    def no_p_sequence():
+        return all(not hasattr(v, "__len__") or len(v) < p
+                   for v in vars(ctx).values())
+
+    assert no_p_sequence()
+    assert numeric_eval(GaussValue.phi(1, 2), ctx) == p * p - p
+    assert no_p_sequence()
+
+
+def test_symbol_and_from_json_refuse_out_of_range_indices():
+    for n in (1, 3, 4):
+        for s in (0, n):
+            with pytest.raises(ValueError):
+                GaussValue.symbol(n, s)
+            with pytest.raises(ValueError):
+                GaussValue.from_json(n, [{"c": "1", "q": 0, "g": [s]}])
+
+
+# -- the ring against an expand-then-fold oracle --------------------------
+
+def fold_long(n, raw):
+    """Canonical terms of raw (syms, q_exp, coeff) triples: count every
+    term's symbols, fold G[s]G[n-s] -> q at odd n, merge and sort."""
+    acc = {}
+    for syms, q_exp, coeff in raw:
+        cnt = Counter(syms)
+        extra = 0
+        if n > 1 and n % 2 == 1:
+            for s in range(1, (n + 1) // 2):
+                pairs = min(cnt[s], cnt[n - s])
+                extra += pairs
+                cnt[s] -= pairs
+                cnt[n - s] -= pairs
+        key = (tuple(sorted(cnt.elements())), q_exp + extra)
+        acc[key] = acc.get(key, 0) + coeff
+    return tuple(sorted((s, e, c) for (s, e), c in acc.items() if c != 0))
+
+
+def mul_long(x, y):
+    return fold_long(x.n, [(s1 + s2, e1 + e2, c1 * c2)
+                           for s1, e1, c1 in x.terms
+                           for s2, e2, c2 in y.terms])
+
+
+def is_canonical(v):
+    keys = [(s, e) for s, e, _ in v.terms]
+    return (keys == sorted(set(keys))
+            and all(c != 0 for _, _, c in v.terms)
+            and all(list(s) == sorted(s) and all(1 <= x < v.n for x in s)
+                    for s, _, _ in v.terms)
+            and not (v.n % 2 and any(v.n - x in s
+                                     for s, _, _ in v.terms for x in s)))
+
+
+_degree = st.sampled_from((1, 2, 3, 4, 5, 7))
+
+
+@st.composite
+def raw_terms(draw, n):
+    syms = st.lists(st.integers(1, n - 1), max_size=4) if n > 1 \
+        else st.just([])
+    return draw(st.lists(st.tuples(syms.map(tuple), st.integers(0, 3),
+                                   st.integers(-3, 3)), max_size=4))
+
+
+@st.composite
+def values(draw, n):
+    return GaussValue(n, fold_long(n, draw(raw_terms(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_degree, data=st.data())
+def test_ring_operations_match_expand_then_fold(n, data):
+    x, y = data.draw(values(n)), data.draw(values(n))
+    raw = data.draw(raw_terms(n))
+    blob = [{"c": str(c), "q": e, "g": list(s)} for s, e, c in raw]
+    assert GaussValue.from_json(n, blob).terms == fold_long(n, raw)
+    assert (x * y).terms == mul_long(x, y)
+    assert (x + y).terms == fold_long(n, x.terms + y.terms)
+    assert (x - y).terms == fold_long(
+        n, x.terms + tuple((s, e, -c) for s, e, c in y.terms))
+    for v in (x * y, x + y, x - y, GaussValue.from_json(n, blob)):
+        assert is_canonical(v)
+    assert GaussValue.from_json(n, x.to_json()) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=_degree, data=st.data())
+def test_ring_axioms(n, data):
+    x, y, z = (data.draw(values(n)) for _ in range(3))
+    one, zero = GaussValue.one(n), GaussValue.zero(n)
+    assert (x * y) * z == x * (y * z)
+    assert (x + y) + z == x + (y + z)
+    assert x * y == y * x and x + y == y + x
+    assert x * (y + z) == x * y + x * z
+    assert x * one == x and x + zero == x
+    assert (x * zero).is_zero() and (x - x).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(((3, 7), (5, 11))), data=st.data())
+def test_numeric_eval_is_multiplicative(case, data):
+    n, p = case
+    ctx = ArithContext(n, p)
+    x, y = data.draw(values(n)), data.draw(values(n))
+
+    def size(v):  # |G[s]| = sqrt(p)
+        return sum(abs(c) * p ** (e + len(s) / 2) for s, e, c in v.terms)
+
+    lhs = numeric_eval(x * y, ctx)
+    rhs = numeric_eval(x, ctx) * numeric_eval(y, ctx)
+    assert abs(lhs - rhs) <= 1e-9 * (1 + size(x) * size(y))
