@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success (and
-verification pass), 1 verification failure, 2 usage error.  Output is
-deterministic byte-for-byte for a fixed command line.
+verification pass), 1 verification failure, 2 usage error or refused
+oversized work.  Output is deterministic byte-for-byte for a fixed command
+line.
 """
 
 import argparse
@@ -12,7 +13,8 @@ import sys
 
 from .chars import (character_gt, euler_product_n1,
                     verify_deformation_identity, verify_euler_bridge,
-                    verify_euler_factor_identity, verify_h_tilde)
+                    verify_euler_factor_identity, verify_h_tilde,
+                    weyl_dimension)
 from .coeffs import h_table, verify_k_sum
 from .gauss import ArithContext, gauss_brute, gauss_eval, numeric_eval
 from .patterns import LambdaTwist, enumerate_patterns, is_strict
@@ -34,11 +36,23 @@ def _parse_ints(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _twist(args) -> LambdaTwist:
+def _parse_twist(args) -> LambdaTwist:
     l = _parse_ints(args.l)
     if len(l) != args.rank:
         raise SystemExit2(f"--l must have {args.rank} entries")
     return LambdaTwist(l)
+
+
+def _twist(args) -> LambdaTwist:
+    """The twist of a command that walks the patterns of its top row,
+    refused up front when the Weyl dimension formula, which counts them
+    exactly, gives more than 10^7."""
+    twist = _parse_twist(args)
+    count = weyl_dimension(twist.top_row, args.rank)
+    if count > 10 ** 7:
+        raise SystemExit2(f"top row {','.join(map(str, twist.top_row))} has "
+                          f"{count} patterns, more than 10^7")
+    return twist
 
 
 class SystemExit2(Exception):
@@ -106,7 +120,7 @@ def cmd_hcoeff(args):
 
 
 def cmd_character(args):
-    twist = _twist(args)
+    twist = _parse_twist(args)
     poly = character_gt(twist.partition, args.rank)
     if args.format == "csv":
         for e, c in poly.sorted_terms():

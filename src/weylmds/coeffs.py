@@ -13,11 +13,11 @@ are not standard shifted tableaux).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .gauss import GaussValue, gauss_eval
 from .patterns import (EntryRecord, GTPattern, LambdaTwist,
-                       enumerate_patterns, is_strict)
+                       enumerate_patterns, pair_entries)
 
 
 def gamma_b(e: EntryRecord, n: int) -> GaussValue:
@@ -35,16 +35,33 @@ def gamma_a(e: EntryRecord, n: int) -> GaussValue:
     return gauss_eval(e.t, e.exp + e.slack - 1, e.exp, n)
 
 
-def pattern_G(P: GTPattern, n: int) -> GaussValue:
-    """Product of all entry factors; zero for non-strict patterns."""
-    if not is_strict(P):
+@cache
+def pair_G(r: int, i: int, above: tuple, b: tuple, below: tuple,
+           n: int) -> GaussValue:
+    """Product of the entry factors of row pair i, in pair_positions order,
+    from the rows a_{i-1} (`above`), b_i and a_i (`below`, empty for i = r);
+    zero unless all three rows strictly decrease."""
+    if any(x <= y for row in (above, b, below) for x, y in zip(row, row[1:])):
         return GaussValue.zero(n)
     out = GaussValue.one(n)
-    for e in P.records():
+    for e in pair_entries(r, i, above, b, below):
         gamma = gamma_b if e.pos[0] == "b" else gamma_a
         out = out * gamma(e, n)
         if out.is_zero():
-            return out
+            break
+    return out
+
+
+def pattern_G(P: GTPattern, n: int) -> GaussValue:
+    """Product of the row-pair factors; zero for non-strict patterns, since
+    every row lies in some pair: a_0 above pair 1, b_i and a_i in pair i."""
+    r = P.rank
+    out = None
+    for i in range(1, r + 1):
+        g = pair_G(r, i, P.a[i - 1], P.b[i - 1], P.a[i] if i < r else (), n)
+        if g.is_zero():
+            return g
+        out = g if out is None else out * g
     return out
 
 
@@ -87,9 +104,12 @@ def h_table(twist: LambdaTwist, n: int) -> HTable:
     """Group pattern products over GT(lambda+rho) by support vector."""
     if n < 1:
         raise ValueError("degree must be positive")
+    zero = GaussValue.zero(n)
     acc = {}
     for P in enumerate_patterns(twist.top_row):
         k = P.k_vec
         g = pattern_G(P, n)
-        acc[k] = acc[k] + g if k in acc else g
+        acc.setdefault(k, zero)
+        if not g.is_zero():  # a zero G(P) only keeps its k as a key
+            acc[k] = acc[k] + g
     return HTable(twist, n, tuple(sorted(acc.items())))

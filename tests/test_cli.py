@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,3 +189,24 @@ def test_prime_above_limit_exit_two(capsys):
     code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
                          "--n", "1", "--p", "10000019", "--numeric")
     assert code == 2 and out == "" and "10^7" in err
+
+
+def test_oversized_enumeration_refused_up_front(capsys):
+    # rank 5, l = 0: 2^25 patterns, above the 10^7 limit
+    for argv in (("patterns", "--count-only"), ("hcoeff", "--n", "3"),
+                 ("tableaux",), ("verify", "lemma3")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--rank", "5",
+                             "--l", "0,0,0,0,0")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == "error: top row 5,4,3,2,1 has 33554432 patterns, " \
+                      "more than 10^7\n"
+    # the character of lambda = 0 has one pattern and is not refused
+    assert run(capsys, "character", "--rank", "5", "--l", "0,0,0,0,0")[0] == 0
+    # the prediction is the count itself (criterion 7 checks ranks 1-3)
+    from weylmds.chars import weyl_dimension
+    code, out, _ = run(capsys, "patterns", "--rank", "4", "--l", "0,0,0,0",
+                       "--count-only")
+    assert code == 0 and out == "65536\n"
+    assert weyl_dimension((4, 3, 2, 1), 4) == 65536

@@ -1,8 +1,11 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from weylmds.coeffs import gamma_a, gamma_b, h_table, pattern_G, verify_k_sum
+from hypothesis import given, settings, strategies as st
+
+from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, pair_G,
+                            pattern_G, verify_k_sum)
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
                               is_strict)
@@ -38,6 +41,33 @@ def gamma_a_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
     if u % n == 0:
         return GaussValue.phi(n, u)
     return GaussValue.zero(n)
+
+
+def pattern_G_long(P: GTPattern, n: int) -> GaussValue:
+    """Oracle: zero unless strict, else the product of every entry factor,
+    entry by entry."""
+    if not is_strict(P):
+        return GaussValue.zero(n)
+    out = GaussValue.one(n)
+    for e in P.records():
+        gamma = gamma_b if e.pos[0] == "b" else gamma_a
+        out = out * gamma(e, n)
+        if out.is_zero():
+            return out
+    return out
+
+
+def h_table_long(twist: LambdaTwist, n: int):
+    """Oracle: every pattern's G(P) added into its k bucket, zeros included;
+    also returns the keys that only zero products reach."""
+    acc, nonzero = {}, set()
+    for P in enumerate_patterns(twist.top_row):
+        k = P.k_vec
+        g = pattern_G_long(P, n)
+        acc[k] = acc[k] + g if k in acc else g
+        if not g.is_zero():
+            nonzero.add(k)
+    return HTable(twist, n, tuple(sorted(acc.items()))), set(acc) - nonzero
 
 
 def test_gamma_b_minimal_is_unit():
@@ -110,6 +140,50 @@ def test_long_and_short_forms_agree_everywhere():
                     for j in range(i + 1, r + 1):
                         e = P.record(("a", i, j))
                         assert gamma_a(e, n) == gamma_a_long(P, i, j, n)
+
+
+def test_pattern_G_equals_entry_by_entry_product():
+    # n varies fastest, so a pair factor cached under a key without n is
+    # read back at the wrong degree
+    tops = [(2, 1), (5, 3), (3, 2, 1), (6, 5, 3),        # strict
+            (2, 2), (2, 2, 0), (3, 1, 1), (1, 1, 1, 0)]  # not strict
+    for top in tops:
+        for P in enumerate_patterns(top):
+            for n in (1, 2, 3, 4, 5, 9):
+                assert pattern_G(P, n) == pattern_G_long(P, n)
+
+
+def test_pair_G_is_zero_on_a_tie_in_any_of_its_rows():
+    # pattern_G cannot see a pair that ignores a tie in its lower a-row:
+    # the next pair squeezes an entry below that tie to a zero factor
+    for top in [(5, 3, 1), (4, 4, 1), (4, 2, 2)]:
+        for P in enumerate_patterns(top):
+            for i in (1, 2, 3):
+                rows = (P.a[i - 1], P.b[i - 1], P.a[i] if i < 3 else ())
+                if any(x == y for row in rows for x, y in zip(row, row[1:])):
+                    assert pair_G(3, i, *rows, 1).is_zero()
+                    assert pair_G(3, i, *rows, 3).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       st.sampled_from([1, 2, 3, 4, 5, 6, 9]))
+def test_pattern_G_equals_oracle_on_random_tops(parts, n):
+    for P in enumerate_patterns(sorted(parts, reverse=True)):
+        assert pattern_G(P, n) == pattern_G_long(P, n)
+
+
+def test_h_table_equals_sum_of_every_product():
+    # (keys only zero products reach, all keys): such keys must stay keys
+    zero_only = {((0, 0), 3): (4, 12), ((0, 0, 0), 3): (79, 135)}
+    cases = [(l, n) for r in (1, 2, 3) for l in product((0, 1), repeat=r)
+             for n in (1, 3, 4, 5)] + [((0, 0, 0, 0), 3)]
+    for l, n in cases:
+        twist = LambdaTwist(l)
+        long, only_zero = h_table_long(twist, n)
+        assert h_table(twist, n).to_json() == long.to_json()
+        if (l, n) in zero_only:
+            assert (len(only_zero), len(long.keys())) == zero_only[l, n]
 
 
 def test_h_table_rank1_twisted():
