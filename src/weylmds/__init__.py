@@ -3,8 +3,8 @@ Dirichlet series, built from symplectic Gelfand-Tsetlin patterns and Gauss
 sums, with machine checks of the stable-case product formula and the n = 1
 character identities."""
 
-from .chars import (character_gt, character_weyl_oracle, deformation_D,
-                    euler_product_n1, h_tilde_table, hk_rhs, weyl_dimension,
+from .chars import (character_gt, deformation_D, euler_product_n1,
+                    h_tilde_table, hk_rhs, weyl_dimension,
                     verify_deformation_identity, verify_euler_bridge,
                     verify_euler_factor_identity, verify_h_tilde)
 from .coeffs import (HTable, gamma_a, gamma_b, h_table, pattern_G,
@@ -14,7 +14,7 @@ from .gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
 from .laurent import LaurentPoly
 from .patterns import (EntryRecord, GTPattern, enumerate_patterns,
                        interleave_bounds, is_stable, is_strict, pair_entries,
-                       stable_pattern_for, stable_patterns, weyl_from_stable)
+                       stable_pattern_for, weyl_from_stable)
 from .roots import (LambdaTwist, RootSystemC, WeylElement, build_root_system,
                     d_lambda, inv_pr_counts, phi_w, s_action, stability_bound,
                     stability_min_n)

@@ -1,9 +1,8 @@
 """Symplectic characters and the n = 1 identities.
 
 All generating functions live in one Laurent ring with variables
-x_1 .. x_r, t, q (in that order).  Characters are computed two independent
-ways: as weight generating functions over pattern enumerations, and via the
-alternant quotient over signed permutations.  The deformed-denominator and
+x_1 .. x_r, t, q (in that order).  Characters are weight generating
+functions over pattern enumerations.  The deformed-denominator and
 Euler-factor identities are verified as exact polynomial equalities.
 """
 
@@ -13,8 +12,7 @@ from .coeffs import h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
 from .patterns import GTPattern, LambdaTwist, enumerate_patterns, is_strict
-from .roots import (RootSystemC, WeylElement, build_root_system, inner,
-                    simple_coords)
+from .roots import build_root_system, inner
 from .tableaux import standard_tableaux, tableau_stats
 
 
@@ -28,12 +26,6 @@ def t_index(r: int) -> int:
 
 def q_index(r: int) -> int:
     return r + 1
-
-
-def x_monomial(r: int, exps, coeff=1, t_exp: int = 0,
-               q_exp: int = 0) -> LaurentPoly:
-    e = list(exps) + [t_exp, q_exp]
-    return LaurentPoly.monomial(ring_size(r), e, coeff)
 
 
 def _check_partition(lam, r):
@@ -55,23 +47,6 @@ def character_gt(lam, r: int) -> LaurentPoly:
         e = P.wgt + (0, 0)
         acc[e] = acc.get(e, 0) + 1
     return LaurentPoly(ring_size(r), acc)
-
-
-def character_weyl_oracle(lam, r: int) -> LaurentPoly:
-    """Alternant quotient: sum_w det(w) x^{w(lam+rho)} over the analogous
-    rho-alternant; exact Laurent division with zero remainder."""
-    lam = _check_partition(lam, r)
-    lam_e = tuple(reversed(lam))
-    rho = tuple(range(1, r + 1))
-    shifted = tuple(a + b for a, b in zip(lam_e, rho))
-
-    def alternant(vec):
-        out = LaurentPoly.zero(ring_size(r))
-        for w in WeylElement.all_elements(r):
-            out = out + x_monomial(r, w.act(vec), coeff=w.sign())
-        return out
-
-    return alternant(shifted).exact_div(alternant(rho))
 
 
 def weyl_dimension(lam, r: int) -> int:
@@ -223,43 +198,20 @@ def verify_h_tilde(twist: LambdaTwist):
 # Euler factors
 
 
-def satake_monomials(r: int):
-    """q^{1-2s_i} as x-monomials: x_1^2, then x_{i-1}^{-1} x_i."""
-    out = []
-    for i in range(1, r + 1):
-        e = [0] * ring_size(r)
-        if i == 1:
-            e[0] = 2
-        else:
-            e[i - 2] = -1
-            e[i - 1] = 1
-        out.append(tuple(e))
-    return out
-
-
-def euler_factor_product(r: int, rs: RootSystemC = None) -> LaurentPoly:
-    """prod over positive roots of (1 - q^{-1} X^{c(alpha)}), where X_i is
-    the Satake monomial of q^{1-2s_i} and c(alpha) are the simple-root
-    coordinates."""
-    rs = rs or build_root_system(r)
+def euler_factor_product(r: int) -> LaurentPoly:
+    """prod over positive roots alpha of (1 - q^{-1} x^alpha); the simple
+    root x^{alpha_i} is the Satake monomial of q^{1-2s_i}."""
     n = ring_size(r)
-    qi = q_index(r)
-    sat = satake_monomials(r)
-    out = LaurentPoly.const(n, 1)
-    for alpha in rs.positive_roots:
-        coords = simple_coords(r, alpha)
-        e = [0] * n
-        for X, c in zip(sat, coords):
-            for idx, xe in enumerate(X):
-                e[idx] += xe * c
-        e[qi] -= 1
-        out = out * (LaurentPoly.const(n, 1) - LaurentPoly.monomial(n, e))
+    one = LaurentPoly.const(n, 1)
+    out = one
+    for alpha in build_root_system(r).positive_roots:
+        out = out * (one - LaurentPoly.monomial(n, alpha + (0, -1)))
     return out
 
 
 def verify_euler_bridge(r: int):
-    """x_1 x_2^2 ... x_r^r D(-x/q; -1/q) equals the positive-root Euler
-    product; exact in x and q."""
+    """x^rho D(-x/q; -1/q), where x^rho = x_1 x_2^2 ... x_r^r, equals the
+    positive-root Euler product; exact in x and q."""
     n = ring_size(r)
     qi = q_index(r)
     qinv = (Fraction(-1), tuple(-1 if k == qi else 0 for k in range(n)))
@@ -269,32 +221,24 @@ def verify_euler_bridge(r: int):
         mono[i] = 1
         mono[qi] = -1
         mapping[i] = (Fraction(-1), tuple(mono))
-    lhs = deformation_D(r).substitute(mapping)
-    stair = [0] * n
-    for i in range(r):
-        stair[i] = i + 1
-    lhs = lhs * LaurentPoly.monomial(n, stair)
-    rhs = euler_factor_product(r)
-    diff = lhs - rhs
+    lhs = (deformation_D(r).substitute(mapping)
+           * LaurentPoly.monomial(n, build_root_system(r).rho + (0, 0)))
+    diff = lhs - euler_factor_product(r)
     return diff.is_zero(), diff
 
 
 def h_generating_function(twist: LambdaTwist) -> LaurentPoly:
-    """sum_k H(p^k) q^{-2 k . s}, written in the x variables."""
+    """sum_k H(p^k) q^{-2 k . s}, written in the x variables: key k is
+    x^{sum k_i alpha_i} q^{-|k|}."""
     r = twist.rank
     n = ring_size(r)
-    qi = q_index(r)
-    sat = satake_monomials(r)
-    table = h_table(twist, 1)
+    simple = build_root_system(r).simple_roots
     out = LaurentPoly.zero(n)
-    for k, val in table.entries:
-        mono = [0] * n
-        for ki, X in zip(k, sat):
-            for idx, xe in enumerate(X):
-                mono[idx] += xe * ki
-        mono[qi] -= sum(k)
+    for k, val in h_table(twist, 1).entries:
+        x = [sum(c * alpha[j] for c, alpha in zip(k, simple))
+             for j in range(r)]
         out = out + (gauss_to_q_poly(val, r)
-                     * LaurentPoly.monomial(n, mono))
+                     * LaurentPoly.monomial(n, x + [0, -sum(k)]))
     return out
 
 
@@ -304,9 +248,7 @@ def verify_euler_factor_identity(twist: LambdaTwist):
     r = twist.rank
     n = ring_size(r)
     lhs = h_generating_function(twist)
-    lead = [0] * n
-    for i, Li in enumerate(twist.L):
-        lead[i] = Li - (i + 1)
+    lead = tuple(reversed(twist.partition)) + (0, 0)  # L - rho = lambda
     rhs = (LaurentPoly.monomial(n, lead)
            * character_gt(twist.partition, r)
            * euler_factor_product(r))
@@ -331,11 +273,12 @@ def _primes_upto(bound: int):
 
 def euler_product_n1(m, bound: int) -> dict:
     """Multiply per-prime coefficient blocks into the global table
-    H(c; m) for all c with entries at most `bound`, exactly."""
+    H(c; m) for all c with entries at most `bound`, exactly.  The table
+    has up to bound ** rank entries, refused above 10^6."""
     m = tuple(m)
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ValueError("m entries must be positive integers")
-    if bound < 1 or bound > 10 ** 6:
+    if bound < 1 or bound ** len(m) > 10 ** 6:
         raise ValueError("bound out of range")
     r = len(m)
     table = {(1,) * r: 1}

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success (and
-verification pass), 1 verification failure, 2 usage error or refused
-oversized work.  Output is deterministic byte-for-byte for a fixed command
-line.
+verification pass), 1 verification failure, 2 usage error, refused
+oversized work or a failed internal check.  Output is deterministic
+byte-for-byte for a fixed command line.
 """
 
 import argparse
@@ -298,11 +298,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except AssertionError as exc:
+        # a broken internal invariant, not a verification failure (exit 1)
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
 
 

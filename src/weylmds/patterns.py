@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from itertools import product
 from typing import NamedTuple
 
-from .roots import LambdaTwist, WeylElement
+from .roots import LambdaTwist, WeylElement, support_vector
 
 
 @dataclass(frozen=True)
@@ -62,32 +62,20 @@ class GTPattern:
     def top_row(self):
         return self.a[0]
 
-    def s_a(self, i: int) -> int:
-        """Row sum of a_i (empty for i = r)."""
-        return sum(self.a[i]) if i < self.rank else 0
-
-    def s_b(self, i: int) -> int:
-        return sum(self.b[i - 1])
-
     @cached_property
     def wgt(self) -> tuple:
-        r = self.rank
-        return tuple(self.s_a(r - i) - 2 * self.s_b(r + 1 - i) + self.s_a(r + 1 - i)
-                     for i in range(1, r + 1))
+        """wgt_i = s(a_{r-i}) - 2 s(b_{r+1-i}) + s(a_{r+1-i}), where s is the
+        row sum and a_r is empty."""
+        sa = [sum(row) for row in self.a] + [0]
+        sb = [sum(row) for row in self.b]
+        return tuple(sa[m - 1] - 2 * sb[m - 1] + sa[m]
+                     for m in range(self.rank, 0, -1))
 
     @cached_property
     def k_vec(self) -> tuple:
-        r = self.rank
-        diffs = [self.s_b(m) - self.s_a(m) for m in range(1, r + 1)]
-        k = [self.s_a(0) - sum(diffs)]
-        for i in range(2, r + 1):
-            m = r + 1 - i
-            ki = (self.s_a(0) - 2 * sum(diffs[:m]) - self.s_a(m)
-                  + sum(self.a[0][:m]))
-            k.append(ki)
-        if any(x < 0 for x in k):
-            raise AssertionError(f"negative support vector {tuple(k)}")
-        return tuple(k)
+        """Support vector: lambda+rho + wgt = sum k_i alpha_i."""
+        L = reversed(self.a[0])  # lambda+rho
+        return support_vector(self.rank, [x + y for x, y in zip(L, self.wgt)])
 
     def pair_records(self, i: int):
         """The EntryRecords of row pair i, 1 <= i <= r, lazily."""
@@ -249,15 +237,6 @@ def enumerate_patterns(top_row):
                     yield from descend(rows_a + [arow], rows_b + [brow])
 
     yield from descend([top], [])
-
-
-def count_patterns(top_row) -> int:
-    return sum(1 for _ in enumerate_patterns(top_row))
-
-
-def stable_patterns(top_row):
-    """The stable patterns within the enumeration, in canonical order."""
-    return [P for P in enumerate_patterns(top_row) if is_stable(P)]
 
 
 def weyl_from_stable(P: GTPattern) -> WeylElement:

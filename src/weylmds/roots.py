@@ -63,6 +63,16 @@ def simple_coords(r: int, alpha):
     return tuple(c)
 
 
+def support_vector(r: int, weight):
+    """The k with weight = sum k_i alpha_i, which a coefficient-table key
+    needs nonnegative; `weight` is lambda+rho plus a pattern's weight, or
+    lambda+rho - w(lambda+rho)."""
+    k = simple_coords(r, weight)
+    if any(x < 0 for x in k):
+        raise AssertionError(f"negative support vector {k}")
+    return k
+
+
 def simple_reflection(alpha_i, beta):
     """sigma_{alpha_i}(beta) = beta - (2<beta,a_i>/<a_i,a_i>) a_i, exactly."""
     coeff = Fraction(2) * inner(beta, alpha_i) / inner(alpha_i, alpha_i)
@@ -179,18 +189,6 @@ class WeylElement:
         for sigma in permutations(range(1, r + 1)):
             for eps in product((-1, 1), repeat=r):
                 yield WeylElement(sigma, eps)
-
-
-def simple_reflection_weyl(r: int, i: int) -> WeylElement:
-    """The simple reflection sigma_{alpha_i} as a signed permutation."""
-    if not 1 <= i <= r:
-        raise ValueError("reflection index out of range")
-    if i == 1:
-        return WeylElement(tuple(range(1, r + 1)),
-                           tuple(-1 if k == 0 else 1 for k in range(r)))
-    sigma = list(range(1, r + 1))
-    sigma[i - 2], sigma[i - 1] = sigma[i - 1], sigma[i - 2]
-    return WeylElement(tuple(sigma), (1,) * r)
 
 
 @dataclass(frozen=True)

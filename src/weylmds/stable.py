@@ -9,8 +9,8 @@ from .coeffs import h_table
 from .gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from .patterns import GTPattern, is_stable
 from .roots import (LambdaTwist, RootSystemC, WeylElement, build_root_system,
-                    d_lambda, inv_pr_counts, norm_sq, phi_w, simple_coords,
-                    stability_bound)
+                    d_lambda, inv_pr_counts, norm_sq, phi_w, stability_bound,
+                    support_vector)
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,7 @@ def maximal_count_formula(w: WeylElement, i: int) -> int:
 def k_of_weyl(w: WeylElement, twist: LambdaTwist) -> tuple:
     """Solve lambda+rho - w(lambda+rho) = sum k_i alpha_i for k."""
     L = twist.L
-    k = simple_coords(w.rank, tuple(a - b for a, b in zip(L, w.act(L))))
-    if any(x < 0 for x in k):
-        raise AssertionError("negative support vector")
-    return k
+    return support_vector(w.rank, [a - b for a, b in zip(L, w.act(L))])
 
 
 def verify_stable_match(twist: LambdaTwist, n: int,

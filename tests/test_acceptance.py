@@ -14,8 +14,8 @@ from weylmds.chars import (gauss_to_q_poly, verify_deformation_identity,
 from weylmds.coeffs import h_table, verify_k_sum
 from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                            numeric_eval)
-from weylmds.patterns import (GTPattern, LambdaTwist, count_patterns,
-                              enumerate_patterns, is_stable, is_strict)
+from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
+                              is_stable, is_strict)
 from weylmds.stable import verify_stable_match
 from weylmds.tableaux import (pattern_from_tableau, tableau_from_pattern,
                               verify_tableau_stats)
@@ -31,6 +31,10 @@ FIG1_TABLEAU_ROWS = [["1_", "1", "1", "2", "3", "4", "4", "5", "5"],
                      ["3_", "4_", "4_", "4", "5_"],
                      ["4_", "4", "5_"],
                      ["5_", "5_"]]
+
+
+def count_patterns(top_row):
+    return sum(1 for _ in enumerate_patterns(top_row))
 
 
 def _tops(max_entry, rank):

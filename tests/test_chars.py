@@ -3,21 +3,37 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from weylmds.chars import (character_gt, character_weyl_oracle, deformation_D,
-                           euler_product_n1, gauss_to_q_poly,
-                           h_generating_function, h_tilde_table, hk_rhs,
-                           q_index, ring_size, scale_x_by_t, t_index,
+from weylmds.chars import (character_gt, deformation_D, euler_product_n1,
+                           gauss_to_q_poly, h_generating_function,
+                           h_tilde_table, hk_rhs, q_index, ring_size,
+                           scale_x_by_t, t_index,
                            verify_deformation_identity, verify_euler_bridge,
                            verify_euler_factor_identity, verify_h_tilde,
-                           weyl_dimension, x_monomial)
+                           weyl_dimension)
 from weylmds.coeffs import h_table
 from weylmds.laurent import LaurentPoly
 from weylmds.patterns import LambdaTwist
+from weylmds.roots import WeylElement
 from weylmds.tableaux import standard_tableaux, tableau_stats
 
 
 def _mono(r, exps, coeff=1, t=0, q=0):
-    return x_monomial(r, exps, coeff=coeff, t_exp=t, q_exp=q)
+    return LaurentPoly.monomial(ring_size(r), list(exps) + [t, q], coeff)
+
+
+def character_weyl_oracle(lam, r):
+    """Alternant quotient: sum_w det(w) x^{w(lam+rho)} over the analogous
+    rho-alternant; exact Laurent division with zero remainder."""
+    rho = tuple(range(1, r + 1))
+    shifted = tuple(a + b for a, b in zip(reversed(lam), rho))
+
+    def alternant(vec):
+        out = LaurentPoly.zero(ring_size(r))
+        for w in WeylElement.all_elements(r):
+            out = out + _mono(r, w.act(vec), coeff=w.sign())
+        return out
+
+    return alternant(shifted).exact_div(alternant(rho))
 
 
 def test_character_rank1_standard():

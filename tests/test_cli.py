@@ -210,3 +210,63 @@ def test_oversized_enumeration_refused_up_front(capsys):
                        "--count-only")
     assert code == 0 and out == "65536\n"
     assert weyl_dimension((4, 3, 2, 1), 4) == 65536
+
+
+def test_internal_check_failure_exit_two(capsys, monkeypatch):
+    # a failed internal assertion is neither a pass (0) nor a verification
+    # failure (1)
+    import weylmds.cli as cli
+
+    def broken(args):
+        raise AssertionError("negative support vector (-1,)")
+
+    monkeypatch.setattr(cli, "cmd_hcoeff", broken)
+    code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
+                         "--n", "1")
+    assert code == 2 and out == ""
+    assert err == "error: internal check failed: " \
+                  "negative support vector (-1,)\n"
+
+
+def test_euler_output_size_refused_up_front(capsys):
+    # bound ** rank = 1001^2 entries, above the 10^6 limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, "euler", "--rank", "2", "--m", "1,1",
+                         "--bound", "1001")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    # the same limit at rank 1
+    assert run(capsys, "euler", "--rank", "1", "--m", "1",
+               "--bound", str(10 ** 6 + 1))[0] == 2
+
+
+def _readme_cli_lines():
+    """The `weylmds ...` lines of the README's CLI block, each split into
+    its argv and its trailing comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        if argv and argv[0] == "weylmds":
+            out.append((argv[1:], comment.strip()))
+    return out
+
+
+def test_readme_cli_block_runs(capsys):
+    lines = _readme_cli_lines()
+    # every command and every verify target appears
+    assert {tuple(argv[:2]) if argv[0] == "verify" else argv[0]
+            for argv, _ in lines} == {
+        "patterns", "tableaux", "hcoeff", "character", "euler",
+        *(("verify", t) for t in ("stable", "hamel-king", "cs", "lemma3",
+                                  "lemma4", "gauss"))}
+    for argv, comment in lines:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", (argv, err)
+        if comment.isdigit():  # a stated count, such as `# 16`
+            assert out == comment + "\n", argv
+    assert any(comment.isdigit() for _, comment in lines)

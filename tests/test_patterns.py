@@ -5,11 +5,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from weylmds.patterns import (GTPattern, LambdaTwist, count_patterns,
-                              enumerate_patterns, is_stable, is_strict,
+from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
+                              interleave_bounds, is_stable, is_strict,
                               pair_entries, pair_positions,
-                              stable_pattern_for, stable_patterns,
-                              weyl_from_stable)
+                              stable_pattern_for, weyl_from_stable)
 from weylmds.roots import WeylElement
 
 
@@ -30,6 +29,30 @@ def u_long(P, i, j):
     """u_{i,j} = v_{i,r} + sum_{m=j}^{r} (a_{i,m} - b_{i,m})."""
     return v_long(P, i, P.rank) + sum(P.a_entry(i, m, 0) - P.b_entry(i, m, 0)
                                       for m in range(j, P.rank + 1))
+
+
+def k_vec_long(P):
+    """k from the row sums s(a_m), s(b_m) directly (a_r is empty):
+    k_1 = s(a_0) - sum_m (s(b_m) - s(a_m)), and for i >= 2 with m = r+1-i,
+    k_i = s(a_0) - 2 sum_{m'<=m} (s(b_m') - s(a_m')) - s(a_m)
+          + (a_{0,1} + ... + a_{0,m})."""
+    r = P.rank
+    s_a = [sum(row) for row in P.a] + [0]
+    diffs = [sum(P.b[m - 1]) - s_a[m] for m in range(1, r + 1)]
+    k = [s_a[0] - sum(diffs)]
+    for i in range(2, r + 1):
+        m = r + 1 - i
+        k.append(s_a[0] - 2 * sum(diffs[:m]) - s_a[m] + sum(P.a[0][:m]))
+    return tuple(k)
+
+
+def count_patterns(top_row):
+    return sum(1 for _ in enumerate_patterns(top_row))
+
+
+def stable_patterns(top_row):
+    """The stable patterns within the enumeration, in canonical order."""
+    return [P for P in enumerate_patterns(top_row) if is_stable(P)]
 
 
 def bound_flags_long(P, pos):
@@ -88,6 +111,33 @@ def test_figure1_pattern_is_valid_with_its_top_row():
 def test_figure1_weight_and_support():
     assert FIG1.wgt == (1, -1, 1, 1, -3)
     assert FIG1.k_vec == (12, 21, 19, 13, 6)
+
+
+def test_k_vec_matches_row_sum_oracle():
+    assert k_vec_long(FIG1) == FIG1.k_vec
+    for top in [(1,), (3,), (2, 1), (3, 1), (4, 2), (2, 2), (5, 3), (3, 2, 1),
+                (4, 2, 1), (2, 2, 0), (3, 1, 1), (1, 1, 1, 0)]:
+        for P in enumerate_patterns(top):
+            assert P.k_vec == k_vec_long(P), P.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_k_vec_matches_row_sum_oracle_random(data):
+    # one random pattern below a random top row of rank 3 or 4, drawn row by
+    # row inside the interleaving bounds
+    r = data.draw(st.integers(3, 4))
+    top = tuple(sorted(data.draw(st.lists(st.integers(0, 12), min_size=r,
+                                          max_size=r)), reverse=True))
+    rows_a, rows_b = [top], []
+    for i in range(r):
+        rows_b.append(tuple(data.draw(st.integers(lo, hi)) for hi, lo
+                            in interleave_bounds(rows_a[i], (0,))))
+        if i < r - 1:
+            rows_a.append(tuple(data.draw(st.integers(lo, hi)) for hi, lo
+                                in interleave_bounds(rows_b[i], ())))
+    P = GTPattern(r, tuple(rows_a), tuple(rows_b))
+    assert P.k_vec == k_vec_long(P)
 
 
 def test_rank1_weights_and_support():

@@ -4,8 +4,17 @@ import pytest
 
 from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
                            d_lambda, inv_pr_counts, norm_sq, phi_w, s_action,
-                           simple_reflection_weyl, stability_bound,
-                           stability_min_n)
+                           stability_bound, stability_min_n, support_vector)
+
+
+def simple_reflection_weyl(r, i):
+    """The simple reflection sigma_{alpha_i} as a signed permutation."""
+    if i == 1:
+        return WeylElement(tuple(range(1, r + 1)),
+                           tuple(-1 if k == 0 else 1 for k in range(r)))
+    sigma = list(range(1, r + 1))
+    sigma[i - 2], sigma[i - 1] = sigma[i - 1], sigma[i - 2]
+    return WeylElement(tuple(sigma), (1,) * r)
 
 
 def test_simple_roots_r2():
@@ -165,3 +174,11 @@ def test_s_action_orbit_size():
                         new.append(img)
             frontier = new
         assert len(seen) == 2 ** r * [0, 1, 2, 6][r]
+
+
+def test_support_vector_refuses_negative_coordinates():
+    assert support_vector(2, (0, 2)) == (1, 2)  # alpha_1 + 2 alpha_2
+    with pytest.raises(AssertionError, match="negative support vector"):
+        support_vector(2, (0, -2))
+    with pytest.raises(ValueError):  # not in the root lattice
+        support_vector(1, (1,))
