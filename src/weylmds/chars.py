@@ -7,6 +7,8 @@ Euler-factor identities are verified as exact polynomial equalities.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 from .coeffs import h_table
 from .gauss import GaussValue
@@ -260,50 +262,80 @@ def verify_euler_factor_identity(twist: LambdaTwist):
 # global coefficients at n = 1
 
 
-def _primes_upto(bound: int):
-    sieve = [True] * (bound + 1)
-    out = []
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            out.append(p)
-            for m in range(p * p, bound + 1, p):
-                sieve[m] = False
-    return out
+def _smallest_prime_factors(bound: int) -> list:
+    """spf[x] is the smallest prime factor of x, for 2 <= x <= bound."""
+    spf = list(range(bound + 1))
+    for p in range(2, isqrt(bound) + 1):
+        if spf[p] == p:
+            for x in range(p * p, bound + 1, p):
+                if spf[x] == x:
+                    spf[x] = p
+    return spf
+
+
+def _ord(x: int, p: int) -> int:
+    """The exponent of the prime p in x."""
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
 
 
 def euler_product_n1(m, bound: int) -> dict:
-    """Multiply per-prime coefficient blocks into the global table
-    H(c; m) for all c with entries at most `bound`, exactly.  The table
-    has up to bound ** rank entries, refused above 10^6."""
+    """The global table H(c; m) for all c with entries at most `bound`,
+    exactly.  H is multiplicative: H(c; m) is the product over the primes
+    p dividing some c_i of the local value H(p^k; p^l), with
+    k_i = ord_p(c_i) and l_i = ord_p(m_i).  One q-polynomial block per l
+    is evaluated once per prime.  The table has up to bound ** rank
+    entries, refused above 10^6."""
     m = tuple(m)
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ValueError("m entries must be positive integers")
     if bound < 1 or bound ** len(m) > 10 ** 6:
         raise ValueError("bound out of range")
     r = len(m)
-    table = {(1,) * r: 1}
-    for p in _primes_upto(bound):
-        l = []
-        for mi in m:
-            e = 0
-            while mi % p == 0:
-                mi //= p
-                e += 1
-            l.append(e)
-        block = {}
-        for k, val in h_table(LambdaTwist(tuple(l)), 1).entries:
+    qi = q_index(r)
+    spf = _smallest_prime_factors(bound)
+    blocks = {}   # l -> [(k, q-polynomial H(p^k; p^l))]
+    local = {}    # p -> {k: H(p^k; p^l) at q = p, nonzero}
+
+    def local_values(p):
+        l = tuple(_ord(mi, p) for mi in m)
+        if l not in blocks:
+            block = [(k, gauss_to_q_poly(val, r))
+                     for k, val in h_table(LambdaTwist(l), 1).entries]
+            # the primes dividing no c_i are skipped below: each would
+            # multiply in H(1; p^l), which must therefore be 1
+            if dict(block).get((0,) * r) != 1:
+                raise AssertionError(f"H(1; p^l) is not 1 at l = {l}")
+            blocks[l] = block
+        values = {}
+        for k, q_poly in blocks[l]:
             if all(p ** ki <= bound for ki in k):
-                q_poly = gauss_to_q_poly(val, r)
-                num = q_poly.eval_at({q_index(r): Fraction(p)})
+                num = q_poly.eval_at({qi: p})
                 if num.denominator != 1:
                     raise AssertionError("coefficient must be integral")
                 if num:
-                    block[k] = int(num)
-        new = {}
-        for c, h in table.items():
-            for k, v in block.items():
-                cc = tuple(ci * p ** ki for ci, ki in zip(c, k))
-                if all(x <= bound for x in cc):
-                    new[cc] = new.get(cc, 0) + h * v
-        table = new
-    return {c: v for c, v in table.items() if v}
+                    values[k] = num
+        return values
+
+    table = {}
+    for c in product(range(1, bound + 1), repeat=r):
+        k_of = {}   # p -> [ord_p(c_1), ..., ord_p(c_r)]
+        for i, x in enumerate(c):
+            while x > 1:
+                p = spf[x]
+                e = _ord(x, p)
+                x //= p ** e
+                k_of.setdefault(p, [0] * r)[i] = e
+        h = 1
+        for p, k in k_of.items():
+            if p not in local:
+                local[p] = local_values(p)
+            h *= local[p].get(tuple(k), 0)
+            if not h:
+                break
+        if h:
+            table[c] = h
+    return table

@@ -1,10 +1,24 @@
 """Exact multivariate Laurent polynomials with rational coefficients.
 
 Terms are a map from integer exponent tuples (negative exponents allowed)
-to Fractions; zero coefficients are dropped, so equality is structural.
+to coefficients.  An integral coefficient is stored as an `int`; a
+`Fraction` appears only for a value that is not integral, such as an
+`exact_div` quotient or a negative power in `substitute`.  Zero
+coefficients are dropped, so equality is structural, and `1` and
+`Fraction(1)` build the same polynomial.
 """
 
 from fractions import Fraction
+from operator import add
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class LaurentPoly:
@@ -18,7 +32,7 @@ class LaurentPoly:
         self.terms = {}
         if terms:
             for exps, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
                     if len(exps) != nvars:
                         raise ValueError("exponent arity mismatch")
@@ -26,16 +40,24 @@ class LaurentPoly:
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def _of(nvars, terms):
+        """Wrap terms that are already nonzero and in canonical form."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(nvars):
         return LaurentPoly(nvars)
 
     @staticmethod
     def const(nvars, c):
-        return LaurentPoly(nvars, {(0,) * nvars: Fraction(c)})
+        return LaurentPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def monomial(nvars, exps, coeff=1):
-        return LaurentPoly(nvars, {tuple(exps): Fraction(coeff)})
+        return LaurentPoly(nvars, {tuple(exps): coeff})
 
     @staticmethod
     def variable(nvars, idx, power=1, coeff=1):
@@ -55,17 +77,18 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _exact(s)
             else:
-                out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+                del out[e]
+        return LaurentPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.nvars,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -78,13 +101,13 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[e] = s if type(s) is int else _exact(s)
                 else:
-                    out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+                    del out[e]
+        return LaurentPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -131,7 +154,7 @@ class LaurentPoly:
                 else:
                     exps[idx] += power
             key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.nvars, out)
 
     def scale_vars_into(self, target_idx, var_indices):
@@ -142,20 +165,23 @@ class LaurentPoly:
             ne = list(e)
             ne[target_idx] += extra
             ne = tuple(ne)
-            out[ne] = out.get(ne, Fraction(0)) + c
+            out[ne] = out.get(ne, 0) + c
         return LaurentPoly(self.nvars, out)
 
     def eval_at(self, values):
-        """Evaluate exactly; `values[idx]` (a Fraction or int) must be
-        supplied for every variable appearing with nonzero exponent."""
-        total = Fraction(0)
+        """Evaluate exactly, as an int when the value is integral;
+        `values[idx]` (a Fraction or int) must be supplied for every
+        variable appearing with nonzero exponent."""
+        total = 0
         for e, c in self.terms.items():
             val = c
             for idx, power in enumerate(e):
-                if power:
+                if power > 0:
+                    val *= values[idx] ** power
+                elif power:
                     val *= Fraction(values[idx]) ** power
             total += val
-        return total
+        return _exact(total)
 
     # -- exact division -------------------------------------------------
     def exact_div(self, divisor):
@@ -176,12 +202,11 @@ class LaurentPoly:
                 raise ValueError("division does not terminate; not exact")
             lead = max(rem)
             qe = tuple(a - b for a, b in zip(lead, div_lead))
-            qc = rem[lead] / div_lead_c
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
-            del rem[lead]
+            qc = _exact(Fraction(rem.pop(lead), div_lead_c))
+            quot[qe] = quot.get(qe, 0) + qc
             for e, c in div_rest:
-                te = tuple(a + b for a, b in zip(qe, e))
-                s = rem.get(te, Fraction(0)) - qc * c
+                te = tuple(map(add, qe, e))
+                s = rem.get(te, 0) - qc * c
                 if s:
                     rem[te] = s
                 else:

@@ -210,8 +210,9 @@ def tableau_stats(S: ShiftedTableau) -> TableauStats:
 
 
 def verify_tableau_stats(P: GTPattern) -> bool:
-    """Entry-classification counts against tableau statistics:
-    #generic = str - r and #maximal = height + r(r+1)/2."""
+    """Entry-classification counts against the statistics of P's tableau:
+    #generic = str - r and #maximal = height + r(r+1)/2; the tableau must
+    also read back to P."""
     S = tableau_from_pattern(P)
     stats = tableau_stats(S)
     tags = [e.tag for e in P.records()]
@@ -219,4 +220,5 @@ def verify_tableau_stats(P: GTPattern) -> bool:
     r = P.rank
     return (gen == stats.str_total - r
             and mx == stats.height + r * (r + 1) // 2
-            and stats.wgt == P.wgt)
+            and stats.wgt == P.wgt
+            and pattern_from_tableau(S) == P)

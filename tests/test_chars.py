@@ -1,8 +1,11 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weylmds import chars
 from weylmds.chars import (character_gt, deformation_D, euler_product_n1,
                            gauss_to_q_poly, h_generating_function,
                            h_tilde_table, hk_rhs, q_index, ring_size,
@@ -191,3 +194,74 @@ def test_euler_product_twisted_rank1():
     assert table.get((3,), 0) == -1      # untwisted prime, k = 1
     assert table.get((9,), 0) == 0       # untwisted support stops at k = 1
     assert table.get((6,), 0) == table[(2,)] * table[(3,)]
+
+
+def euler_product_n1_long(m, bound):
+    """Per-prime merge: multiply each prime's coefficient block into the
+    whole table, one prime p <= bound at a time."""
+    r = len(m)
+    table = {(1,) * r: 1}
+    for p in range(2, bound + 1):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        l = []
+        for mi in m:
+            e = 0
+            while mi % p == 0:
+                mi //= p
+                e += 1
+            l.append(e)
+        block = {}
+        for k, val in h_table(LambdaTwist(tuple(l)), 1).entries:
+            if all(p ** ki <= bound for ki in k):
+                num = gauss_to_q_poly(val, r).eval_at({q_index(r): p})
+                if num:
+                    block[k] = num
+        new = {}
+        for c, h in table.items():
+            for k, v in block.items():
+                cc = tuple(ci * p ** ki for ci, ki in zip(c, k))
+                if all(x <= bound for x in cc):
+                    new[cc] = new.get(cc, 0) + h * v
+        table = new
+    return {c: v for c, v in table.items() if v}
+
+
+@pytest.mark.parametrize("m, bound", [
+    ((1,), 1), ((1,), 300), ((12,), 400), ((64,), 100), ((30,), 250),
+    ((2 * 53,), 50),             # 53 > bound divides m
+    ((1, 1), 30), ((4, 8), 20), ((6, 4), 40), ((9, 1), 28), ((2 * 37, 3), 25),
+    ((1, 1, 1), 8), ((2, 1, 3), 10), ((4, 2, 1), 9), ((1, 1, 11), 7)])
+def test_euler_product_matches_per_prime_merge(m, bound):
+    table = euler_product_n1(m, bound)
+    assert table == euler_product_n1_long(m, bound)
+    assert all(type(v) is int for v in table.values())
+
+
+# rank 3 stays with the fixed cases above: a twist like (2,2,2) alone takes
+# seconds to tabulate, and the per-prime merge tabulates it once per prime
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_euler_product_matches_per_prime_merge_random(data):
+    rank = data.draw(st.integers(1, 2), label="rank")
+    m_max, bound_max = {1: (200, 120), 2: (64, 20)}[rank]
+    m = tuple(data.draw(st.lists(st.integers(1, m_max), min_size=rank,
+                                 max_size=rank), label="m"))
+    bound = data.draw(st.integers(1, bound_max), label="bound")
+    assert euler_product_n1(m, bound) == euler_product_n1_long(m, bound)
+
+
+def test_euler_product_refuses_block_without_unit_constant(monkeypatch,
+                                                           capsys):
+    def doubled_constant(twist, n):
+        table = h_table(twist, n)
+        return SimpleNamespace(entries=tuple(
+            (k, v + v if not any(k) else v) for k, v in table.entries))
+
+    monkeypatch.setattr(chars, "h_table", doubled_constant)
+    with pytest.raises(AssertionError, match="H\\(1; p\\^l\\) is not 1"):
+        euler_product_n1((1,), 10)
+    from weylmds.cli import main
+    assert main(["euler", "--rank", "1", "--m", "1", "--bound", "10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: internal check")

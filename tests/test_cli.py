@@ -270,3 +270,11 @@ def test_readme_cli_block_runs(capsys):
         if comment.isdigit():  # a stated count, such as `# 16`
             assert out == comment + "\n", argv
     assert any(comment.isdigit() for _, comment in lines)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4096, 4097, 9000])
+def test_emit_list_writes_the_dump_of_the_list(capsys, n):
+    from weylmds.cli import _dump, _emit_list
+    items = [{"c": [i, 2 * i], "value": str(3 - 7 * i)} for i in range(n)]
+    _emit_list(iter(items))
+    assert capsys.readouterr().out == _dump(items) + "\n"

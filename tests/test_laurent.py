@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylmds.laurent import LaurentPoly
 
@@ -58,3 +60,73 @@ def test_json_terms_sorted():
     p = V(1) + V(0) * 2
     assert p.to_json() == [{"exp": [0, 1, 0], "coeff": "1/1"},
                            {"exp": [1, 0, 0], "coeff": "2/1"}]
+
+
+# -- property tests: int and Fraction coefficients mixed ------------------
+
+_coeff = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_poly = st.dictionaries(
+    st.tuples(*[st.integers(-2, 2)] * 3), _coeff, max_size=4).map(
+        lambda terms: LaurentPoly(3, terms))
+
+
+def _canonical(p):
+    return all(c and (type(c) is int
+                      or (type(c) is Fraction and c.denominator != 1))
+               for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly, _poly, _poly)
+def test_ring_axioms(a, b, c):
+    zero, one = LaurentPoly.zero(3), LaurentPoly.const(3, 1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a - a).is_zero()
+    for p in (a + b, a - b, a * b, -c, a ** 2, 2 * a + Fraction(1, 2)):
+        assert _canonical(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly, _poly)
+def test_exact_div_round_trip(a, b):
+    if b.is_zero():
+        return
+    quot = (a * b).exact_div(b)
+    assert quot == a and _canonical(quot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3),
+                       st.integers(-9, 9), max_size=5))
+def test_int_and_fraction_built_polys_agree(terms):
+    ints = LaurentPoly(3, terms)
+    fracs = LaurentPoly(3, {e: Fraction(c) for e, c in terms.items()})
+    assert all(type(c) is int for c in fracs.terms.values())
+    assert json.dumps(ints.to_json()) == json.dumps(fracs.to_json())
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert repr(ints) == repr(fracs)
+    value = sum(terms.values())
+    const = LaurentPoly.const(3, Fraction(value))
+    assert const == value and const == Fraction(value)
+    assert hash(const) == hash(LaurentPoly.const(3, value))
+
+
+def test_fraction_only_where_not_integral():
+    x = V(0)
+    half = (x * x - 1).exact_div(2 * x + 2)
+    assert half.terms == {(1, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(-1, 2)}
+    for whole in (half * 2, half + half, half - (-half)):
+        assert whole == x - 1
+        assert all(type(c) is int for c in whole.terms.values())
+    inv = (x + 2).substitute({0: (2, (-1, 0, 0))})    # x -> 2 / x
+    assert inv.terms == {(-1, 0, 0): 2, (0, 0, 0): 2}
+    neg = (V(0, -2) + 1).substitute({0: (2, (0, 1, 0))})  # x -> 2 y
+    assert neg.terms == {(0, -2, 0): Fraction(1, 4), (0, 0, 0): 1}
+    assert type(x.eval_at({0: 3})) is int
+    assert V(0, -1).eval_at({0: 3}) == Fraction(1, 3)
