@@ -17,7 +17,8 @@ from .chars import (character_gt, euler_product_n1,
                     verify_euler_factor_identity, verify_h_tilde,
                     weyl_dimension)
 from .coeffs import h_table, verify_k_sum
-from .gauss import ArithContext, gauss_brute, gauss_eval, numeric_eval
+from .gauss import (ArithContext, brute_force_modulus, gauss_brute, gauss_eval,
+                    numeric_eval)
 from .patterns import LambdaTwist, enumerate_patterns, is_strict
 from .stable import verify_stable_match
 from .tableaux import standard_tableaux, tableau_stats, verify_tableau_stats
@@ -192,6 +193,7 @@ def cmd_verify_gauss(args):
     if p is None:
         raise SystemExit2("--p is required for this degree")
     ctx = ArithContext(n, p)
+    brute_force_modulus(p, 4)  # refused before summing: the grid reaches v = 4
     bad = []
     for t in (1, 2):
         for c in range(0, 6):

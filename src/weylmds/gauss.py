@@ -13,8 +13,13 @@ independent oracle for all symbolic values.
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain, islice, repeat
 from math import isqrt
+from operator import add, mul
+
+# Largest modulus p^v a brute-force sum runs over, and so the largest prime
+BRUTE_FORCE_LIMIT = 10 ** 7
 
 
 def _symbol_product(n: int, s1: tuple, s2: tuple):
@@ -172,16 +177,25 @@ def _primitive_root(p: int) -> int:
 @dataclass(frozen=True)
 class ArithContext:
     """Numeric backend at a prime p = 1 mod n: a fixed order-n character chi
-    realized through a primitive root, and the standard additive character."""
+    realized through a primitive root, and the standard additive character.
+
+    Both are tabulated on first use and kept for the context's lifetime:
+    chi on the p residues of Z/p (one int each), and e(x / p^v) on the p^v
+    residues of Z/p^v, once for each v a brute-force sum asks for (about
+    40 B per residue, so about 400 MB at v = 1 and p near 10^7).  A value
+    without symbols needs neither."""
 
     n: int
     p: int
     root: int = field(init=False)
+    # v -> additive_table(v), filled on demand
+    additive_tables: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("degree must be positive")
-        if self.p > 10 ** 7:  # a brute-force sum tabulates chi on all of Z/p
+        if self.p > BRUTE_FORCE_LIMIT:  # a brute-force sum tabulates Z/p
             raise ValueError(f"p = {self.p} exceeds the limit 10^7")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
@@ -204,26 +218,48 @@ class ArithContext:
             x = (x * self.root) % self.p
         return table
 
+    def additive_table(self, v_exp: int) -> list:
+        """e(x / p^v) = exp(2 pi i x / p^v) at index x of Z/p^v, built on
+        the first call for v."""
+        table = self.additive_tables.get(v_exp)
+        if table is None:
+            modulus = brute_force_modulus(self.p, v_exp)
+            table = [cmath.exp(2j * cmath.pi * x / modulus)
+                     for x in range(modulus)]
+            self.additive_tables[v_exp] = table
+        return table
+
+
+def brute_force_modulus(p: int, v_exp: int) -> int:
+    """p^v, refused above BRUTE_FORCE_LIMIT."""
+    modulus = p ** v_exp
+    if modulus > BRUTE_FORCE_LIMIT:
+        raise OverflowError("modulus too large for brute-force summation")
+    return modulus
+
 
 def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
-    """Literal exponential sum over d mod p^{v_exp}, the numeric oracle."""
-    if v_exp < 0:
-        raise ValueError("negative modulus exponent")
+    """Literal exponential sum over the units d mod p^v, the numeric oracle:
+    the terms chi^{t v}(d) e(d p^c / p^v), added in increasing d."""
+    if v_exp < 0 or c_exp < 0:
+        raise ValueError("negative exponent")
     if v_exp == 0:
         return complex(1.0)
     n, p = ctx.n, ctx.p
-    modulus = p ** v_exp
-    if modulus > 10 ** 7:
-        raise OverflowError("modulus too large for brute-force summation")
-    chi = ctx.chi_table
+    e = ctx.additive_table(v_exp)
+    modulus = len(e)
     tv = t * v_exp
     chi_tv = [cmath.exp(2j * cmath.pi * ((s * tv) % n) / n) for s in range(n)]
+    # d p^c mod p^v = p^c (d mod p^{v-c}), and 0 once c >= v: the entries
+    # for d = 0, 1, 2, ... repeat one period of e.  At c = 0 the period is
+    # e itself, not a copy, which would add 8 B per residue
+    period = e[::p ** min(c_exp, v_exp)] if c_exp else e
+    entries = chain.from_iterable(repeat(period, modulus // len(period)))
     total = 0.0 + 0.0j
-    for d in range(1, modulus):
-        if d % p == 0:
-            continue
-        phase = (d * p ** c_exp) % modulus
-        total += chi_tv[chi[d % p]] * cmath.exp(2j * cmath.pi * phase / modulus)
+    for _ in range(modulus // p):  # the block d = kp, ..., kp + p - 1
+        next(entries)  # d = kp is no unit; weights: chi^{tv}(d mod p)
+        weights = map(chi_tv.__getitem__, islice(ctx.chi_table, 1, None))
+        total = reduce(add, map(mul, weights, islice(entries, p - 1)), total)
     return total
 
 

@@ -179,6 +179,19 @@ def test_zero_degree_is_not_absent(capsys):
     assert run(capsys, "verify", "gauss", "--n", "0", "--p", "7")[0] == 2
 
 
+def test_verify_gauss_refuses_large_modulus_before_summing(capsys,
+                                                          monkeypatch):
+    # the grid reaches v = 4, and 3001^4 > 10^7
+    from weylmds import cli
+    calls = []
+    monkeypatch.setattr(cli, "gauss_brute",
+                        lambda *args: calls.append(args))
+    code, out, err = run(capsys, "verify", "gauss", "--n", "3",
+                         "--p", "3001")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: modulus too large for brute-force summation\n"
+
+
 def test_zero_prime_is_not_absent(capsys):
     code, out, _ = run(capsys, "verify", "stable", "--rank", "1",
                        "--l", "0", "--n", "3", "--p", "0")

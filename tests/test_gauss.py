@@ -1,11 +1,14 @@
+import cmath
 import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
-                           numeric_eval)
+from weylmds.coeffs import h_table
+from weylmds.gauss import (BRUTE_FORCE_LIMIT, ArithContext, GaussValue,
+                           gauss_brute, gauss_eval, numeric_eval)
+from weylmds.patterns import LambdaTwist
 
 
 def test_residue_symbol_identity_and_vanishing():
@@ -144,17 +147,37 @@ def test_context_refuses_prime_above_limit():
         ArithContext(1, 10_000_019)
 
 
+def cached_tables(ctx):
+    """Every table ctx holds, the ones inside a dict of tables included."""
+    out = []
+    for v in vars(ctx).values():
+        if isinstance(v, dict):
+            out.extend(v.values())
+        elif hasattr(v, "__len__"):
+            out.append(v)
+    return out
+
+
 def test_context_builds_no_p_entry_table_for_symbol_free_values():
+    # hcoeff --numeric at n = 1: values without symbols need no character
     p = 9_999_991
     ctx = ArithContext(1, p)
-
-    def no_p_sequence():
-        return all(not hasattr(v, "__len__") or len(v) < p
-                   for v in vars(ctx).values())
-
-    assert no_p_sequence()
+    assert cached_tables(ctx) == []
     assert numeric_eval(GaussValue.phi(1, 2), ctx) == p * p - p
-    assert no_p_sequence()
+    for _, value in h_table(LambdaTwist((1,)), 1).entries:
+        numeric_eval(value, ctx)
+    assert cached_tables(ctx) == []
+
+
+def test_context_builds_one_additive_table_for_symbol_values():
+    p = 7
+    ctx = ArithContext(3, p)
+    value = GaussValue.symbol(3, 1, q_exp=1)
+    first = numeric_eval(value, ctx)
+    assert [len(t) for t in ctx.additive_tables.values()] == [p]
+    tables = cached_tables(ctx)
+    assert numeric_eval(value, ctx) == first
+    assert [id(t) for t in cached_tables(ctx)] == [id(t) for t in tables]
 
 
 def test_symbol_and_from_json_refuse_out_of_range_indices():
@@ -260,3 +283,77 @@ def test_numeric_eval_is_multiplicative(case, data):
     lhs = numeric_eval(x * y, ctx)
     rhs = numeric_eval(x, ctx) * numeric_eval(y, ctx)
     assert abs(lhs - rhs) <= 1e-9 * (1 + size(x) * size(y))
+
+
+# -- gauss_brute against the literal per-term sum --------------------------
+
+def gauss_brute_long(t, c_exp, v_exp, ctx):
+    """Every term chi^{t v}(d) exp(2 pi i d p^c / p^v) computed on its own,
+    added over d = 1 .. p^v - 1 in increasing order, non-units skipped."""
+    if v_exp < 0:
+        raise ValueError("negative modulus exponent")
+    if v_exp == 0:
+        return complex(1.0)
+    n, p = ctx.n, ctx.p
+    modulus = p ** v_exp
+    if modulus > BRUTE_FORCE_LIMIT:
+        raise OverflowError("modulus too large for brute-force summation")
+    chi = ctx.chi_table
+    tv = t * v_exp
+    chi_tv = [cmath.exp(2j * cmath.pi * ((s * tv) % n) / n) for s in range(n)]
+    total = 0.0 + 0.0j
+    for d in range(1, modulus):
+        if d % p == 0:
+            continue
+        phase = (d * p ** c_exp) % modulus
+        total += chi_tv[chi[d % p]] * cmath.exp(2j * cmath.pi * phase / modulus)
+    return total
+
+
+def brute_or_overflow(brute, t, c, v, ctx):
+    try:
+        return brute(t, c, v, ctx)
+    except OverflowError:
+        return OverflowError
+
+
+# the verify gauss pool pairs of the oracle workload, and two larger n
+@pytest.mark.parametrize("n, p", [(1, 7), (1, 11), (1, 13), (3, 7), (3, 13),
+                                  (5, 11), (7, 29), (9, 19)])
+def test_brute_equals_long_sum_bit_for_bit_on_verify_gauss_grid(n, p):
+    ctx = ArithContext(n, p)
+    for t in (1, 2):
+        for c in range(6):
+            for v in range(5):
+                assert brute_or_overflow(gauss_brute, t, c, v, ctx) \
+                    == brute_or_overflow(gauss_brute_long, t, c, v, ctx), \
+                    (t, c, v)
+
+
+@pytest.mark.parametrize("n, p", [(3, 1009), (5, 3001), (7, 3011), (9, 9001)])
+def test_brute_equals_long_sum_bit_for_bit_on_primitive_sums(n, p):
+    ctx = ArithContext(n, p)
+    for s in range(1, n):
+        assert gauss_brute(s, 0, 1, ctx) == gauss_brute_long(s, 0, 1, ctx)
+
+
+_small_primes = {n: [p for p in range(3, 60) if (p - 1) % n == 0
+                     and all(p % d for d in range(2, p))]
+                 for n in range(1, 7)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), t=st.integers(0, 8), c=st.integers(0, 6),
+       data=st.data())
+def test_brute_equals_long_sum_bit_for_bit(n, t, c, data):
+    p = data.draw(st.sampled_from(_small_primes[n]))
+    v = data.draw(st.integers(0, int(math.log(10 ** 4, p))))
+    ctx = ArithContext(n, p)
+    assert gauss_brute(t, c, v, ctx) == gauss_brute_long(t, c, v, ctx)
+
+
+def test_brute_refuses_negative_exponents():
+    ctx = ArithContext(3, 7)
+    for c, v in ((0, -1), (-1, 1)):
+        with pytest.raises(ValueError):
+            gauss_brute(1, c, v, ctx)
