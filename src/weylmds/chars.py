@@ -8,7 +8,7 @@ Euler-factor identities are verified as exact polynomial equalities.
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import comb, isqrt
 
 from .coeffs import h_table
 from .gauss import GaussValue
@@ -66,6 +66,15 @@ def weyl_dimension(lam, r: int) -> int:
     return int(dim)
 
 
+def check_pattern_count(top_row) -> None:
+    """Refuse, before enumerating, a top row with more than 10^7 patterns;
+    the Weyl dimension formula counts them exactly."""
+    count = weyl_dimension(top_row, len(top_row))
+    if count > 10 ** 7:
+        raise ValueError(f"top row {','.join(map(str, top_row))} has "
+                         f"{count} patterns, more than 10^7")
+
+
 def deformation_D(r: int) -> LaurentPoly:
     """prod x_i^{r-i+1} prod (1 + t x_i^{-2})
     prod_{i<j} (1 + t x_i^{-1} x_j)(1 + t x_i^{-1} x_j^{-1})."""
@@ -96,14 +105,10 @@ def deformation_D(r: int) -> LaurentPoly:
 
 def scale_x_by_t(poly: LaurentPoly, r: int) -> LaurentPoly:
     """Substitute x_i -> t x_i for every x variable."""
-    return poly.scale_vars_into(t_index(r), list(range(r)))
-
-
-def _binomials(n: int):
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[k] + row[k + 1] for k in range(len(row) - 1)] + [1]
-    return row
+    ti = t_index(r)
+    return poly.substitute(
+        {i: (1, tuple(int(k in (i, ti)) for k in range(ring_size(r))))
+         for i in range(r)})
 
 
 def hk_rhs(r: int, stats) -> LaurentPoly:
@@ -113,9 +118,10 @@ def hk_rhs(r: int, stats) -> LaurentPoly:
     acc = {}
     for st in stats:
         base = st.height + offset
-        for k, binom in enumerate(_binomials(st.str_total - r)):
+        generic = st.str_total - r
+        for k in range(generic + 1):
             e = st.wgt + (base + k, 0)
-            acc[e] = acc.get(e, 0) + binom
+            acc[e] = acc.get(e, 0) + comb(generic, k)
     return LaurentPoly(ring_size(r), acc)
 
 
@@ -288,7 +294,8 @@ def euler_product_n1(m, bound: int) -> dict:
     p dividing some c_i of the local value H(p^k; p^l), with
     k_i = ord_p(c_i) and l_i = ord_p(m_i).  One q-polynomial block per l
     is evaluated once per prime.  The table has up to bound ** rank
-    entries, refused above 10^6."""
+    entries, refused above 10^6, and each block is refused up front by
+    check_pattern_count."""
     m = tuple(m)
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ValueError("m entries must be positive integers")
@@ -297,6 +304,10 @@ def euler_product_n1(m, bound: int) -> dict:
     r = len(m)
     qi = q_index(r)
     spf = _smallest_prime_factors(bound)
+    # every prime p <= bound divides some c and builds the block ord_p(m)
+    for l in sorted({tuple(_ord(mi, p) for mi in m)
+                     for p in range(2, bound + 1) if spf[p] == p}):
+        check_pattern_count(LambdaTwist(l).top_row)
     blocks = {}   # l -> [(k, q-polynomial H(p^k; p^l))]
     local = {}    # p -> {k: H(p^k; p^l) at q = p, nonzero}
 

@@ -12,10 +12,9 @@ import signal
 import sys
 from itertools import islice
 
-from .chars import (character_gt, euler_product_n1,
+from .chars import (character_gt, check_pattern_count, euler_product_n1,
                     verify_deformation_identity, verify_euler_bridge,
-                    verify_euler_factor_identity, verify_h_tilde,
-                    weyl_dimension)
+                    verify_euler_factor_identity, verify_h_tilde)
 from .coeffs import h_table, verify_k_sum
 from .gauss import (ArithContext, brute_force_modulus, gauss_brute, gauss_eval,
                     numeric_eval)
@@ -55,14 +54,9 @@ def _parse_twist(args) -> LambdaTwist:
 
 
 def _twist(args) -> LambdaTwist:
-    """The twist of a command that walks the patterns of its top row,
-    refused up front when the Weyl dimension formula, which counts them
-    exactly, gives more than 10^7."""
+    """The twist of a command that walks the patterns of its top row."""
     twist = _parse_twist(args)
-    count = weyl_dimension(twist.top_row, args.rank)
-    if count > 10 ** 7:
-        raise SystemExit2(f"top row {','.join(map(str, twist.top_row))} has "
-                          f"{count} patterns, more than 10^7")
+    check_pattern_count(twist.top_row)
     return twist
 
 
@@ -132,6 +126,7 @@ def cmd_hcoeff(args):
 
 def cmd_character(args):
     twist = _parse_twist(args)
+    check_pattern_count(twist.partition)
     poly = character_gt(twist.partition, args.rank)
     if args.format == "csv":
         for e, c in poly.sorted_terms():

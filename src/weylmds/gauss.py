@@ -168,7 +168,7 @@ def _primitive_root(p: int) -> int:
         d += 1
     if m > 1:
         fact.append(m)
-    for g in range(2, p):
+    for g in range(1, p):  # 1 generates the units of Z/2
         if all(pow(g, (p - 1) // f, p) != 1 for f in fact):
             return g
     raise AssertionError("no primitive root found")

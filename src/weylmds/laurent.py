@@ -157,17 +157,6 @@ class LaurentPoly:
             out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.nvars, out)
 
-    def scale_vars_into(self, target_idx, var_indices):
-        """Substitute x -> t x for each listed variable, t = target_idx."""
-        out = {}
-        for e, c in self.terms.items():
-            extra = sum(e[i] for i in var_indices)
-            ne = list(e)
-            ne[target_idx] += extra
-            ne = tuple(ne)
-            out[ne] = out.get(ne, 0) + c
-        return LaurentPoly(self.nvars, out)
-
     def eval_at(self, values):
         """Evaluate exactly, as an int when the value is integral;
         `values[idx]` (a Fraction or int) must be supplied for every

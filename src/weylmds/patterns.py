@@ -45,19 +45,6 @@ class GTPattern:
         object.__setattr__(P, "b", b)
         return P
 
-    # entry accessors use the paper-style 1-based (i, j) indices
-    def a_entry(self, i, j, default=None):
-        if i == 0:
-            return self.a[0][j - 1] if 1 <= j <= self.rank else default
-        if 1 <= i <= self.rank - 1 and i + 1 <= j <= self.rank:
-            return self.a[i][j - i - 1]
-        return default
-
-    def b_entry(self, i, j, default=None):
-        if 1 <= i <= self.rank and i <= j <= self.rank:
-            return self.b[i - 1][j - i]
-        return default
-
     @property
     def top_row(self):
         return self.a[0]

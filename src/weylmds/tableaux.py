@@ -40,7 +40,8 @@ class ShiftedTableau:
             for off, letter in enumerate(row):
                 yield R, R + off, letter
 
-    def validate(self, standard: bool = True) -> None:
+    def validate(self) -> None:
+        """Check the fill rules; standardness is is_standard."""
         mu = self.mu
         if len(mu) != self.rank:
             raise ValueError("tableau must have exactly r rows")
@@ -60,13 +61,9 @@ class ShiftedTableau:
             diag = grid.get((R + 1, c + 1))
             if diag is not None and letter_key(*diag) <= k:
                 raise ValueError("diagonals must strictly increase")
-        if standard:
-            for R, row in enumerate(self.rows, start=1):
-                if letter_key(*row[0]) > letter_key(R, False):
-                    raise ValueError(
-                        f"row {R} does not start with {R}' or {R}")
 
     def is_standard(self) -> bool:
+        """Row R starts with R' or R."""
         return all(letter_key(*row[0]) <= letter_key(R, False)
                    for R, row in enumerate(self.rows, start=1))
 
@@ -103,29 +100,24 @@ def parse_letter(s: str):
 
 
 def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
-    """Fill the shifted diagram so the counting rules reproduce P."""
-    if not is_strict(P):
-        raise ValueError("only strict patterns correspond to tableaux")
+    """Fill the shifted diagram so the counting rules reproduce P.  Row R
+    holds no letter below R; for val >= R its letters <= val' number
+    P.b[r - val][R - 1] and its letters <= val number P.a[r - val][R - 1],
+    so each letter fills one run.  The fill of a strict pattern with a
+    positive top row obeys the fill rules, so it is not validated here."""
+    if not is_strict(P) or not P.a[0][-1]:
+        raise ValueError("only strict patterns with a positive top row "
+                         "correspond to tableaux")
     r = P.rank
     rows = []
     for R in range(1, r + 1):
-        length = P.a[0][R - 1]
-        # cumulative counts of letters <= each alphabet position
-        cum = []
-        for val in range(1, r + 1):
-            i = r - val + 1          # pattern pair index for this letter
-            j = R + i - 1            # pattern column hitting row R
-            cum.append(P.b_entry(i, j, 0))   # <= val'
-            cum.append(P.a_entry(i - 1, j, 0))  # <= val
         row = []
-        for box in range(1, length + 1):
-            pos = next(idx for idx, c in enumerate(cum) if c >= box)
-            value, barred = divmod(pos, 2)
-            row.append((value + 1, barred == 0))
+        for val in range(R, r + 1):
+            barred, upto = P.b[r - val][R - 1], P.a[r - val][R - 1]
+            row += [(val, True)] * (barred - len(row))
+            row += [(val, False)] * (upto - barred)
         rows.append(tuple(row))
-    S = ShiftedTableau(r, tuple(rows))
-    S.validate(standard=False)
-    return S
+    return ShiftedTableau(r, tuple(rows))
 
 
 def standard_tableaux(top_row):
@@ -140,7 +132,7 @@ def standard_tableaux(top_row):
 
 def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
     """Read the counting rules backwards; inverse of tableau_from_pattern."""
-    S.validate(standard=False)
+    S.validate()
     r = S.rank
 
     def count(R, key):
@@ -163,15 +155,12 @@ def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
 
 @dataclass(frozen=True)
 class TableauStats:
-    """The six statistics of a tableau."""
+    """The statistics of a tableau that the n = 1 identities read."""
 
-    wgt: tuple
-    con: tuple       # components of the unbarred-k strip, k = 1..r
-    row_unbarred: tuple
-    row_barred: tuple
+    wgt: tuple       # (#k - #k') for k = 1..r
     str_total: int   # components over all 2r letters
     barred: int
-    height: int
+    height: int      # sum over k of rows(k) - components(k) - rows(k')
 
 
 def _components(cells) -> int:
@@ -190,23 +179,23 @@ def _components(cells) -> int:
 
 
 def tableau_stats(S: ShiftedTableau) -> TableauStats:
-    r = S.rank
     by_letter = {}
     for R, c, letter in S.cells():
         by_letter.setdefault(letter, []).append((R, c))
-    wgt = tuple(len(by_letter.get((k, False), ()))
-                - len(by_letter.get((k, True), ()))
-                for k in range(1, r + 1))
-    con = tuple(_components(by_letter.get((k, False), ()))
-                for k in range(1, r + 1))
-    row_unb = tuple(len({R for R, _ in by_letter.get((k, False), ())})
-                    for k in range(1, r + 1))
-    row_bar = tuple(len({R for R, _ in by_letter.get((k, True), ())})
-                    for k in range(1, r + 1))
-    str_total = sum(_components(cells) for cells in by_letter.values())
-    barred = sum(len(v) for (k, b), v in by_letter.items() if b)
-    height = sum(row_unb[k] - con[k] - row_bar[k] for k in range(r))
-    return TableauStats(wgt, con, row_unb, row_bar, str_total, barred, height)
+    wgt = [0] * S.rank
+    str_total = barred = height = 0
+    for (val, bar), cells in by_letter.items():
+        comps = _components(cells)
+        rows = len({R for R, _ in cells})
+        str_total += comps
+        if bar:
+            wgt[val - 1] -= len(cells)
+            barred += len(cells)
+            height -= rows
+        else:
+            wgt[val - 1] += len(cells)
+            height += rows - comps
+    return TableauStats(tuple(wgt), str_total, barred, height)
 
 
 def verify_tableau_stats(P: GTPattern) -> bool:

@@ -97,6 +97,16 @@ def test_deformation_examples():
     assert r2.eval_at(vals) == 0  # t = -1, x = 1 kills (1 + t)
 
 
+def test_scale_x_by_t():
+    x0, x1, t, q = (LaurentPoly.variable(4, i) for i in range(4))
+    x0inv, x1inv = (LaurentPoly.variable(4, i, -1) for i in range(2))
+    tinv = LaurentPoly.variable(4, t_index(2), -1)
+    p = x0 ** 2 + x0inv + Fraction(1, 2) * x0 * x1inv * q
+    assert scale_x_by_t(p, 2) == (x0 ** 2 * t ** 2 + x0inv * tinv
+                                  + Fraction(1, 2) * x0 * x1inv * q)
+    assert scale_x_by_t(t * q + 3, 2) == t * q + 3
+
+
 def test_hk_rhs_rank1_matches_deformation():
     twist = LambdaTwist((0,))
     rhs = hk_rhs(1, [tableau_stats(S)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,26 @@ def test_character_output(capsys):
     terms = json.loads(out)
     exps = sorted(tuple(t["exp"]) for t in terms)
     assert exps == [(-1, 0, 0), (1, 0, 0)]
+
+
+# stdout sha256 of commands that no benchmark workload runs
+PINNED_STDOUT = {
+    ("tableaux", "--rank", "3", "--l", "1,0,0", "--format", "json"):
+        "a666beca595d44ea8702739c36eb7b02419436401ba04157c4d88f01152fb09b",
+    ("tableaux", "--rank", "3", "--l", "1,0,0", "--format", "text"):
+        "30f74c3185bd24d5ed7dff639f3143dcb4f09323cf298b9ab764f7ea911fc8d5",
+    ("character", "--rank", "3", "--l", "1,1,0", "--format", "json"):
+        "ed3a89ef13cc2a0d6cf3fc31cb43358128cb912b257476255751b3b7cddaec84",
+    ("character", "--rank", "3", "--l", "1,1,0", "--format", "csv"):
+        "5cc8199980f507868e37b4d51c5d6f65cf2bfb6205bf00293dee42f8d91ffe9b",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=" ".join)
+def test_pinned_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_tableaux_text(capsys):
@@ -223,6 +244,32 @@ def test_oversized_enumeration_refused_up_front(capsys):
                        "--count-only")
     assert code == 0 and out == "65536\n"
     assert weyl_dimension((4, 3, 2, 1), 4) == 65536
+
+
+def test_character_and_euler_refuse_oversized_walks_up_front(capsys):
+    # the partition 15,12,9,6,3 of character, and the block l = (20,20,20)
+    # that euler builds at p = 2
+    for argv, top, count in (
+            (("character", "--rank", "5", "--l", "3,3,3,3,3"),
+             "15,12,9,6,3", 1125899906842624),
+            (("euler", "--rank", "3", "--m", "1048576,1048576,1048576",
+              "--bound", "2"), "63,42,21", 1207269217792)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == f"error: top row {top} has {count} patterns, " \
+                      "more than 10^7\n"
+
+
+def test_numeric_column_at_p_two(capsys):
+    from weylmds.gauss import ArithContext
+    assert ArithContext(1, 2).root == 1
+    code, out, _ = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
+                       "--n", "1", "--p", "2", "--numeric")
+    assert code == 0
+    by_k = {tuple(e["k"]): e["numeric"] for e in json.loads(out)["entries"]}
+    assert by_k == {(0,): [1.0, 0.0], (1,): [-1.0, 0.0]}
 
 
 def test_internal_check_failure_exit_two(capsys, monkeypatch):

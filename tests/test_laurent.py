@@ -49,11 +49,6 @@ def test_eval_and_substitute():
     assert q == y ** 3 + 2
 
 
-def test_scale_vars_into():
-    x, t = V(0), V(2)
-    p = x ** 2 + V(0, -1)
-    scaled = p.scale_vars_into(2, [0])
-    assert scaled == x ** 2 * t ** 2 + V(0, -1) * V(2, -1)
 
 
 def test_json_terms_sorted():

@@ -18,17 +18,33 @@ FIG1 = GTPattern(
     b=((7, 6, 5, 3, 2), (5, 4, 3, 1), (4, 2, 1), (3, 2), (1,)))
 
 
+# Entry accessors with the paper-style 1-based (i, j) indices.
+def a_entry(P, i, j, default=None):
+    if i == 0:
+        return P.a[0][j - 1] if 1 <= j <= P.rank else default
+    if 1 <= i <= P.rank - 1 and i + 1 <= j <= P.rank:
+        return P.a[i][j - i - 1]
+    return default
+
+
+def b_entry(P, i, j, default=None):
+    if 1 <= i <= P.rank and i <= j <= P.rank:
+        return P.b[i - 1][j - i]
+    return default
+
+
 # Oracles: v, u and the bound equalities from their definitions.
 def v_long(P, i, j):
     """v_{i,j} = sum_{m=i}^{j} (a_{i-1,m} - b_{i,m})."""
-    return sum(P.a_entry(i - 1, m, 0) - P.b_entry(i, m, 0)
+    return sum(a_entry(P, i - 1, m, 0) - b_entry(P, i, m, 0)
                for m in range(i, j + 1))
 
 
 def u_long(P, i, j):
     """u_{i,j} = v_{i,r} + sum_{m=j}^{r} (a_{i,m} - b_{i,m})."""
-    return v_long(P, i, P.rank) + sum(P.a_entry(i, m, 0) - P.b_entry(i, m, 0)
-                                      for m in range(j, P.rank + 1))
+    return v_long(P, i, P.rank) + sum(
+        a_entry(P, i, m, 0) - b_entry(P, i, m, 0)
+        for m in range(j, P.rank + 1))
 
 
 def k_vec_long(P):
@@ -59,11 +75,11 @@ def bound_flags_long(P, pos):
     """(is minimal, is maximal) from the entry's neighbours."""
     kind, i, j = pos
     if kind == "b":
-        x = P.b_entry(i, j)
-        low = 0 if j == P.rank else P.a_entry(i - 1, j + 1)
-        return x == P.a_entry(i - 1, j), x == low
-    x = P.a_entry(i, j)
-    return x == P.b_entry(i, j), x == P.b_entry(i, j - 1)
+        x = b_entry(P, i, j)
+        low = 0 if j == P.rank else a_entry(P, i - 1, j + 1)
+        return x == a_entry(P, i - 1, j), x == low
+    x = a_entry(P, i, j)
+    return x == b_entry(P, i, j), x == b_entry(P, i, j - 1)
 
 
 def test_rank1_enumeration():

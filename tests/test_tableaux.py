@@ -8,7 +8,32 @@ from weylmds.tableaux import (ShiftedTableau, pattern_from_tableau,
                               tableau_from_pattern, tableau_stats,
                               verify_tableau_stats)
 
-from test_patterns import FIG1
+from test_patterns import FIG1, a_entry, b_entry
+
+
+def tableau_from_pattern_long(P):
+    """Oracle: box by box, the first letter whose cumulative count in the
+    row reaches the box, over the whole alphabet 1' < 1 < ... < r."""
+    if not is_strict(P):
+        raise ValueError("only strict patterns correspond to tableaux")
+    r = P.rank
+    rows = []
+    for R in range(1, r + 1):
+        cum = []
+        for val in range(1, r + 1):
+            i = r - val + 1          # pattern pair index for this letter
+            j = R + i - 1            # pattern column hitting row R
+            cum.append(b_entry(P, i, j, 0))      # <= val'
+            cum.append(a_entry(P, i - 1, j, 0))  # <= val
+        row = []
+        for box in range(1, P.a[0][R - 1] + 1):
+            pos = next(idx for idx, c in enumerate(cum) if c >= box)
+            value, barred = divmod(pos, 2)
+            row.append((value + 1, barred == 0))
+        rows.append(tuple(row))
+    S = ShiftedTableau(r, tuple(rows))
+    S.validate()
+    return S
 
 
 FIG1_ROWS = [["1_", "1", "1", "2", "3", "4", "4", "5", "5"],
@@ -41,6 +66,24 @@ def test_rank1_single_boxes():
     assert S2.rows == (((1, False),),)
     st = tableau_stats(S2)
     assert (st.str_total, st.barred, st.height) == (1, 0, 0)
+
+
+def test_fill_matches_per_box_oracle():
+    # every strict pattern of every top row with entries <= 5, ranks 1-3;
+    # a top row ending in 0 leaves row r empty, and both fills refuse it
+    checked = 0
+    for r in range(1, 4):
+        for top in combinations(range(5, -1, -1), r):
+            for P in filter(is_strict, enumerate_patterns(top)):
+                if top[-1] == 0:
+                    with pytest.raises(ValueError):
+                        tableau_from_pattern(P)
+                    with pytest.raises(ValueError):
+                        tableau_from_pattern_long(P)
+                    continue
+                assert tableau_from_pattern(P) == tableau_from_pattern_long(P)
+                checked += 1
+    assert checked == 33955
 
 
 def test_tableau_rejects_nonstrict_pattern():
@@ -87,12 +130,13 @@ def test_standardness_excludes_degenerate_patterns():
 
 def test_validation_catches_bad_fillings():
     bad = ShiftedTableau(2, (((2, True), (2, False)), ((2, False),)))
-    bad.validate(standard=False)  # fill rules hold
+    bad.validate()  # fill rules hold
+    assert not bad.is_standard()  # row 1 must start with 1' or 1
+    unordered = ShiftedTableau(2, (((1, False), (1, True)), ((2, False),)))
     with pytest.raises(ValueError):
-        bad.validate(standard=True)  # row 1 must start with 1' or 1
+        unordered.validate()
     with pytest.raises(ValueError):
-        ShiftedTableau(2, (((1, False), (1, True)),
-                           ((2, False),))).validate(standard=False)
+        pattern_from_tableau(unordered)
 
 
 def test_text_rendering():
