@@ -76,30 +76,16 @@ def check_pattern_count(top_row) -> None:
 
 
 def deformation_D(r: int) -> LaurentPoly:
-    """prod x_i^{r-i+1} prod (1 + t x_i^{-2})
-    prod_{i<j} (1 + t x_i^{-1} x_j)(1 + t x_i^{-1} x_j^{-1})."""
+    """x^{rev rho} prod over positive roots alpha of (1 + t x^{-rev alpha}),
+    where rev reads x_1 .. x_r in reverse order: x_1^r x_2^{r-1} ... x_r
+    times (1 + t x_i^{-2}) and (1 + t x_i^{-1} x_j^{+-1}) for i < j."""
     n = ring_size(r)
-    ti = t_index(r)
-
-    def xv(i, power):
-        return LaurentPoly.variable(n, i - 1, power)
-
-    def tfactor(exp_pairs):
-        mono = [0] * n
-        mono[ti] = 1
-        for i, p in exp_pairs:
-            mono[i - 1] += p
-        return LaurentPoly.const(n, 1) + LaurentPoly.monomial(n, mono)
-
-    out = LaurentPoly.const(n, 1)
-    for i in range(1, r + 1):
-        out = out * xv(i, r - i + 1)
-    for i in range(1, r + 1):
-        out = out * tfactor([(i, -2)])
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            out = out * tfactor([(i, -1), (j, 1)])
-            out = out * tfactor([(i, -1), (j, -1)])
+    one = LaurentPoly.const(n, 1)
+    rs = build_root_system(r)
+    out = LaurentPoly.monomial(n, rs.rho[::-1] + (0, 0))
+    for alpha in rs.positive_roots:
+        rev = tuple(-c for c in reversed(alpha))
+        out = out * (one + LaurentPoly.monomial(n, rev + (1, 0)))
     return out
 
 

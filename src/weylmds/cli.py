@@ -77,32 +77,33 @@ def cmd_patterns(args):
             flat = [x for row in (P.a + P.b) for x in row]
             _emit(",".join(str(x) for x in flat))
         return 0
-    _emit(_dump([P.to_json() for P in pats]))
+    _emit_list(P.to_json() for P in pats)
     return 0
 
 
 def cmd_tableaux(args):
     twist = _twist(args)
-    out = []
-    for S in standard_tableaux(twist.top_row):
-        if args.format == "text":
+    tableaux = standard_tableaux(twist.top_row)
+    if args.format == "text":
+        for S in tableaux:
             _emit(S.render_text())
             _emit("")
-        else:
-            st = tableau_stats(S)
-            out.append({"tableau": S.to_json(),
-                        "wgt": list(st.wgt),
-                        "str": st.str_total,
-                        "barred": st.barred,
-                        "height": st.height})
-    if args.format == "json":
-        _emit(_dump(out))
+        return 0
+    _emit_list(map(_tableau_json, tableaux))
     return 0
+
+
+def _tableau_json(S):
+    st = tableau_stats(S)
+    return {"tableau": S.to_json(), "wgt": list(st.wgt),
+            "str": st.str_total, "barred": st.barred, "height": st.height}
 
 
 def cmd_hcoeff(args):
     twist = _twist(args)
     if args.numeric:
+        if args.format == "csv":
+            raise SystemExit2("--numeric has no csv column; use --format json")
         if args.p is None:
             raise SystemExit2("--numeric needs --p")
         ctx = ArithContext(args.n, args.p)
@@ -132,7 +133,7 @@ def cmd_character(args):
         for e, c in poly.sorted_terms():
             _emit(",".join(str(x) for x in e) + f",{c}")
         return 0
-    _emit(_dump(poly.to_json()))
+    _emit_list(poly.to_json())
     return 0
 
 

@@ -9,20 +9,16 @@ of the ordinary dot product this is <x, y> = (x . y) / 2.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations, product
 
 
 Vector = tuple
 
 
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def inner(u, v) -> Fraction:
     """Normalized pairing: short roots have <a, a> = 1, long roots 2."""
-    return Fraction(dot(u, v), 2)
+    return Fraction(sum(a * b for a, b in zip(u, v)), 2)
 
 
 def norm_sq(alpha) -> int:
@@ -73,51 +69,25 @@ def support_vector(r: int, weight):
     return k
 
 
-def simple_reflection(alpha_i, beta):
-    """sigma_{alpha_i}(beta) = beta - (2<beta,a_i>/<a_i,a_i>) a_i, exactly."""
-    coeff = Fraction(2) * inner(beta, alpha_i) / inner(alpha_i, alpha_i)
-    if coeff.denominator != 1:
-        raise ValueError("reflection coefficient is not integral")
-    c = int(coeff)
-    return tuple(b - c * a for b, a in zip(beta, alpha_i))
-
-
+@cache
 def build_root_system(r: int) -> RootSystemC:
-    """Construct C_r; positive roots are found by closing the simple roots
-    under simple reflections."""
+    """C_r, built once per rank; its positive roots are 2e_i and
+    e_j +- e_i for i < j."""
     if r < 1:
         raise ValueError("rank must be a positive integer")
-    simple = [tuple(2 if k == 0 else 0 for k in range(r))]
-    for i in range(2, r + 1):
-        simple.append(tuple(1 if k == i - 1 else (-1 if k == i - 2 else 0)
-                            for k in range(r)))
-    simple = tuple(simple)
 
-    roots = set(simple)
-    frontier = set(simple)
-    while frontier:
-        new = set()
-        for beta in frontier:
-            for alpha in simple:
-                img = simple_reflection(alpha, beta)
-                if img not in roots:
-                    new.add(img)
-        roots |= new
-        frontier = new
+    def vec(*coords):  # (index, coefficient) pairs -> a vector of R^r
+        return tuple(sum(c for k, c in coords if k == m) for m in range(r))
 
-    def positive(v):
-        try:
-            return all(c >= 0 for c in simple_coords(r, v))
-        except ValueError:
-            return False
-
-    positives = tuple(sorted(v for v in roots if positive(v)))
+    simple = (vec((0, 2)),) + tuple(vec((i, 1), (i - 1, -1))
+                                    for i in range(1, r))
+    positives = tuple(sorted(
+        [vec((i, 2)) for i in range(r)]
+        + [vec((j, 1), (i, s)) for j in range(r) for i in range(j)
+           for s in (1, -1)]))
     rho = tuple(range(1, r + 1))
     fund = tuple(tuple(0 if k < i else 1 for k in range(r)) for i in range(r))
-    rs = RootSystemC(r, simple, positives, rho, fund)
-    if len(positives) != r * r:
-        raise AssertionError("positive-root closure has the wrong size")
-    return rs
+    return RootSystemC(r, simple, positives, rho, fund)
 
 
 @dataclass(frozen=True)
@@ -238,10 +208,9 @@ def d_lambda(rs: RootSystemC, twist: LambdaTwist, alpha) -> int:
 
 
 def stability_bound(twist: LambdaTwist) -> int:
-    """The largest d_lambda over the positive roots: L_{r-1} + L_r from
-    e_{r-1} + e_r, or L_1 at rank 1."""
-    l = twist.l
-    return l[-1] + 1 + sum(2 * (li + 1) for li in l[:-1])
+    """The largest d_lambda over the positive roots."""
+    rs = build_root_system(twist.rank)
+    return max(d_lambda(rs, twist, alpha) for alpha in rs.positive_roots)
 
 
 def stability_min_n(twist: LambdaTwist) -> int:

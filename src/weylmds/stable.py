@@ -8,9 +8,12 @@ from dataclasses import dataclass
 from .coeffs import h_table
 from .gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from .patterns import GTPattern, is_stable
-from .roots import (LambdaTwist, RootSystemC, WeylElement, build_root_system,
-                    d_lambda, inv_pr_counts, norm_sq, phi_w, stability_bound,
+from .roots import (LambdaTwist, WeylElement, build_root_system, d_lambda,
+                    inv_pr_counts, norm_sq, phi_w, stability_bound,
                     support_vector)
+
+# relative tolerance of the numeric comparison in verify_stable_match
+REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,18 @@ def phi_w_typed(w: WeylElement):
     return parts
 
 
-def d_sets(w: WeylElement, twist: LambdaTwist, rs: RootSystemC = None):
+def d_sets(w: WeylElement, twist: LambdaTwist):
     """D_i = multiset of d_lambda over the i-th part of the decomposition."""
-    rs = rs or build_root_system(w.rank)
+    rs = build_root_system(w.rank)
     return {i: sorted(d_lambda(rs, twist, tr.root) for tr in part)
             for i, part in phi_w_typed(w).items()}
 
 
-def h_stable(w: WeylElement, twist: LambdaTwist, n: int,
-             rs: RootSystemC = None) -> GaussValue:
+def h_stable(w: WeylElement, twist: LambdaTwist, n: int) -> GaussValue:
     """prod over inverted roots of g_{|alpha|^2}(p^{d-1}, p^{d})."""
     if n % 2 == 0 or n < stability_bound(twist):
         raise ValueError("degree below the stability bound (or even)")
-    rs = rs or build_root_system(w.rank)
+    rs = build_root_system(w.rank)
     out = GaussValue.one(n)
     for alpha in phi_w(rs, w):
         d = d_lambda(rs, twist, alpha)
@@ -109,13 +111,11 @@ def k_of_weyl(w: WeylElement, twist: LambdaTwist) -> tuple:
 
 
 def verify_stable_match(twist: LambdaTwist, n: int,
-                        ctx: ArithContext = None,
-                        rel_tol: float = 1e-6) -> dict:
+                        ctx: ArithContext = None) -> dict:
     """Check that the pattern-sum table equals the root-product formula for
     every signed permutation, symbolically (and numerically when a context
     is supplied), and that the nonzero support is exactly the k(w)."""
     r = twist.rank
-    rs = build_root_system(r)
     table = h_table(twist, n)
     mismatches = []
     seen = {}
@@ -128,7 +128,7 @@ def verify_stable_match(twist: LambdaTwist, n: int,
             continue
         seen[k] = w
         lhs = table.value(k)
-        rhs = h_stable(w, twist, n, rs)
+        rhs = h_stable(w, twist, n)
         checked += 1
         if lhs != rhs:
             mismatches.append({"w": _w_json(w), "k": list(k),
@@ -139,7 +139,7 @@ def verify_stable_match(twist: LambdaTwist, n: int,
         if ctx is not None:
             a, b = numeric_eval(lhs, ctx), numeric_eval(rhs, ctx)
             scale = max(1.0, abs(a), abs(b))
-            if abs(a - b) > rel_tol * scale:
+            if abs(a - b) > REL_TOL * scale:
                 mismatches.append({"w": _w_json(w), "k": list(k),
                                    "reason": "numeric mismatch",
                                    "table": [a.real, a.imag],

@@ -16,7 +16,7 @@ from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                            numeric_eval)
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
                               is_stable, is_strict)
-from weylmds.stable import verify_stable_match
+from weylmds.stable import REL_TOL, verify_stable_match
 from weylmds.tableaux import (pattern_from_tableau, tableau_from_pattern,
                               verify_tableau_stats)
 
@@ -43,11 +43,11 @@ def _tops(max_entry, rank):
 
 
 def test_criterion_1_stable_agreement():
+    assert REL_TOL == 1e-6
     cases = [((0,), 1, 5), ((1,), 3, 7), ((0, 0), 3, 7),
              ((1, 0), 5, 11), ((0, 0, 0), 7, 29)]
     for l, n, p in cases:
-        report = verify_stable_match(LambdaTwist(l), n,
-                                     ArithContext(n, p), rel_tol=1e-6)
+        report = verify_stable_match(LambdaTwist(l), n, ArithContext(n, p))
         assert report["mismatches"] == [], (l, n, p, report["mismatches"])
         assert report["checked"] == 2 ** len(l) * math.factorial(len(l))
     print("PASS criterion 1: stable-case agreement, symbolic and numeric")

@@ -86,6 +86,32 @@ def test_character_signed_permutation_invariance():
             assert LaurentPoly(ring_size(r), moved) == c
 
 
+def deformation_D_long(r):
+    """Hamel-King's deformed denominator written out factor by factor:
+    prod x_i^{r-i+1} prod (1 + t x_i^{-2})
+    prod_{i<j} (1 + t x_i^{-1} x_j)(1 + t x_i^{-1} x_j^{-1})."""
+    one = LaurentPoly.const(ring_size(r), 1)
+
+    def tfactor(*exp_pairs):
+        mono = [0] * r
+        for i, p in exp_pairs:
+            mono[i - 1] += p
+        return one + _mono(r, mono, t=1)
+
+    out = _mono(r, range(r, 0, -1))
+    for i in range(1, r + 1):
+        out = out * tfactor((i, -2))
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            out = out * tfactor((i, -1), (j, 1)) * tfactor((i, -1), (j, -1))
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_deformation_D_equals_explicit_product(r):
+    assert deformation_D(r) == deformation_D_long(r)
+
+
 def test_deformation_examples():
     r1 = deformation_D(1)
     assert r1 == _mono(1, (1,)) + _mono(1, (-1,), t=1)

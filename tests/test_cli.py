@@ -115,6 +115,11 @@ PINNED_STDOUT = {
         "a666beca595d44ea8702739c36eb7b02419436401ba04157c4d88f01152fb09b",
     ("tableaux", "--rank", "3", "--l", "1,0,0", "--format", "text"):
         "30f74c3185bd24d5ed7dff639f3143dcb4f09323cf298b9ab764f7ea911fc8d5",
+    ("patterns", "--rank", "3", "--l", "1,0,0", "--format", "json"):
+        "b5fc9fdfa49b15a72dbcf9d41f53830d0dd7cd4c0e803f807e8b8250aa1f47fb",
+    ("patterns", "--rank", "3", "--l", "1,0,0", "--format", "json",
+     "--strict-only"):
+        "15ff7f3852bc647176bbd8123f00217db01a78a53fde6477ad5c0c6ec0fea615",
     ("character", "--rank", "3", "--l", "1,1,0", "--format", "json"):
         "ed3a89ef13cc2a0d6cf3fc31cb43358128cb912b257476255751b3b7cddaec84",
     ("character", "--rank", "3", "--l", "1,1,0", "--format", "csv"):
@@ -193,6 +198,20 @@ def test_hcoeff_p_without_numeric_exit_two(capsys):
     code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
                          "--n", "1", "--p", "5")
     assert code == 2 and out == "" and "--numeric" in err
+
+
+def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
+    # csv has no numeric column, so the sums would be computed and dropped
+    from weylmds import cli
+    calls = []
+    monkeypatch.setattr(cli, "h_table", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "ArithContext",
+                        lambda *args: calls.append(args))
+    code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
+                         "--n", "1", "--p", "5", "--numeric",
+                         "--format", "csv")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_zero_degree_is_not_absent(capsys):

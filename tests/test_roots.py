@@ -1,10 +1,32 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
-                           d_lambda, inv_pr_counts, norm_sq, phi_w, s_action,
-                           stability_bound, stability_min_n, support_vector)
+                           d_lambda, inner, inv_pr_counts, norm_sq, phi_w,
+                           s_action, simple_coords, stability_bound,
+                           stability_min_n, support_vector)
+
+
+def simple_reflection(alpha_i, beta):
+    """sigma_{alpha_i}(beta) = beta - (2<beta,a_i>/<a_i,a_i>) a_i, exactly."""
+    coeff = Fraction(2) * inner(beta, alpha_i) / inner(alpha_i, alpha_i)
+    assert coeff.denominator == 1
+    return tuple(b - int(coeff) * a for b, a in zip(beta, alpha_i))
+
+
+def positive_roots_by_closure(r):
+    """Close the simple roots under the simple reflections and keep the
+    roots with nonnegative simple-root coordinates."""
+    simple = build_root_system(r).simple_roots
+    roots, frontier = set(simple), set(simple)
+    while frontier:
+        frontier = {simple_reflection(a, b) for b in frontier
+                    for a in simple} - roots
+        roots |= frontier
+    return tuple(sorted(v for v in roots
+                        if min(simple_coords(r, v)) >= 0))
 
 
 def simple_reflection_weyl(r, i):
@@ -35,6 +57,17 @@ def test_r3_root_counts():
     assert len(rs.positive_roots) == 9
     assert sorted(longs) == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
     assert len(shorts) == 6
+
+
+def test_listed_roots_equal_the_reflection_closure():
+    for r in range(1, 7):
+        positives = build_root_system(r).positive_roots
+        assert positives == positive_roots_by_closure(r), r
+        assert len(positives) == r * r
+
+
+def test_root_system_is_built_once_per_rank():
+    assert build_root_system(3) is build_root_system(3)
 
 
 def test_rejects_rank_zero():
@@ -89,6 +122,14 @@ def test_stability_bounds():
     assert stability_min_n(LambdaTwist((0,))) == 1
     assert stability_bound(LambdaTwist((1, 0, 2))) == 9
     assert stability_min_n(LambdaTwist((1, 0, 2))) == 9
+
+
+def test_stability_bound_closed_form():
+    # L_{r-1} + L_r from e_{r-1} + e_r, or L_1 at rank 1
+    for r in (1, 2, 3):
+        for l in product(range(4), repeat=r):
+            closed = l[-1] + 1 + sum(2 * (li + 1) for li in l[:-1])
+            assert stability_bound(LambdaTwist(l)) == closed, l
 
 
 def test_phi_w_examples():
