@@ -13,13 +13,10 @@ from .gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                     numeric_eval)
 from .laurent import LaurentPoly
 from .patterns import (EntryRecord, GTPattern, enumerate_patterns,
-                       interleave_bounds, is_stable, is_strict, pair_entries,
-                       stable_pattern_for, weyl_from_stable)
+                       interleave_bounds, is_strict, pair_entries)
 from .roots import (LambdaTwist, RootSystemC, WeylElement, build_root_system,
-                    d_lambda, inv_pr_counts, phi_w, s_action, stability_bound,
-                    stability_min_n)
-from .stable import (h_stable, k_of_weyl, maximal_count,
-                     maximal_count_formula, phi_w_typed, verify_stable_match)
+                    d_lambda, phi_w, stability_bound)
+from .stable import h_stable, k_of_weyl, verify_stable_match
 from .tableaux import (ShiftedTableau, TableauStats, pattern_from_tableau,
                        tableau_from_pattern, tableau_stats,
                        verify_tableau_stats)

@@ -11,13 +11,14 @@ import json
 import signal
 import sys
 from itertools import islice
+from math import factorial
 
 from .chars import (character_gt, check_pattern_count, euler_product_n1,
                     verify_deformation_identity, verify_euler_bridge,
                     verify_euler_factor_identity, verify_h_tilde)
 from .coeffs import h_table, verify_k_sum
-from .gauss import (ArithContext, brute_force_modulus, gauss_brute, gauss_eval,
-                    numeric_eval)
+from .gauss import (ArithContext, brute_force_modulus, check_numeric_terms,
+                    gauss_brute, gauss_eval, numeric_eval)
 from .patterns import LambdaTwist, enumerate_patterns, is_strict
 from .stable import verify_stable_match
 from .tableaux import standard_tableaux, tableau_stats, verify_tableau_stats
@@ -31,15 +32,18 @@ def _dump(obj):
     return json.dumps(obj, separators=(",", ": "), indent=1, sort_keys=False)
 
 
-def _emit_list(items):
-    """Write _dump(list(items)) a few thousand items at a time, without
-    holding the whole list or its text."""
+def _emit_list(items, head="", indent="", end=""):
+    """Write head + _dump(list(items)) + end and a newline, every line of
+    the list after its first indented by `indent`, a few thousand items at
+    a time, without holding the whole list or its text.  Nothing is written
+    before the first chunk is built."""
     items = iter(items)
-    sep = "["
+    sep = head + "["
     while chunk := list(islice(items, 4096)):
-        sys.stdout.write(sep + _dump(chunk)[1:-2])    # "\n {...},\n {...}"
+        text = _dump(chunk)[1:-2]    # "\n {...},\n {...}"
+        sys.stdout.write(sep + text.replace("\n", "\n" + indent))
         sep = ","
-    _emit("[]" if sep == "[" else "\n]")
+    _emit((sep + "]" if sep != "," else "\n" + indent + "]") + end)
 
 
 def _parse_ints(text):
@@ -110,19 +114,29 @@ def cmd_hcoeff(args):
     elif args.p is not None:
         raise SystemExit2("--p is only read with --numeric")
     table = h_table(twist, args.n)
-    obj = table.to_json()
-    if args.numeric:
-        for entry, (_, val) in zip(obj["entries"], table.entries):
-            z = numeric_eval(val, ctx)
-            entry["numeric"] = [z.real, z.imag]
+    entries = table.entries_json()
     if args.format == "csv":
-        for entry in obj["entries"]:
+        for entry in entries:
             val = ";".join(f"{t['c']}q^{t['q']}g{t['g']}"
                            for t in entry["value"]) or "0"
             _emit(",".join(str(x) for x in entry["k"]) + "," + val)
         return 0
-    _emit(_dump(obj))
+    if args.numeric:
+        check_numeric_terms(len(table.entries), ctx)
+        entries = _with_numeric(entries, table, ctx)
+    # the entry list goes one level deeper, between the head and the tail
+    head, _, tail = _dump(table.to_json(entries=[])).rpartition("[]")
+    _emit_list(entries, head, indent=" ", end=tail)
     return 0
+
+
+def _with_numeric(entries, table, ctx):
+    """Each entry with the numeric value of its GaussValue, evaluated as
+    the entry is written."""
+    for entry, (_, val) in zip(entries, table.entries):
+        z = numeric_eval(val, ctx)
+        entry["numeric"] = [z.real, z.imag]
+        yield entry
 
 
 def cmd_character(args):
@@ -157,7 +171,11 @@ def _verdict(ok, report):
 
 def cmd_verify_stable(args):
     twist = _twist(args)
-    ctx = None if args.p is None else ArithContext(args.n, args.p)
+    ctx = None
+    if args.p is not None:
+        ctx = ArithContext(args.n, args.p)
+        # at most two values per signed permutation
+        check_numeric_terms(2 * 2 ** args.rank * factorial(args.rank), ctx)
     report = verify_stable_match(twist, args.n, ctx)
     return _verdict(not report["mismatches"], report)
 

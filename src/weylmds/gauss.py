@@ -20,6 +20,8 @@ from operator import add, mul
 
 # Largest modulus p^v a brute-force sum runs over, and so the largest prime
 BRUTE_FORCE_LIMIT = 10 ** 7
+# Most terms the numeric_eval calls of one command may sum (about 150 s)
+NUMERIC_TERMS_LIMIT = 10 ** 9
 
 
 def _symbol_product(n: int, s1: tuple, s2: tuple):
@@ -261,6 +263,16 @@ def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
         weights = map(chi_tv.__getitem__, islice(ctx.chi_table, 1, None))
         total = reduce(add, map(mul, weights, islice(entries, p - 1)), total)
     return total
+
+
+def check_numeric_terms(calls: int, ctx: ArithContext) -> None:
+    """Refuse `calls` numeric_eval calls at ctx, before any sum, when their
+    brute-force sums (n - 1 primitive sums of p terms each, per call) add
+    more than NUMERIC_TERMS_LIMIT terms."""
+    terms = calls * (ctx.n - 1) * ctx.p
+    if terms > NUMERIC_TERMS_LIMIT:
+        raise OverflowError(f"numeric evaluation needs {terms} brute-force "
+                            f"terms, above the limit 10^9")
 
 
 def numeric_eval(value: GaussValue, ctx: ArithContext) -> complex:

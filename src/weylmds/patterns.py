@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from itertools import product
 from typing import NamedTuple
 
-from .roots import LambdaTwist, WeylElement, support_vector
+from .roots import LambdaTwist, support_vector
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,6 @@ class GTPattern:
         """Every EntryRecord, pair by pair, lazily."""
         for i in range(1, self.rank + 1):
             yield from self.pair_records(i)
-
-    def record(self, pos) -> "EntryRecord":
-        """The EntryRecord at position (kind, i, j)."""
-        for e in self.pair_records(pos[1]):
-            if e.pos == pos:
-                return e
-        raise ValueError(f"no entry {pos}")
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
@@ -183,19 +176,6 @@ def is_strict(P: GTPattern) -> bool:
                for row in P.a + P.b)
 
 
-def is_stable(P: GTPattern) -> bool:
-    """True iff P is strict and every row pair reads as a block of minimal
-    entries followed by a block of maximal entries."""
-    if not is_strict(P):
-        return False
-    for i in range(1, P.rank + 1):
-        tags = [e.tag for e in P.pair_records(i)]
-        m = tags.count("minimal")
-        if tags != ["minimal"] * m + ["maximal"] * (len(tags) - m):
-            return False
-    return True
-
-
 def enumerate_patterns(top_row):
     """Yield every pattern with the given weakly decreasing top row, exactly
     once, in canonical order (row-major, larger entries first)."""
@@ -224,53 +204,3 @@ def enumerate_patterns(top_row):
                     yield from descend(rows_a + [arow], rows_b + [brow])
 
     yield from descend([top], [])
-
-
-def weyl_from_stable(P: GTPattern) -> WeylElement:
-    """The unique signed permutation w with
-    lambda+rho - w(lambda+rho) = sum k_i alpha_i, read off row by row."""
-    if not is_stable(P):
-        raise ValueError("pattern is not stable")
-    r = P.rank
-    L = tuple(reversed(P.top_row))
-    sigma = [0] * r
-    eps = [0] * r
-    for i in range(1, r + 1):
-        target = -P.wgt[i - 1]
-        mag = abs(target)
-        if mag not in L:
-            raise AssertionError("stable weight entry is not an L value")
-        m = L.index(mag) + 1
-        sigma[m - 1] = i
-        eps[i - 1] = 1 if target > 0 else -1
-    return WeylElement(tuple(sigma), tuple(eps))
-
-
-def stable_pattern_for(w: WeylElement, top_row) -> GTPattern:
-    """Inverse of weyl_from_stable for the given strictly decreasing top row."""
-    top = tuple(top_row)
-    r = len(top)
-    if any(top[k] <= top[k + 1] for k in range(r - 1)):
-        raise ValueError("top row must be strictly decreasing")
-    if w.rank != r:
-        raise ValueError("rank mismatch")
-    L = tuple(reversed(top))
-    rows_a = [top]
-    rows_b = []
-    for i in range(r, 0, -1):
-        vals = sorted((L[w.sigma_inv(j) - 1] for j in range(1, i + 1)),
-                      reverse=True)
-        if w.eps[i - 1] == 1:
-            brow = tuple(vals)
-            arow = tuple(x for x in vals if x != L[w.sigma_inv(i) - 1])
-        else:
-            rest = [x for x in vals if x != L[w.sigma_inv(i) - 1]]
-            brow = tuple(rest + [0])
-            arow = tuple(rest)
-        rows_b.append(brow)
-        if i > 1:
-            rows_a.append(arow)
-    P = GTPattern(r, tuple(rows_a), tuple(rows_b))
-    if not is_stable(P):
-        raise AssertionError("constructed pattern is not stable")
-    return P

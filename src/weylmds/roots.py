@@ -31,13 +31,12 @@ def norm_sq(alpha) -> int:
 
 @dataclass(frozen=True)
 class RootSystemC:
-    """The C_r root data: simple roots, positive roots, rho, fundamental weights."""
+    """The C_r root data: simple roots, positive roots and rho."""
 
     rank: int
     simple_roots: tuple
     positive_roots: tuple
     rho: tuple
-    fundamental_weights: tuple
 
     def is_negative(self, v) -> bool:
         return tuple(-c for c in v) in self._positive_set
@@ -85,9 +84,7 @@ def build_root_system(r: int) -> RootSystemC:
         [vec((i, 2)) for i in range(r)]
         + [vec((j, 1), (i, s)) for j in range(r) for i in range(j)
            for s in (1, -1)]))
-    rho = tuple(range(1, r + 1))
-    fund = tuple(tuple(0 if k < i else 1 for k in range(r)) for i in range(r))
-    return RootSystemC(r, simple, positives, rho, fund)
+    return RootSystemC(r, simple, positives, tuple(range(1, r + 1)))
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,7 @@ class WeylElement:
     w(t)_i = eps^(i) * t_{sigma^{-1}(i)}.
 
     `sigma` is in one-line notation, sigma[m-1] = sigma(m); `eps` holds the
-    signs eps^(1..r).  Composition is "apply right first":
-    (w1 * w2)(t) = w1(w2(t)).
+    signs eps^(1..r).
     """
 
     sigma: tuple
@@ -121,37 +117,9 @@ class WeylElement:
         return tuple(self.eps[i] * vec[self.sigma_inv(i + 1) - 1]
                      for i in range(self.rank))
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        r = self.rank
-        sigma = tuple(self.sigma[other.sigma[m] - 1] for m in range(r))
-        eps = tuple(self.eps[i] * other.eps[self.sigma_inv(i + 1) - 1]
-                    for i in range(r))
-        return WeylElement(sigma, eps)
-
-    def inverse(self) -> "WeylElement":
-        r = self.rank
-        sigma = tuple(self.sigma_inv(m + 1) for m in range(r))
-        eps = tuple(self.eps[self.sigma[j] - 1] for j in range(r))
-        return WeylElement(sigma, eps)
-
-    def sign(self) -> int:
-        s = 1
-        perm = list(self.sigma)
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    s = -s
-        for e in self.eps:
-            s *= e
-        return s
-
     @staticmethod
     def identity(r: int) -> "WeylElement":
         return WeylElement(tuple(range(1, r + 1)), (1,) * r)
-
-    @staticmethod
-    def long_element(r: int) -> "WeylElement":
-        return WeylElement(tuple(range(1, r + 1)), (-1,) * r)
 
     @staticmethod
     def all_elements(r: int):
@@ -197,53 +165,23 @@ class LambdaTwist:
                                              self.L))[::-1]
 
 
-def d_lambda(rs: RootSystemC, twist: LambdaTwist, alpha) -> int:
-    """d(alpha) = 2<lambda+rho, alpha> / <alpha, alpha> as an exact integer."""
-    if alpha not in rs._positive_set:
+def d_lambda(twist: LambdaTwist, alpha) -> int:
+    """d(alpha) = 2<lambda+rho, alpha> / <alpha, alpha>, an integer: in the
+    plain dot product alpha . alpha is 4 for 2e_i and 2 for e_j +- e_i."""
+    if alpha not in build_root_system(twist.rank)._positive_set:
         raise ValueError(f"{alpha} is not a positive root")
-    val = Fraction(2) * inner(twist.L, alpha) / inner(alpha, alpha)
-    if val.denominator != 1:
-        raise AssertionError("d_lambda is not integral")
-    return int(val)
+    pairing = sum(x * a for x, a in zip(twist.L, alpha))
+    return 2 * pairing // sum(a * a for a in alpha)
 
 
 def stability_bound(twist: LambdaTwist) -> int:
     """The largest d_lambda over the positive roots."""
-    rs = build_root_system(twist.rank)
-    return max(d_lambda(rs, twist, alpha) for alpha in rs.positive_roots)
+    return max(d_lambda(twist, alpha)
+               for alpha in build_root_system(twist.rank).positive_roots)
 
 
-def stability_min_n(twist: LambdaTwist) -> int:
-    """Least odd n meeting the stability bound."""
-    b = stability_bound(twist)
-    return b if b % 2 == 1 else b + 1
-
-
-def phi_w(rs: RootSystemC, w: WeylElement):
+def phi_w(w: WeylElement):
     """The positive roots sent negative by w."""
+    rs = build_root_system(w.rank)
     return tuple(alpha for alpha in rs.positive_roots
                  if rs.is_negative(w.act(alpha)))
-
-
-def inv_pr_counts(w: WeylElement, i: int):
-    """Inversion/preservation counts of w^{-1} at index i:
-    inv = #{j < i : sigma^{-1}(j) > sigma^{-1}(i)}, pr the complement."""
-    if not 1 <= i <= w.rank:
-        raise ValueError("index out of range")
-    si = w.sigma_inv(i)
-    inv = sum(1 for j in range(1, i) if w.sigma_inv(j) > si)
-    return inv, (i - 1) - inv
-
-
-def s_action(rs: RootSystemC, i: int, s):
-    """Shifted action of sigma_{alpha_i} on the complex parameters:
-    s_j -> s_j - (2<a_j,a_i>/<a_i,a_i>)(s_i - 1/2)."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError("reflection index out of range")
-    ai = rs.simple_roots[i - 1]
-    shift = Fraction(s[i - 1]) - Fraction(1, 2)
-    out = []
-    for j in range(1, rs.rank + 1):
-        coeff = Fraction(2) * inner(rs.simple_roots[j - 1], ai) / inner(ai, ai)
-        out.append(Fraction(s[j - 1]) - coeff * shift)
-    return tuple(out)

@@ -15,10 +15,12 @@ from weylmds.coeffs import h_table, verify_k_sum
 from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                            numeric_eval)
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              is_stable, is_strict)
+                              is_strict)
 from weylmds.stable import REL_TOL, verify_stable_match
 from weylmds.tableaux import (pattern_from_tableau, tableau_from_pattern,
                               verify_tableau_stats)
+
+from stable_lemmas import is_stable
 
 
 FIG1 = GTPattern(

@@ -19,6 +19,8 @@ from weylmds.patterns import LambdaTwist
 from weylmds.roots import WeylElement
 from weylmds.tableaux import standard_tableaux, tableau_stats
 
+from stable_lemmas import sign
+
 
 def _mono(r, exps, coeff=1, t=0, q=0):
     return LaurentPoly.monomial(ring_size(r), list(exps) + [t, q], coeff)
@@ -33,7 +35,7 @@ def character_weyl_oracle(lam, r):
     def alternant(vec):
         out = LaurentPoly.zero(ring_size(r))
         for w in WeylElement.all_elements(r):
-            out = out + _mono(r, w.act(vec), coeff=w.sign())
+            out = out + _mono(r, w.act(vec), coeff=sign(w))
         return out
 
     return alternant(shifted).exact_div(alternant(rho))

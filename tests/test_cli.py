@@ -214,6 +214,66 @@ def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+# each needs more than 10^9 brute-force terms: len(entries) (n - 1) p for
+# hcoeff, up to 2 |W| (n - 1) p for verify stable
+@pytest.mark.parametrize("argv", [
+    ("hcoeff", "--rank", "1", "--l", "0", "--n", "100002", "--p", "100003",
+     "--numeric"),
+    ("verify", "stable", "--rank", "1", "--l", "0", "--n", "100001",
+     "--p", "200003"),
+    ("verify", "stable", "--rank", "4", "--l", "0,0,0,0", "--n", "7",
+     "--p", "9999991"),
+], ids=" ".join)
+def test_numeric_work_above_the_term_limit_refused_before_any_sum(
+        capsys, monkeypatch, argv):
+    from weylmds import cli, gauss
+
+    def no_sum(*args):
+        pytest.fail("a brute-force sum ran")
+
+    monkeypatch.setattr(gauss, "gauss_brute", no_sum)
+    monkeypatch.setattr(cli, "gauss_brute", no_sum)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: numeric evaluation needs ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("numeric", [False, True])
+def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
+                                                   numeric):
+    # 4,202 entries, so the entry list crosses the 4096-entry chunk boundary
+    from weylmds import cli
+    from weylmds.coeffs import h_table
+    from weylmds.patterns import LambdaTwist
+    table = h_table(LambdaTwist((4200,)), 3)
+    assert len(table.entries) == 4202
+    obj = table.to_json()
+    argv = ["hcoeff", "--rank", "1", "--l", "4200", "--n", "3"]
+    if numeric:
+        # p^e overflows a float at these exponents, so a stand-in value
+        # shows that each entry gets the value of its own GaussValue
+        def fake(val, ctx):
+            return complex(len(val.terms), sum(e for _, e, _ in val.terms))
+
+        monkeypatch.setattr(cli, "numeric_eval", fake)
+        for entry, (_, val) in zip(obj["entries"], table.entries):
+            z = fake(val, None)
+            entry["numeric"] = [z.real, z.imag]
+        argv += ["--p", "7", "--numeric"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == cli._dump(obj) + "\n"
+
+
+def test_hcoeff_numeric_failure_in_the_first_chunk_writes_nothing(capsys):
+    # 7^e overflows a float at the q exponents of the first 4096 entries
+    code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "400",
+                         "--n", "1", "--p", "7", "--numeric")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_zero_degree_is_not_absent(capsys):
     assert run(capsys, "verify", "gauss", "--n", "0")[0] == 2
     assert run(capsys, "verify", "gauss", "--n", "0", "--p", "7")[0] == 2
@@ -357,3 +417,6 @@ def test_emit_list_writes_the_dump_of_the_list(capsys, n):
     items = [{"c": [i, 2 * i], "value": str(3 - 7 * i)} for i in range(n)]
     _emit_list(iter(items))
     assert capsys.readouterr().out == _dump(items) + "\n"
+    # one level deeper, as the value of the last key of an object
+    _emit_list(iter(items), '{\n "x": ', indent=" ", end="\n}")
+    assert capsys.readouterr().out == _dump({"x": items}) + "\n"

@@ -10,6 +10,7 @@ from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
                               is_strict)
 
+from stable_lemmas import record
 from test_patterns import FIG1, bound_flags_long, u_long, v_long
 
 
@@ -72,33 +73,33 @@ def h_table_long(twist: LambdaTwist, n: int):
 
 def test_gamma_b_minimal_is_unit():
     P = GTPattern(2, ((2, 1), (1,)), ((2, 1), (1,)))
-    assert gamma_b(P.record(("b", 1, 1)), 1) == GaussValue.one(1)
+    assert gamma_b(record(P, ("b", 1, 1)), 1) == GaussValue.one(1)
 
 
 def test_gamma_b_rank1_maximal():
     P = GTPattern(1, ((1,),), ((0,),))
-    e = P.record(("b", 1, 1))
+    e = record(P, ("b", 1, 1))
     assert gamma_b(e, 1) == GaussValue.q_power(1, 0, -1)  # -1
     assert gamma_b(e, 3) == GaussValue.symbol(3, 2)       # G[2]
 
 
 def test_gamma_b_generic_n1_is_phi():
     P = GTPattern(1, ((2,),), ((1,),))
-    assert gamma_b(P.record(("b", 1, 1)), 1) == GaussValue.phi(1, 1)
+    assert gamma_b(record(P, ("b", 1, 1)), 1) == GaussValue.phi(1, 1)
 
 
 def test_gamma_a_cases():
     # top (2,1), b1 = (2,0): a12 = 2 maximal, a12 = 0 minimal, a12 = 1 generic
     P_max = GTPattern(2, ((2, 1), (2,)), ((2, 0), (1,)))
     u = u_long(P_max, 1, 2)
-    assert gamma_a(P_max.record(("a", 1, 2)), 1) == GaussValue.q_power(
+    assert gamma_a(record(P_max, ("a", 1, 2)), 1) == GaussValue.q_power(
         1, u - 1, -1)
     P_min = GTPattern(2, ((2, 1), (0,)), ((2, 0), (0,)))
-    assert gamma_a(P_min.record(("a", 1, 2)), 1) == GaussValue.q_power(
+    assert gamma_a(record(P_min, ("a", 1, 2)), 1) == GaussValue.q_power(
         1, u_long(P_min, 1, 2))
     P_gen = GTPattern(2, ((2, 1), (1,)), ((2, 0), (1,)))
     assert u_long(P_gen, 1, 2) == 2
-    e = P_gen.record(("a", 1, 2))
+    e = record(P_gen, ("a", 1, 2))
     assert gamma_a(e, 3).is_zero()          # 3 does not divide 2
     assert gamma_a(e, 1) == GaussValue.phi(1, 2)
 
@@ -106,7 +107,7 @@ def test_gamma_a_cases():
 def test_degenerate_right_edge_coincidence_kills_pattern():
     # b_{2,2} = a_{1,2} = 0 meets both equalities; its factor must vanish
     P = GTPattern(2, ((2, 1), (0,)), ((1, 0), (0,)))
-    assert gamma_b(P.record(("b", 2, 2)), 1).is_zero()
+    assert gamma_b(record(P, ("b", 2, 2)), 1).is_zero()
     assert pattern_G(P, 1).is_zero()
     assert pattern_G(P, 3).is_zero()
 
@@ -134,11 +135,11 @@ def test_long_and_short_forms_agree_everywhere():
             for n in (1, 3):
                 for i in range(1, r + 1):
                     for j in range(i, r + 1):
-                        e = P.record(("b", i, j))
+                        e = record(P, ("b", i, j))
                         assert gamma_b(e, n) == gamma_b_long(P, i, j, n)
                 for i in range(1, r):
                     for j in range(i + 1, r + 1):
-                        e = P.record(("a", i, j))
+                        e = record(P, ("a", i, j))
                         assert gamma_a(e, n) == gamma_a_long(P, i, j, n)
 
 

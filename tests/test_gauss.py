@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds.coeffs import h_table
-from weylmds.gauss import (BRUTE_FORCE_LIMIT, ArithContext, GaussValue,
+from weylmds.gauss import (BRUTE_FORCE_LIMIT, NUMERIC_TERMS_LIMIT,
+                           ArithContext, GaussValue, check_numeric_terms,
                            gauss_brute, gauss_eval, numeric_eval)
 from weylmds.patterns import LambdaTwist
 
@@ -156,6 +157,16 @@ def cached_tables(ctx):
         elif hasattr(v, "__len__"):
             out.append(v)
     return out
+
+
+def test_numeric_term_limit_counts_every_primitive_sum_of_every_call():
+    ctx = ArithContext(5, 101)  # 4 primitive sums of 101 terms per call
+    assert NUMERIC_TERMS_LIMIT == 10 ** 9
+    at_limit = NUMERIC_TERMS_LIMIT // (4 * 101)
+    check_numeric_terms(at_limit, ctx)
+    with pytest.raises(OverflowError, match="brute-force terms"):
+        check_numeric_terms(at_limit + 1, ctx)
+    check_numeric_terms(10 ** 12, ArithContext(1, 101))  # no symbols at n = 1
 
 
 def test_context_builds_no_p_entry_table_for_symbol_free_values():

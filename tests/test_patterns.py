@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              interleave_bounds, is_stable, is_strict,
-                              pair_entries, pair_positions,
-                              stable_pattern_for, weyl_from_stable)
+                              interleave_bounds, is_strict, pair_entries,
+                              pair_positions)
 from weylmds.roots import WeylElement
+
+from stable_lemmas import (is_stable, long_element, record,
+                           stable_pattern_for, weyl_from_stable)
 
 
 FIG1 = GTPattern(
@@ -173,12 +175,12 @@ def test_mutating_an_entry_fails_validation():
 
 def test_classify_entries():
     P = GTPattern(2, ((2, 1), (1,)), ((2, 1), (0,)))
-    assert P.record(("b", 1, 1)).tag == "minimal"
-    assert P.record(("b", 2, 2)).tag == "maximal"
+    assert record(P, ("b", 1, 1)).tag == "minimal"
+    assert record(P, ("b", 2, 2)).tag == "maximal"
     single = GTPattern(1, ((1,),), ((0,),))
-    assert single.record(("b", 1, 1)).tag == "maximal"
+    assert record(single, ("b", 1, 1)).tag == "maximal"
     Pg = GTPattern(1, ((2,),), ((1,),))
-    assert Pg.record(("b", 1, 1)).tag == "generic"
+    assert record(Pg, ("b", 1, 1)).tag == "generic"
 
 
 def test_entry_records_bundle_everything():
@@ -207,7 +209,7 @@ def test_entry_records_match_the_definitions():
                     assert (e.exp, e.is_min, e.slack == 0) == (
                         exp, is_min, is_max)
                     assert e.t == (2 if e.pos == ("b", i, r) else 1)
-                    assert P.record(e.pos) == e
+                    assert record(P, e.pos) == e
 
 
 def _rows(r, flat):
@@ -280,7 +282,7 @@ def test_all_minimal_pattern_is_stable_and_identity():
 
 
 def test_all_maximal_pattern_is_long_element():
-    w = WeylElement.long_element(2)
+    w = long_element(2)
     P = stable_pattern_for(w, (2, 1))
     assert P.wgt == (1, 2)  # -wgt_i = eps^(i) L_i = -L_i
     assert weyl_from_stable(P) == w
@@ -352,4 +354,4 @@ def test_entry_positions_list_every_entry_in_pair_order():
                              for pos in pair_positions(r, i)]
     for pos in [("a", 0, 1), ("b", 2, 1), ("a", 5, 5), ("c", 1, 1)]:
         with pytest.raises(ValueError):
-            FIG1.record(pos)  # not a weighted entry
+            record(FIG1, pos)  # not a weighted entry

@@ -4,9 +4,12 @@ from itertools import product
 import pytest
 
 from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
-                           d_lambda, inner, inv_pr_counts, norm_sq, phi_w,
-                           s_action, simple_coords, stability_bound,
-                           stability_min_n, support_vector)
+                           d_lambda, inner, norm_sq, phi_w, simple_coords,
+                           stability_bound, support_vector)
+
+from stable_lemmas import (compose, d_lambda_fraction, fundamental_weights,
+                           inv_pr_counts, inverse, long_element, s_action,
+                           stability_min_n)
 
 
 def simple_reflection(alpha_i, beta):
@@ -78,16 +81,15 @@ def test_rejects_rank_zero():
 def test_fundamental_weights_kronecker():
     for r in (1, 2, 3):
         rs = build_root_system(r)
-        for i, eps in enumerate(rs.fundamental_weights, start=1):
+        for i, eps in enumerate(fundamental_weights(r), start=1):
             for j, alpha in enumerate(rs.simple_roots, start=1):
-                from weylmds.roots import inner
                 val = 2 * inner(eps, alpha) / inner(alpha, alpha)
                 assert val == (1 if i == j else 0)
 
 
 def test_rho_is_weight_sum():
     rs = build_root_system(3)
-    total = tuple(sum(col) for col in zip(*rs.fundamental_weights))
+    total = tuple(sum(col) for col in zip(*fundamental_weights(3)))
     assert total == rs.rho == (1, 2, 3)
     half = tuple(Fraction(sum(col), 2)
                  for col in zip(*rs.positive_roots))
@@ -95,17 +97,32 @@ def test_rho_is_weight_sum():
 
 
 def test_d_lambda_values_r2():
-    rs = build_root_system(2)
     twist = LambdaTwist((0, 0))  # L = (1, 2)
-    assert d_lambda(rs, twist, (2, 0)) == 1
-    assert d_lambda(rs, twist, (-1, 1)) == 1
-    assert d_lambda(rs, twist, (1, 1)) == 3
+    assert d_lambda(twist, (2, 0)) == 1
+    assert d_lambda(twist, (-1, 1)) == 1
+    assert d_lambda(twist, (1, 1)) == 3
 
 
 def test_d_lambda_rejects_non_roots():
-    rs = build_root_system(2)
     with pytest.raises(ValueError):
-        d_lambda(rs, LambdaTwist((0, 0)), (1, 0))
+        d_lambda(LambdaTwist((0, 0)), (1, 0))
+    with pytest.raises(ValueError):  # a negative root
+        d_lambda(LambdaTwist((0, 0)), (-2, 0))
+
+
+def test_d_lambda_is_the_integer_of_its_definition():
+    for r in range(1, 6):
+        if r <= 3:
+            twists = product(range(4), repeat=r)
+        else:
+            twists = [(0,) * r, tuple(range(r)), (3,) * r,
+                      tuple(range(r, 0, -1))]
+        for l in twists:
+            twist = LambdaTwist(tuple(l))
+            for alpha in build_root_system(r).positive_roots:
+                d = d_lambda(twist, alpha)
+                assert type(d) is int
+                assert d == d_lambda_fraction(twist, alpha), (l, alpha)
 
 
 def test_d_lambda_positive_everywhere():
@@ -113,7 +130,7 @@ def test_d_lambda_positive_everywhere():
         rs = build_root_system(r)
         for l in [(0,) * r, tuple(range(r)), (2,) * r]:
             twist = LambdaTwist(l)
-            assert all(d_lambda(rs, twist, a) > 0 for a in rs.positive_roots)
+            assert all(d_lambda(twist, a) > 0 for a in rs.positive_roots)
 
 
 def test_stability_bounds():
@@ -133,11 +150,10 @@ def test_stability_bound_closed_form():
 
 
 def test_phi_w_examples():
-    rs = build_root_system(2)
-    assert phi_w(rs, WeylElement.identity(2)) == ()
-    assert len(phi_w(rs, WeylElement.long_element(2))) == 4
+    assert phi_w(WeylElement.identity(2)) == ()
+    assert len(phi_w(long_element(2))) == 4
     w = WeylElement((1, 2), (-1, 1))
-    assert phi_w(rs, w) == ((2, 0),)
+    assert phi_w(w) == ((2, 0),)
 
 
 def test_inv_pr_counts():
@@ -159,14 +175,13 @@ def test_weyl_group_laws():
         assert len(elems) == 2 ** r * math.factorial(r)
         vec = tuple(range(1, r + 1))
         for w in elems[:10]:
-            assert w.inverse().act(w.act(vec)) == vec
+            assert inverse(w).act(w.act(vec)) == vec
         w1, w2 = elems[3], elems[-2]
-        assert (w1 * w2).act(vec) == w1.act(w2.act(vec))
+        assert compose(w1, w2).act(vec) == w1.act(w2.act(vec))
 
 
 def test_phi_w_length_matches_cayley_distance():
     for r in (2, 3):
-        rs = build_root_system(r)
         gens = [simple_reflection_weyl(r, i) for i in range(1, r + 1)]
         dist = {WeylElement.identity(r): 0}
         frontier = [WeylElement.identity(r)]
@@ -174,14 +189,14 @@ def test_phi_w_length_matches_cayley_distance():
             new = []
             for w in frontier:
                 for g in gens:
-                    nxt = g * w
+                    nxt = compose(g, w)
                     if nxt not in dist:
                         dist[nxt] = dist[w] + 1
                         new.append(nxt)
             frontier = new
         assert len(dist) == len(list(WeylElement.all_elements(r)))
         for w, d in dist.items():
-            assert len(phi_w(rs, w)) == d
+            assert len(phi_w(w)) == d
 
 
 def test_s_action_fixed_point_and_involution():

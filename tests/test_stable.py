@@ -4,13 +4,15 @@ import pytest
 
 from weylmds.coeffs import h_table, pattern_G
 from weylmds.gauss import ArithContext, GaussValue
-from weylmds.patterns import (LambdaTwist, enumerate_patterns, is_strict,
-                              stable_pattern_for, weyl_from_stable)
+from weylmds.patterns import LambdaTwist, enumerate_patterns, is_strict
 from weylmds.roots import (WeylElement, build_root_system, d_lambda, phi_w,
-                           stability_bound, stability_min_n)
-from weylmds.stable import (d_sets, h_stable, k_of_weyl, maximal_count,
-                            maximal_count_formula, phi_w_typed,
-                            verify_stable_match)
+                           stability_bound)
+from weylmds.stable import h_stable, k_of_weyl, verify_stable_match
+
+from stable_lemmas import (d_sets, long_element, maximal_count,
+                           maximal_count_formula, phi_w_typed,
+                           stability_min_n, stable_pattern_for,
+                           weyl_from_stable)
 
 
 def test_h_stable_identity_is_empty_product():
@@ -19,12 +21,12 @@ def test_h_stable_identity_is_empty_product():
 
 
 def test_h_stable_rank1():
-    w = WeylElement.long_element(1)
+    w = long_element(1)
     assert h_stable(w, LambdaTwist((0,)), 1) == GaussValue.q_power(1, 0, -1)
 
 
 def test_h_stable_r2_long_element():
-    val = h_stable(WeylElement.long_element(2), LambdaTwist((0, 0)), 3)
+    val = h_stable(long_element(2), LambdaTwist((0, 0)), 3)
     expected = (GaussValue.q_power(3, 3, -1)
                 * GaussValue.symbol(3, 1) * GaussValue.symbol(3, 1)
                 * GaussValue.symbol(3, 2))
@@ -38,12 +40,11 @@ def test_h_stable_rejects_below_bound():
 
 def test_phi_w_typed_partitions_phi_w():
     for r in (2, 3):
-        rs = build_root_system(r)
         for w in WeylElement.all_elements(r):
             parts = phi_w_typed(w)
             roots = [tr.root for part in parts.values() for tr in part]
             assert len(roots) == len(set(roots))
-            assert sorted(roots) == sorted(phi_w(rs, w))
+            assert sorted(roots) == sorted(phi_w(w))
 
 
 def test_typed_identity_empty_and_long_type_root():
@@ -58,19 +59,21 @@ def test_d_set_closed_forms():
     for l in [(0, 0), (1, 0), (0, 1, 0)]:
         twist = LambdaTwist(l)
         r = twist.rank
-        rs = build_root_system(r)
         L = twist.L
         for w in WeylElement.all_elements(r):
+            D = d_sets(w, twist)
             for i, part in phi_w_typed(w).items():
                 si = w.sigma_inv(i)
                 for tr in part:
-                    d = d_lambda(rs, twist, tr.root)
+                    d = d_lambda(twist, tr.root)
                     if tr.kind == "L":
                         assert d == L[si - 1]
                     elif tr.kind == "S_plus":
                         assert d == L[si - 1] + L[w.sigma_inv(tr.j) - 1]
                     else:
                         assert d == abs(L[si - 1] - L[w.sigma_inv(tr.j) - 1])
+                assert D[i] == sorted(d_lambda(twist, tr.root)
+                                      for tr in part)
 
 
 def test_maximal_counts_match_formula():
@@ -86,7 +89,7 @@ def test_maximal_counts_match_formula():
 
 def test_long_element_maximal_counts():
     r = 3
-    w = WeylElement.long_element(r)
+    w = long_element(r)
     P = stable_pattern_for(w, (3, 2, 1))
     counts = [maximal_count(P, i) for i in range(1, r + 1)]
     assert counts == [2 * i - 1 for i in range(1, r + 1)]
@@ -136,6 +139,6 @@ def test_stability_bound_is_largest_d_lambda_and_suffices():
     for l in product(range(4), repeat=2):
         twist = LambdaTwist(l)
         assert stability_bound(twist) == max(
-            d_lambda(rs, twist, alpha) for alpha in rs.positive_roots)
+            d_lambda(twist, alpha) for alpha in rs.positive_roots)
         report = verify_stable_match(twist, stability_min_n(twist))
         assert report["checked"] == 8 and report["mismatches"] == [], l
