@@ -13,7 +13,7 @@ from math import comb, isqrt
 from .coeffs import h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
-from .patterns import GTPattern, LambdaTwist, enumerate_patterns, is_strict
+from .patterns import GTPattern, LambdaTwist, enumerate_patterns
 from .roots import build_root_system, inner
 from .tableaux import standard_tableaux, tableau_stats
 
@@ -162,9 +162,7 @@ def h_tilde_table(twist: LambdaTwist) -> dict:
     entry-factor product."""
     r = twist.rank
     acc = {}
-    for P in enumerate_patterns(twist.top_row):
-        if not is_strict(P):
-            continue
+    for P in enumerate_patterns(twist.top_row, strict=True):
         term = reduced_pattern_weight(P, r)
         k = P.k_vec
         acc[k] = acc.get(k, LaurentPoly.zero(ring_size(r))) + term

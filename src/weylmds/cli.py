@@ -19,7 +19,7 @@ from .chars import (character_gt, check_pattern_count, euler_product_n1,
 from .coeffs import h_table, verify_k_sum
 from .gauss import (ArithContext, brute_force_modulus, check_numeric_terms,
                     gauss_brute, gauss_eval, numeric_eval)
-from .patterns import LambdaTwist, enumerate_patterns, is_strict
+from .patterns import LambdaTwist, enumerate_patterns
 from .stable import verify_stable_match
 from .tableaux import standard_tableaux, tableau_stats, verify_tableau_stats
 
@@ -70,9 +70,7 @@ class SystemExit2(Exception):
 
 def cmd_patterns(args):
     twist = _twist(args)
-    pats = enumerate_patterns(twist.top_row)
-    if args.strict_only:
-        pats = filter(is_strict, pats)
+    pats = enumerate_patterns(twist.top_row, strict=args.strict_only)
     if args.count_only:
         _emit(str(sum(1 for _ in pats)))
         return 0
@@ -122,7 +120,8 @@ def cmd_hcoeff(args):
             _emit(",".join(str(x) for x in entry["k"]) + "," + val)
         return 0
     if args.numeric:
-        check_numeric_terms(len(table.entries), ctx)
+        e = max((t[1] for _, v in table.entries for t in v.terms), default=0)
+        check_numeric_terms(len(table.entries), ctx, e)
         entries = _with_numeric(entries, table, ctx)
     # the entry list goes one level deeper, between the head and the tail
     head, _, tail = _dump(table.to_json(entries=[])).rpartition("[]")
@@ -194,8 +193,8 @@ def cmd_verify_lemma3(args):
 
 def cmd_verify_lemma4(args):
     twist = _twist(args)
-    bad = [P.to_json() for P in enumerate_patterns(twist.top_row)
-           if is_strict(P) and not verify_tableau_stats(P)]
+    strict = enumerate_patterns(twist.top_row, strict=True)
+    bad = [P.to_json() for P in strict if not verify_tableau_stats(P)]
     return _verdict(not bad, {"ok": not bad, "failures": bad})
 
 

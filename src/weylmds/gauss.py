@@ -265,14 +265,18 @@ def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
     return total
 
 
-def check_numeric_terms(calls: int, ctx: ArithContext) -> None:
+def check_numeric_terms(calls: int, ctx: ArithContext, q_exp=0) -> None:
     """Refuse `calls` numeric_eval calls at ctx, before any sum, when their
     brute-force sums (n - 1 primitive sums of p terms each, per call) add
-    more than NUMERIC_TERMS_LIMIT terms."""
+    more than NUMERIC_TERMS_LIMIT terms, or when p^q_exp overflows a float."""
     terms = calls * (ctx.n - 1) * ctx.p
     if terms > NUMERIC_TERMS_LIMIT:
         raise OverflowError(f"numeric evaluation needs {terms} brute-force "
                             f"terms, above the limit 10^9")
+    try:
+        float(ctx.p) ** q_exp
+    except OverflowError:
+        raise OverflowError(f"p^e = {ctx.p}^{q_exp} overflows float") from None
 
 
 def numeric_eval(value: GaussValue, ctx: ArithContext) -> complex:

@@ -18,16 +18,19 @@ of a b-row acts as the lower bound 0).
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
-from .roots import LambdaTwist, support_vector
+from .roots import LambdaTwist, check_support
 
 
 @dataclass(frozen=True)
 class GTPattern:
-    """Immutable pattern; `a` holds rows a_0..a_{r-1}, `b` holds b_1..b_r."""
+    """Immutable pattern; `a` holds rows a_0..a_{r-1}, `b` holds b_1..b_r.
+    With the rows come the weight `wgt`, wgt_i = s(a_{r-i}) - 2 s(b_{r+1-i})
+    + s(a_{r+1-i}) (s the row sum, a_r empty), and the support vector
+    `k_vec`, lambda+rho + wgt = sum k_i alpha_i, both folded by pair_step."""
 
     rank: int
     a: tuple
@@ -35,34 +38,22 @@ class GTPattern:
 
     def __post_init__(self):
         validate_pattern(self)
+        sums = [sum(row) for pair in zip(self.a, self.b) for row in pair] + [0]
+        fold = ((), ())
+        for m, top_m in enumerate(self.a[0]):
+            fold = pair_step(fold, top_m, *sums[2 * m:2 * m + 3])
+        self.__dict__.update(zip(("wgt", "k_vec"), weight_and_support(fold)))
 
     @classmethod
-    def _unchecked(cls, rank, a, b):
+    def _unchecked(cls, rank, a, b, wgt, k_vec):
         """Internal constructor for rows already valid by construction."""
         P = object.__new__(cls)
-        object.__setattr__(P, "rank", rank)
-        object.__setattr__(P, "a", a)
-        object.__setattr__(P, "b", b)
+        P.__dict__.update(rank=rank, a=a, b=b, wgt=wgt, k_vec=k_vec)
         return P
 
     @property
     def top_row(self):
         return self.a[0]
-
-    @cached_property
-    def wgt(self) -> tuple:
-        """wgt_i = s(a_{r-i}) - 2 s(b_{r+1-i}) + s(a_{r+1-i}), where s is the
-        row sum and a_r is empty."""
-        sa = [sum(row) for row in self.a] + [0]
-        sb = [sum(row) for row in self.b]
-        return tuple(sa[m - 1] - 2 * sb[m - 1] + sa[m]
-                     for m in range(self.rank, 0, -1))
-
-    @cached_property
-    def k_vec(self) -> tuple:
-        """Support vector: lambda+rho + wgt = sum k_i alpha_i."""
-        L = reversed(self.a[0])  # lambda+rho
-        return support_vector(self.rank, [x + y for x, y in zip(L, self.wgt)])
 
     def pair_records(self, i: int):
         """The EntryRecords of row pair i, 1 <= i <= r, lazily."""
@@ -172,35 +163,65 @@ def pair_entries(r: int, i: int, above, b, below):
 
 def is_strict(P: GTPattern) -> bool:
     """True iff every horizontal row strictly decreases."""
-    return all(all(row[k] > row[k + 1] for k in range(len(row) - 1))
-               for row in P.a + P.b)
+    return all(map(_decreasing, P.a + P.b))
 
 
-def enumerate_patterns(top_row):
+def _decreasing(row) -> bool:
+    return all(x > y for x, y in zip(row, row[1:]))
+
+
+def pair_step(fold, top_m, s_above, s_b, s_below):
+    """Fold row pair m into (wgt_{r+1-m}.., c_{r+1-m}..) from the row sums
+    s(a_{m-1}), s(b_m), s(a_m) (0 for m = r): c_i sums (lambda+rho + wgt)_j
+    over j >= i, and (lambda+rho)_{r+1-m} = a_{0,m}."""
+    wgt, c = fold
+    w = s_above - 2 * s_b + s_below
+    return (w, *wgt), (top_m + w + (c[0] if c else 0), *c)
+
+
+def weight_and_support(fold):
+    """(wgt, k_vec) from the fold of all r pairs: k_i = c_i, except that
+    k_1 = c_1 / 2 since alpha_1 = 2e_1 (roots.simple_coords)."""
+    wgt, c = fold
+    return wgt, check_support((c[0] // 2, *c[1:]))
+
+
+def enumerate_patterns(top_row, strict=False):
     """Yield every pattern with the given weakly decreasing top row, exactly
-    once, in canonical order (row-major, larger entries first)."""
+    once, in canonical order (row-major, larger entries first); with
+    `strict`, only those whose rows all strictly decrease, in that order.
+    One loop walks a stack of row iterators b_1, a_1, .., a_{r-1} and carries
+    the row sums, so each b_r yields a pattern with wgt and k_vec set."""
     top = tuple(top_row)
     r = len(top)
     if any((not isinstance(x, int)) or x < 0 for x in top):
         raise ValueError("top row entries must be nonnegative integers")
     if any(top[k] < top[k + 1] for k in range(r - 1)):
         raise ValueError("top row must be sorted in decreasing order")
-
-    def row_choices(above, pad):
-        """Descending-lex candidates for a row below `above`."""
-        return product(*[range(hi, lo - 1, -1)
-                         for hi, lo in interleave_bounds(above, pad)])
-
-    def descend(rows_a, rows_b):
-        i = len(rows_b)
-        if i == r:
-            yield GTPattern._unchecked(r, tuple(rows_a), tuple(rows_b))
+    if strict and not _decreasing(top):
+        return
+    new = GTPattern._unchecked
+    last = 2 * r - 2  # the depth of a_{r-1} (a_0 at rank 1); b_m is at 2m-1
+    rows, sums = [top] * (last + 1), [sum(top)] * (last + 1)
+    its, folds = [None] * (last + 1), [((), ())] * r  # folds[m]: pairs 1..m
+    d = 0
+    while True:
+        if d < last:  # descending-lex candidates for the row below
+            d += 1
+            its[d] = product(*[range(hi, lo - 1, -1) for hi, lo in
+                               interleave_bounds(rows[d - 1], (0,) * (d % 2))])
+            if strict:
+                its[d] = filter(_decreasing, its[d])
+        else:  # b_r = (x,) closes pair r
+            a, b = tuple(rows[0::2]), tuple(rows[1::2])
+            for x in range(rows[d][-1], -1, -1):
+                fold = pair_step(folds[-1], top[-1], sums[d], x, 0)
+                yield new(r, a, (*b, (x,)), *weight_and_support(fold))
+        while d and (row := next(its[d], None)) is None:
+            d -= 1
+        if not d:
             return
-        for brow in row_choices(rows_a[i], (0,)):
-            if i == r - 1:
-                yield from descend(rows_a, rows_b + [brow])
-            else:
-                for arow in row_choices(brow, ()):
-                    yield from descend(rows_a + [arow], rows_b + [brow])
-
-    yield from descend([top], [])
+        rows[d], sums[d] = row, sum(row)
+        if not d % 2:  # a_m closes pair m
+            m = d // 2
+            folds[m] = pair_step(folds[m - 1], top[m - 1], *sums[d - 2:d + 1])

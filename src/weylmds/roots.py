@@ -59,11 +59,14 @@ def simple_coords(r: int, alpha):
 
 
 def support_vector(r: int, weight):
-    """The k with weight = sum k_i alpha_i, which a coefficient-table key
-    needs nonnegative; `weight` is lambda+rho plus a pattern's weight, or
-    lambda+rho - w(lambda+rho)."""
-    k = simple_coords(r, weight)
-    if any(x < 0 for x in k):
+    """The k with weight = sum k_i alpha_i, such as lambda+rho -
+    w(lambda+rho), refused when negative (see check_support)."""
+    return check_support(simple_coords(r, weight))
+
+
+def check_support(k):
+    """k; a coefficient-table key must not have a negative coordinate."""
+    if min(k) < 0:
         raise AssertionError(f"negative support vector {k}")
     return k
 

@@ -123,11 +123,10 @@ def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
 def standard_tableaux(top_row):
     """The standard tableaux of shape top_row, read off the strict patterns
     in canonical order."""
-    for P in enumerate_patterns(top_row):
-        if is_strict(P):
-            S = tableau_from_pattern(P)
-            if S.is_standard():
-                yield S
+    for P in enumerate_patterns(top_row, strict=True):
+        S = tableau_from_pattern(P)
+        if S.is_standard():
+            yield S
 
 
 def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:

@@ -252,11 +252,13 @@ def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
     argv = ["hcoeff", "--rank", "1", "--l", "4200", "--n", "3"]
     if numeric:
         # p^e overflows a float at these exponents, so a stand-in value
-        # shows that each entry gets the value of its own GaussValue
+        # shows that each entry gets the value of its own GaussValue, and
+        # the overflow refusal is stood down
         def fake(val, ctx):
             return complex(len(val.terms), sum(e for _, e, _ in val.terms))
 
         monkeypatch.setattr(cli, "numeric_eval", fake)
+        monkeypatch.setattr(cli, "check_numeric_terms", lambda *args: None)
         for entry, (_, val) in zip(obj["entries"], table.entries):
             z = fake(val, None)
             entry["numeric"] = [z.real, z.imag]
@@ -272,6 +274,28 @@ def test_hcoeff_numeric_failure_in_the_first_chunk_writes_nothing(capsys):
                          "--n", "1", "--p", "7", "--numeric")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_numeric_float_overflow_refused_before_the_first_byte(capsys,
+                                                            monkeypatch):
+    # at rank 1 and n = 1 the largest q exponent of the table is l: 7^364
+    # and 2^1023 are floats, 7^365 and 2^1024 are not
+    from weylmds import cli
+    for l, p in (("364", "7"), ("1023", "2")):
+        code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", l,
+                             "--n", "1", "--p", p, "--numeric")
+        assert (code, err) == (0, "")
+        assert max(e["k"][0] for e in json.loads(out)["entries"]) == int(l) + 1
+
+    def never(*args):
+        raise AssertionError("numeric_eval called")
+
+    monkeypatch.setattr(cli, "numeric_eval", never)
+    for l, p in (("365", "7"), ("400", "7"), ("1024", "2")):
+        code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", l,
+                             "--n", "1", "--p", p, "--numeric")
+        assert (code, out) == (2, "")
+        assert err == f"error: p^e = {p}^{l} overflows float\n"
 
 
 def test_zero_degree_is_not_absent(capsys):

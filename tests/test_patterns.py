@@ -1,5 +1,6 @@
 import json
-from itertools import combinations, permutations, product
+from itertools import (combinations, combinations_with_replacement, islice,
+                       permutations, product)
 
 import pytest
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
                               interleave_bounds, is_strict, pair_entries,
                               pair_positions)
-from weylmds.roots import WeylElement
+from weylmds.roots import WeylElement, support_vector
 
 from stable_lemmas import (is_stable, long_element, record,
                            stable_pattern_for, weyl_from_stable)
@@ -62,6 +63,46 @@ def k_vec_long(P):
         m = r + 1 - i
         k.append(s_a[0] - 2 * sum(diffs[:m]) - s_a[m] + sum(P.a[0][:m]))
     return tuple(k)
+
+
+# Oracles: the recursive enumerator, and wgt and k from their definitions.
+def enumerate_patterns_long(top_row):
+    """Every pattern below top_row, one row at a time, each candidate row
+    in descending-lex order."""
+    top = tuple(top_row)
+    r = len(top)
+
+    def row_choices(above, pad):
+        return product(*[range(hi, lo - 1, -1)
+                         for hi, lo in interleave_bounds(above, pad)])
+
+    def descend(rows_a, rows_b):
+        i = len(rows_b)
+        if i == r:
+            yield GTPattern(r, tuple(rows_a), tuple(rows_b))
+            return
+        for brow in row_choices(rows_a[i], (0,)):
+            if i == r - 1:
+                yield from descend(rows_a, rows_b + [brow])
+            else:
+                for arow in row_choices(brow, ()):
+                    yield from descend(rows_a + [arow], rows_b + [brow])
+
+    yield from descend([top], [])
+
+
+def wgt_long(P):
+    """wgt_i = s(a_{r-i}) - 2 s(b_{r+1-i}) + s(a_{r+1-i}), a_r empty."""
+    s_a = [sum(row) for row in P.a] + [0]
+    s_b = [sum(row) for row in P.b]
+    return tuple(s_a[m - 1] - 2 * s_b[m - 1] + s_a[m]
+                 for m in range(P.rank, 0, -1))
+
+
+def k_vec_support(P):
+    """k as the simple-root coordinates of lambda+rho + wgt."""
+    L = reversed(P.a[0])
+    return support_vector(P.rank, [x + y for x, y in zip(L, wgt_long(P))])
 
 
 def count_patterns(top_row):
@@ -355,3 +396,55 @@ def test_entry_positions_list_every_entry_in_pair_order():
     for pos in [("a", 0, 1), ("b", 2, 1), ("a", 5, 5), ("c", 1, 1)]:
         with pytest.raises(ValueError):
             record(FIG1, pos)  # not a weighted entry
+
+
+def _small_tops():
+    """Every top row with entries <= 4 at ranks 1-3 and <= 2 at rank 4."""
+    for r, box in ((1, 4), (2, 4), (3, 4), (4, 2)):
+        yield from combinations_with_replacement(range(box, -1, -1), r)
+
+
+def _assert_same_patterns(fast, slow):
+    """The same rows in the same order, with the carried wgt and k equal to
+    both oracles."""
+    assert [(P.a, P.b) for P in fast] == [(P.a, P.b) for P in slow]
+    for P in fast:
+        assert P.wgt == wgt_long(P), P.to_json()
+        assert P.k_vec == k_vec_support(P) == k_vec_long(P), P.to_json()
+
+
+def test_enumeration_matches_recursive_oracle_exhaustively():
+    for top in _small_tops():
+        _assert_same_patterns(list(enumerate_patterns(top)),
+                              list(enumerate_patterns_long(top)))
+
+
+def test_strict_enumeration_is_the_strict_filter_exhaustively():
+    for top in _small_tops():
+        _assert_same_patterns(
+            list(enumerate_patterns(top, strict=True)),
+            list(filter(is_strict, enumerate_patterns_long(top))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=5), st.booleans())
+def test_enumeration_matches_recursive_oracle_random(parts, strict):
+    # the first 2,000 patterns of the oracle, and the patterns of the fast
+    # walk up to the same place: all of them, or with `strict` the strict
+    # ones (and none past the end when the oracle ends within 2,000)
+    top = tuple(sorted(parts, reverse=True))
+    slow = list(islice(enumerate_patterns_long(top), 2001))
+    slow, ended = slow[:2000], len(slow) <= 2000
+    if strict:
+        slow = list(filter(is_strict, slow))
+    fast = list(islice(enumerate_patterns(top, strict), len(slow) + ended))
+    _assert_same_patterns(fast, slow)
+
+
+def test_constructed_pattern_folds_the_same_weight_and_support():
+    for top in [(2, 1), (4, 2, 1), (2, 1, 1, 0)]:
+        for P in enumerate_patterns(top):
+            Q = GTPattern(P.rank, P.a, P.b)
+            assert (Q.wgt, Q.k_vec) == (P.wgt, P.k_vec)
+            assert vars(GTPattern.from_json(P.to_json())) == vars(P)
+
