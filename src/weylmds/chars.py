@@ -14,7 +14,9 @@ from .coeffs import h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
 from .patterns import GTPattern, LambdaTwist, enumerate_patterns
-from .roots import build_root_system, inner
+# weyl_dimension is re-exported from roots
+from .roots import (_check_partition, build_root_system, check_pattern_count,
+                    weyl_dimension)
 from .tableaux import standard_tableaux, tableau_stats
 
 
@@ -30,17 +32,6 @@ def q_index(r: int) -> int:
     return r + 1
 
 
-def _check_partition(lam, r):
-    lam = tuple(lam)
-    if len(lam) != r:
-        raise ValueError("partition length must equal the rank")
-    if any((not isinstance(x, int)) or x < 0 for x in lam):
-        raise ValueError("partition parts must be nonnegative integers")
-    if any(lam[k] < lam[k + 1] for k in range(r - 1)):
-        raise ValueError("partition must be weakly decreasing")
-    return lam
-
-
 def character_gt(lam, r: int) -> LaurentPoly:
     """Weight generating function over the pattern basis with top row lam."""
     lam = _check_partition(lam, r)
@@ -49,30 +40,6 @@ def character_gt(lam, r: int) -> LaurentPoly:
         e = P.wgt + (0, 0)
         acc[e] = acc.get(e, 0) + 1
     return LaurentPoly(ring_size(r), acc)
-
-
-def weyl_dimension(lam, r: int) -> int:
-    """Weyl dimension formula for the highest weight given as a partition."""
-    lam = _check_partition(lam, r)
-    rs = build_root_system(r)
-    lam_e = tuple(reversed(lam))
-    rho = rs.rho
-    shifted = tuple(a + b for a, b in zip(lam_e, rho))
-    dim = Fraction(1)
-    for alpha in rs.positive_roots:
-        dim *= inner(shifted, alpha) / inner(rho, alpha)
-    if dim.denominator != 1:
-        raise AssertionError("dimension formula must be integral")
-    return int(dim)
-
-
-def check_pattern_count(top_row) -> None:
-    """Refuse, before enumerating, a top row with more than 10^7 patterns;
-    the Weyl dimension formula counts them exactly."""
-    count = weyl_dimension(top_row, len(top_row))
-    if count > 10 ** 7:
-        raise ValueError(f"top row {','.join(map(str, top_row))} has "
-                         f"{count} patterns, more than 10^7")
 
 
 def deformation_D(r: int) -> LaurentPoly:

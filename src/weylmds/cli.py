@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success (and
-verification pass), 1 verification failure, 2 usage error, refused
-oversized work or a failed internal check.  Output is deterministic
-byte-for-byte for a fixed command line.
+verification pass), 1 verification failure, 2 usage error, refused oversized
+work or a failed internal check.  Output is deterministic byte-for-byte for a
+fixed command line.  Each command imports only the modules it runs.
 """
 
 import argparse
@@ -12,16 +12,6 @@ import signal
 import sys
 from itertools import islice
 from math import factorial
-
-from .chars import (character_gt, check_pattern_count, euler_product_n1,
-                    verify_deformation_identity, verify_euler_bridge,
-                    verify_euler_factor_identity, verify_h_tilde)
-from .coeffs import h_table, verify_k_sum
-from .gauss import (ArithContext, brute_force_modulus, check_numeric_terms,
-                    gauss_brute, gauss_eval, numeric_eval)
-from .patterns import LambdaTwist, enumerate_patterns
-from .stable import verify_stable_match
-from .tableaux import standard_tableaux, tableau_stats, verify_tableau_stats
 
 
 def _emit(text):
@@ -50,15 +40,17 @@ def _parse_ints(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_twist(args) -> LambdaTwist:
+def _parse_twist(args) -> "LambdaTwist":
+    from .roots import LambdaTwist
     l = _parse_ints(args.l)
     if len(l) != args.rank:
         raise SystemExit2(f"--l must have {args.rank} entries")
     return LambdaTwist(l)
 
 
-def _twist(args) -> LambdaTwist:
+def _twist(args) -> "LambdaTwist":
     """The twist of a command that walks the patterns of its top row."""
+    from .roots import check_pattern_count
     twist = _parse_twist(args)
     check_pattern_count(twist.top_row)
     return twist
@@ -69,6 +61,7 @@ class SystemExit2(Exception):
 
 
 def cmd_patterns(args):
+    from .patterns import enumerate_patterns
     twist = _twist(args)
     pats = enumerate_patterns(twist.top_row, strict=args.strict_only)
     if args.count_only:
@@ -84,6 +77,7 @@ def cmd_patterns(args):
 
 
 def cmd_tableaux(args):
+    from .tableaux import standard_tableaux
     twist = _twist(args)
     tableaux = standard_tableaux(twist.top_row)
     if args.format == "text":
@@ -96,22 +90,24 @@ def cmd_tableaux(args):
 
 
 def _tableau_json(S):
+    from .tableaux import tableau_stats
     st = tableau_stats(S)
     return {"tableau": S.to_json(), "wgt": list(st.wgt),
             "str": st.str_total, "barred": st.barred, "height": st.height}
 
 
 def cmd_hcoeff(args):
+    from . import coeffs, gauss
     twist = _twist(args)
     if args.numeric:
         if args.format == "csv":
             raise SystemExit2("--numeric has no csv column; use --format json")
         if args.p is None:
             raise SystemExit2("--numeric needs --p")
-        ctx = ArithContext(args.n, args.p)
+        ctx = gauss.ArithContext(args.n, args.p)
     elif args.p is not None:
         raise SystemExit2("--p is only read with --numeric")
-    table = h_table(twist, args.n)
+    table = coeffs.h_table(twist, args.n)
     entries = table.entries_json()
     if args.format == "csv":
         for entry in entries:
@@ -121,7 +117,7 @@ def cmd_hcoeff(args):
         return 0
     if args.numeric:
         e = max((t[1] for _, v in table.entries for t in v.terms), default=0)
-        check_numeric_terms(len(table.entries), ctx, e)
+        gauss.check_numeric_terms(len(table.entries), ctx, e)
         entries = _with_numeric(entries, table, ctx)
     # the entry list goes one level deeper, between the head and the tail
     head, _, tail = _dump(table.to_json(entries=[])).rpartition("[]")
@@ -132,6 +128,7 @@ def cmd_hcoeff(args):
 def _with_numeric(entries, table, ctx):
     """Each entry with the numeric value of its GaussValue, evaluated as
     the entry is written."""
+    from .gauss import numeric_eval
     for entry, (_, val) in zip(entries, table.entries):
         z = numeric_eval(val, ctx)
         entry["numeric"] = [z.real, z.imag]
@@ -139,6 +136,7 @@ def _with_numeric(entries, table, ctx):
 
 
 def cmd_character(args):
+    from .chars import character_gt, check_pattern_count
     twist = _parse_twist(args)
     check_pattern_count(twist.partition)
     poly = character_gt(twist.partition, args.rank)
@@ -151,6 +149,7 @@ def cmd_character(args):
 
 
 def cmd_euler(args):
+    from .chars import euler_product_n1
     m = _parse_ints(args.m)
     if len(m) != args.rank:
         raise SystemExit2(f"--m must have {args.rank} entries")
@@ -169,50 +168,56 @@ def _verdict(ok, report):
 
 
 def cmd_verify_stable(args):
+    from . import gauss, stable
     twist = _twist(args)
     ctx = None
     if args.p is not None:
-        ctx = ArithContext(args.n, args.p)
+        ctx = gauss.ArithContext(args.n, args.p)
         # at most two values per signed permutation
-        check_numeric_terms(2 * 2 ** args.rank * factorial(args.rank), ctx)
-    report = verify_stable_match(twist, args.n, ctx)
+        gauss.check_numeric_terms(2 * 2 ** args.rank * factorial(args.rank),
+                                  ctx)
+    report = stable.verify_stable_match(twist, args.n, ctx)
     return _verdict(not report["mismatches"], report)
 
 
 def cmd_verify_hamel_king(args):
+    from .chars import verify_deformation_identity
     ok, diff = verify_deformation_identity(_twist(args))
     return _verdict(ok, {"ok": ok, "residual": diff.to_json()})
 
 
 def cmd_verify_lemma3(args):
+    from . import coeffs, patterns
     twist = _twist(args)
-    bad = [P.to_json() for P in enumerate_patterns(twist.top_row)
-           if not verify_k_sum(P)]
+    bad = [P.to_json() for P in patterns.enumerate_patterns(twist.top_row)
+           if not coeffs.verify_k_sum(P)]
     return _verdict(not bad, {"ok": not bad, "failures": bad})
 
 
 def cmd_verify_lemma4(args):
+    from . import patterns, tableaux
     twist = _twist(args)
-    strict = enumerate_patterns(twist.top_row, strict=True)
-    bad = [P.to_json() for P in strict if not verify_tableau_stats(P)]
+    strict = patterns.enumerate_patterns(twist.top_row, strict=True)
+    bad = [P.to_json() for P in strict if not tableaux.verify_tableau_stats(P)]
     return _verdict(not bad, {"ok": not bad, "failures": bad})
 
 
 def cmd_verify_gauss(args):
+    from . import gauss
     n = args.n
     if n < 1:
         raise SystemExit2("--n must be positive")
     p = args.p if args.p is not None else {1: 5, 3: 7, 5: 11}.get(n)
     if p is None:
         raise SystemExit2("--p is required for this degree")
-    ctx = ArithContext(n, p)
-    brute_force_modulus(p, 4)  # refused before summing: the grid reaches v = 4
+    ctx = gauss.ArithContext(n, p)
+    gauss.brute_force_modulus(p, 4)  # refused before summing: v reaches 4
     bad = []
     for t in (1, 2):
         for c in range(0, 6):
             for v in range(0, 5):
-                sym = numeric_eval(gauss_eval(t, c, v, n), ctx)
-                brute = gauss_brute(t, c, v, ctx)
+                sym = gauss.numeric_eval(gauss.gauss_eval(t, c, v, n), ctx)
+                brute = gauss.gauss_brute(t, c, v, ctx)
                 if abs(sym - brute) > 1e-9 * p ** v:
                     bad.append({"t": t, "c": c, "v": v,
                                 "symbolic": [sym.real, sym.imag],
@@ -221,10 +226,11 @@ def cmd_verify_gauss(args):
 
 
 def cmd_verify_cs(args):
+    from . import chars
     twist = _twist(args)
-    ok_a, diff_a = verify_euler_bridge(args.rank)
-    ok_b, diff_b = verify_euler_factor_identity(twist)
-    ok_t, bad = verify_h_tilde(twist)
+    ok_a, diff_a = chars.verify_euler_bridge(args.rank)
+    ok_b, diff_b = chars.verify_euler_factor_identity(twist)
+    ok_t, bad = chars.verify_h_tilde(twist)
     ok = ok_a and ok_b and ok_t
     return _verdict(ok, {"ok": ok,
                          "bridge_residual": diff_a.to_json(),

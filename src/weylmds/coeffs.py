@@ -12,12 +12,12 @@ character identities both hold (such patterns correspond to fillings that
 are not standard shifted tableaux).
 """
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .gauss import GaussValue, gauss_eval
 from .patterns import (EntryRecord, GTPattern, LambdaTwist,
                        enumerate_patterns, pair_entries)
+from .record import Record
 
 
 def gamma_b(e: EntryRecord, n: int) -> GaussValue:
@@ -70,8 +70,7 @@ def verify_k_sum(P: GTPattern) -> bool:
     return sum(P.k_vec) == sum(e.exp for e in P.records())
 
 
-@dataclass(frozen=True)
-class HTable:
+class HTable(Record):
     """Prime-power coefficients: a finite map k -> GaussValue.
 
     Keys cover every k hit by some pattern; values that cancel to zero are

@@ -12,11 +12,12 @@ independent oracle for all symbolic values.
 """
 
 import cmath
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, islice, repeat
 from math import isqrt
 from operator import add, mul
+
+from .record import Record
 
 # Largest modulus p^v a brute-force sum runs over, and so the largest prime
 BRUTE_FORCE_LIMIT = 10 ** 7
@@ -39,8 +40,7 @@ def _symbol_product(n: int, s1: tuple, s2: tuple):
     return (len(s1) + len(s2) - len(rest)) // 2, tuple(sorted(rest))
 
 
-@dataclass(frozen=True)
-class GaussValue:
+class GaussValue(Record):
     """Canonical sum of terms coeff * q^e * G[s_1]...G[s_k] for a fixed n.
 
     Canonical by construction: only `symbol` and `from_json` read raw symbol
@@ -49,7 +49,11 @@ class GaussValue:
     n: int
     # ((syms, q_exp, coeff), ...) sorted, each (syms, q_exp) once, coeff != 0,
     # syms sorted and, at odd n, never holding both s and n - s
-    terms: tuple = ()
+    terms: tuple
+
+    def __init__(self, n, terms=()):  # hot in the ring: no arity check
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def _canonical(n, raw):
@@ -176,8 +180,7 @@ def _primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-@dataclass(frozen=True)
-class ArithContext:
+class ArithContext(Record):
     """Numeric backend at a prime p = 1 mod n: a fixed order-n character chi
     realized through a primitive root, and the standard additive character.
 
@@ -189,10 +192,11 @@ class ArithContext:
 
     n: int
     p: int
-    root: int = field(init=False)
-    # v -> additive_table(v), filled on demand
-    additive_tables: dict = field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
+    root: int  # found by __post_init__
+
+    def __init__(self, n: int, p: int):  # additive_tables: v -> table
+        self.__dict__.update(n=n, p=p, additive_tables={})
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:

@@ -17,16 +17,15 @@ of nonnegative integers, where consecutive rows interleave:
 of a b-row acts as the lower bound 0).
 """
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from typing import NamedTuple
 
+from .record import Record
 from .roots import LambdaTwist, check_support
 
 
-@dataclass(frozen=True)
-class GTPattern:
+class GTPattern(Record):
     """Immutable pattern; `a` holds rows a_0..a_{r-1}, `b` holds b_1..b_r.
     With the rows come the weight `wgt`, wgt_i = s(a_{r-i}) - 2 s(b_{r+1-i})
     + s(a_{r+1-i}) (s the row sum, a_r empty), and the support vector

@@ -2,35 +2,31 @@
 permutations.
 
 Coordinates follow the convention alpha_1 = 2e_1 (the long simple root) and
-alpha_i = e_i - e_{i-1} for i >= 2.  The inner product is normalized so that
-short roots have squared length 1 and long roots squared length 2; in terms
-of the ordinary dot product this is <x, y> = (x . y) / 2.
+alpha_i = e_i - e_{i-1} for i >= 2.  The pairing is the ordinary dot product,
+so every value stays an integer; it is twice the normalized inner product,
+under which short roots have squared length 1 and long roots 2.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations, product
 
+from .record import Record
 
-Vector = tuple
 
-
-def inner(u, v) -> Fraction:
-    """Normalized pairing: short roots have <a, a> = 1, long roots 2."""
-    return Fraction(sum(a * b for a, b in zip(u, v)), 2)
+def inner(u, v) -> int:
+    """The dot product: short roots have <a, a> = 2, long roots 4."""
+    return sum(a * b for a, b in zip(u, v))
 
 
 def norm_sq(alpha) -> int:
-    """Squared length of a root: 1 for short, 2 for long."""
+    """Normalized squared length of a root: 1 for short, 2 for long."""
     n2 = inner(alpha, alpha)
-    if n2.denominator != 1 or n2 not in (1, 2):
+    if n2 not in (2, 4):
         raise ValueError(f"{alpha} is not a root of C_r")
-    return int(n2)
+    return n2 // 2
 
 
-@dataclass(frozen=True)
-class RootSystemC:
+class RootSystemC(Record):
     """The C_r root data: simple roots, positive roots and rho."""
 
     rank: int
@@ -90,8 +86,7 @@ def build_root_system(r: int) -> RootSystemC:
     return RootSystemC(r, simple, positives, tuple(range(1, r + 1)))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """A signed permutation (sigma, eps) acting on R^r by
     w(t)_i = eps^(i) * t_{sigma^{-1}(i)}.
 
@@ -132,8 +127,7 @@ class WeylElement:
                 yield WeylElement(sigma, eps)
 
 
-@dataclass(frozen=True)
-class LambdaTwist:
+class LambdaTwist(Record):
     """The twisting exponents l_i together with the partial sums
     L_j = l_1 + ... + l_j + j."""
 
@@ -169,12 +163,11 @@ class LambdaTwist:
 
 
 def d_lambda(twist: LambdaTwist, alpha) -> int:
-    """d(alpha) = 2<lambda+rho, alpha> / <alpha, alpha>, an integer: in the
-    plain dot product alpha . alpha is 4 for 2e_i and 2 for e_j +- e_i."""
+    """d(alpha) = 2<lambda+rho, alpha> / <alpha, alpha>, an integer:
+    <alpha, alpha> is 4 for 2e_i and 2 for e_j +- e_i."""
     if alpha not in build_root_system(twist.rank)._positive_set:
         raise ValueError(f"{alpha} is not a positive root")
-    pairing = sum(x * a for x, a in zip(twist.L, alpha))
-    return 2 * pairing // sum(a * a for a in alpha)
+    return 2 * inner(twist.L, alpha) // inner(alpha, alpha)
 
 
 def stability_bound(twist: LambdaTwist) -> int:
@@ -188,3 +181,39 @@ def phi_w(w: WeylElement):
     rs = build_root_system(w.rank)
     return tuple(alpha for alpha in rs.positive_roots
                  if rs.is_negative(w.act(alpha)))
+
+
+def _check_partition(lam, r):
+    lam = tuple(lam)
+    if len(lam) != r:
+        raise ValueError("partition length must equal the rank")
+    if any((not isinstance(x, int)) or x < 0 for x in lam):
+        raise ValueError("partition parts must be nonnegative integers")
+    if any(lam[k] < lam[k + 1] for k in range(r - 1)):
+        raise ValueError("partition must be weakly decreasing")
+    return lam
+
+
+def weyl_dimension(lam, r: int) -> int:
+    """Weyl dimension formula for the highest weight given as a partition,
+    with one exact division of integer products."""
+    lam = _check_partition(lam, r)
+    rs = build_root_system(r)
+    shifted = tuple(a + b for a, b in zip(reversed(lam), rs.rho))
+    num = den = 1
+    for alpha in rs.positive_roots:
+        num *= inner(shifted, alpha)
+        den *= inner(rs.rho, alpha)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("dimension formula must be integral")
+    return dim
+
+
+def check_pattern_count(top_row) -> None:
+    """Refuse, before enumerating, a top row with more than 10^7 patterns;
+    the Weyl dimension formula counts them exactly."""
+    count = weyl_dimension(top_row, len(top_row))
+    if count > 10 ** 7:
+        raise ValueError(f"top row {','.join(map(str, top_row))} has "
+                         f"{count} patterns, more than 10^7")

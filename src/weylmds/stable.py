@@ -4,7 +4,8 @@ pattern-sum table.
 """
 
 from .coeffs import h_table
-from .gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
+from .gauss import (ArithContext, GaussValue, check_numeric_terms, gauss_eval,
+                    numeric_eval)
 from .roots import (LambdaTwist, WeylElement, d_lambda, norm_sq, phi_w,
                     stability_bound, support_vector)
 
@@ -40,7 +41,7 @@ def verify_stable_match(twist: LambdaTwist, n: int,
     table = h_table(twist, n)
     mismatches = []
     seen = {}
-    checked = 0
+    equal = []  # (w, k, table value, product) of each symbolic match
     for w in WeylElement.all_elements(r):
         k = k_of_weyl(w, twist)
         if k in seen:
@@ -50,14 +51,18 @@ def verify_stable_match(twist: LambdaTwist, n: int,
         seen[k] = w
         lhs = table.value(k)
         rhs = h_stable(w, twist, n)
-        checked += 1
         if lhs != rhs:
             mismatches.append({"w": _w_json(w), "k": list(k),
                                "reason": "symbolic mismatch",
                                "table": lhs.to_json(),
                                "product": rhs.to_json()})
             continue
-        if ctx is not None:
+        equal.append((w, k, lhs, rhs))
+    if ctx is not None:
+        # refused before the first sum when some p^e overflows a float
+        e = max((t[1] for *_, v in equal for t in v.terms), default=0)
+        check_numeric_terms(2 * len(equal), ctx, e)
+        for w, k, lhs, rhs in equal:
             a, b = numeric_eval(lhs, ctx), numeric_eval(rhs, ctx)
             scale = max(1.0, abs(a), abs(b))
             if abs(a - b) > REL_TOL * scale:
@@ -69,7 +74,7 @@ def verify_stable_match(twist: LambdaTwist, n: int,
         if k not in seen:
             mismatches.append({"k": list(k),
                                "reason": "support outside the orbit"})
-    return {"checked": checked, "mismatches": mismatches}
+    return {"checked": len(seen), "mismatches": mismatches}
 
 
 def _w_json(w: WeylElement) -> dict:

@@ -13,9 +13,8 @@ the boxes in tableau row j-i+1 with letters <= r-i+1, and b_{i,j} counts
 those with letters <= (r-i+1)'.
 """
 
-from dataclasses import dataclass
-
 from .patterns import GTPattern, enumerate_patterns, is_strict
+from .record import Record
 
 
 def letter_key(value: int, barred: bool) -> int:
@@ -23,8 +22,7 @@ def letter_key(value: int, barred: bool) -> int:
     return 2 * value - (1 if barred else 0)
 
 
-@dataclass(frozen=True)
-class ShiftedTableau:
+class ShiftedTableau(Record):
     """rows[R-1] is a tuple of (value, barred) letters for row R."""
 
     rank: int
@@ -152,8 +150,7 @@ def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
     return P
 
 
-@dataclass(frozen=True)
-class TableauStats:
+class TableauStats(Record):
     """The statistics of a tableau that the n = 1 identities read."""
 
     wgt: tuple       # (#k - #k') for k = 1..r

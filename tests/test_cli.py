@@ -202,10 +202,10 @@ def test_hcoeff_p_without_numeric_exit_two(capsys):
 
 def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
     # csv has no numeric column, so the sums would be computed and dropped
-    from weylmds import cli
+    from weylmds import coeffs, gauss
     calls = []
-    monkeypatch.setattr(cli, "h_table", lambda *args: calls.append(args))
-    monkeypatch.setattr(cli, "ArithContext",
+    monkeypatch.setattr(coeffs, "h_table", lambda *args: calls.append(args))
+    monkeypatch.setattr(gauss, "ArithContext",
                         lambda *args: calls.append(args))
     code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
                          "--n", "1", "--p", "5", "--numeric",
@@ -226,13 +226,12 @@ def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
 ], ids=" ".join)
 def test_numeric_work_above_the_term_limit_refused_before_any_sum(
         capsys, monkeypatch, argv):
-    from weylmds import cli, gauss
+    from weylmds import gauss
 
     def no_sum(*args):
         pytest.fail("a brute-force sum ran")
 
     monkeypatch.setattr(gauss, "gauss_brute", no_sum)
-    monkeypatch.setattr(cli, "gauss_brute", no_sum)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: numeric evaluation needs ")
@@ -243,7 +242,7 @@ def test_numeric_work_above_the_term_limit_refused_before_any_sum(
 def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
                                                    numeric):
     # 4,202 entries, so the entry list crosses the 4096-entry chunk boundary
-    from weylmds import cli
+    from weylmds import cli, gauss
     from weylmds.coeffs import h_table
     from weylmds.patterns import LambdaTwist
     table = h_table(LambdaTwist((4200,)), 3)
@@ -257,8 +256,8 @@ def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
         def fake(val, ctx):
             return complex(len(val.terms), sum(e for _, e, _ in val.terms))
 
-        monkeypatch.setattr(cli, "numeric_eval", fake)
-        monkeypatch.setattr(cli, "check_numeric_terms", lambda *args: None)
+        monkeypatch.setattr(gauss, "numeric_eval", fake)
+        monkeypatch.setattr(gauss, "check_numeric_terms", lambda *args: None)
         for entry, (_, val) in zip(obj["entries"], table.entries):
             z = fake(val, None)
             entry["numeric"] = [z.real, z.imag]
@@ -280,7 +279,7 @@ def test_numeric_float_overflow_refused_before_the_first_byte(capsys,
                                                             monkeypatch):
     # at rank 1 and n = 1 the largest q exponent of the table is l: 7^364
     # and 2^1023 are floats, 7^365 and 2^1024 are not
-    from weylmds import cli
+    from weylmds import gauss
     for l, p in (("364", "7"), ("1023", "2")):
         code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", l,
                              "--n", "1", "--p", p, "--numeric")
@@ -290,10 +289,32 @@ def test_numeric_float_overflow_refused_before_the_first_byte(capsys,
     def never(*args):
         raise AssertionError("numeric_eval called")
 
-    monkeypatch.setattr(cli, "numeric_eval", never)
+    monkeypatch.setattr(gauss, "numeric_eval", never)
     for l, p in (("365", "7"), ("400", "7"), ("1024", "2")):
         code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", l,
                              "--n", "1", "--p", p, "--numeric")
+        assert (code, out) == (2, "")
+        assert err == f"error: p^e = {p}^{l} overflows float\n"
+
+
+def test_verify_stable_float_overflow_refused_before_any_sum(capsys,
+                                                            monkeypatch):
+    # at rank 1 the compared values of the longest w are -q^l or q^l G[s],
+    # so the largest q exponent is l: 271^126 (and 271^126.5) are floats,
+    # 271^127 and 1609^200 are not
+    from weylmds import stable
+    code, out, err = run(capsys, "verify", "stable", "--rank", "1",
+                         "--l", "126", "--n", "135", "--p", "271")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"checked": 2, "mismatches": []}
+
+    def never(*args):
+        raise AssertionError("numeric_eval called")
+
+    monkeypatch.setattr(stable, "numeric_eval", never)
+    for l, n, p in (("127", "135", "271"), ("200", "201", "1609")):
+        code, out, err = run(capsys, "verify", "stable", "--rank", "1",
+                             "--l", l, "--n", n, "--p", p)
         assert (code, out) == (2, "")
         assert err == f"error: p^e = {p}^{l} overflows float\n"
 
@@ -306,9 +327,9 @@ def test_zero_degree_is_not_absent(capsys):
 def test_verify_gauss_refuses_large_modulus_before_summing(capsys,
                                                           monkeypatch):
     # the grid reaches v = 4, and 3001^4 > 10^7
-    from weylmds import cli
+    from weylmds import gauss
     calls = []
-    monkeypatch.setattr(cli, "gauss_brute",
+    monkeypatch.setattr(gauss, "gauss_brute",
                         lambda *args: calls.append(args))
     code, out, err = run(capsys, "verify", "gauss", "--n", "3",
                          "--p", "3001")
