@@ -6,17 +6,14 @@ functions over pattern enumerations.  The deformed-denominator and
 Euler-factor identities are verified as exact polynomial equalities.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
 
-from .coeffs import h_table
+from .coeffs import HTable, h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
-from .patterns import GTPattern, LambdaTwist, enumerate_patterns
-# weyl_dimension is re-exported from roots
-from .roots import (_check_partition, build_root_system, check_pattern_count,
-                    weyl_dimension)
+from .patterns import LambdaTwist, enumerate_patterns
+from .roots import _check_partition, build_root_system, check_pattern_count
 from .tableaux import standard_tableaux, tableau_stats
 
 
@@ -47,12 +44,11 @@ def deformation_D(r: int) -> LaurentPoly:
     where rev reads x_1 .. x_r in reverse order: x_1^r x_2^{r-1} ... x_r
     times (1 + t x_i^{-2}) and (1 + t x_i^{-1} x_j^{+-1}) for i < j."""
     n = ring_size(r)
-    one = LaurentPoly.const(n, 1)
     rs = build_root_system(r)
     out = LaurentPoly.monomial(n, rs.rho[::-1] + (0, 0))
     for alpha in rs.positive_roots:
         rev = tuple(-c for c in reversed(alpha))
-        out = out * (one + LaurentPoly.monomial(n, rev + (1, 0)))
+        out = out * (1 + LaurentPoly.monomial(n, rev + (1, 0)))
     return out
 
 
@@ -64,17 +60,21 @@ def scale_x_by_t(poly: LaurentPoly, r: int) -> LaurentPoly:
          for i in range(r)})
 
 
+def class_weight(m: int, g: int):
+    """t^m (1 + t)^g, the weight of m maximal and g generic entries, as
+    (t exponent, coefficient) pairs."""
+    return [(m + j, comb(g, j)) for j in range(g + 1)]
+
+
 def hk_rhs(r: int, stats) -> LaurentPoly:
     """sum over the statistics of the standard tableaux of
     t^{height + r(r+1)/2} (1 + t)^{str - r} x^{wgt}."""
     offset = r * (r + 1) // 2
     acc = {}
     for st in stats:
-        base = st.height + offset
-        generic = st.str_total - r
-        for k in range(generic + 1):
-            e = st.wgt + (base + k, 0)
-            acc[e] = acc.get(e, 0) + comb(generic, k)
+        for j, c in class_weight(st.height + offset, st.str_total - r):
+            e = st.wgt + (j, 0)
+            acc[e] = acc.get(e, 0) + c
     return LaurentPoly(ring_size(r), acc)
 
 
@@ -96,60 +96,56 @@ def verify_deformation_identity(twist: LambdaTwist):
 # n = 1 reduction
 
 
+def q_poly(r: int, q_terms: dict) -> LaurentPoly:
+    """sum of c q^e over the q exponents e -> coefficients c."""
+    return LaurentPoly(ring_size(r),
+                       {(0,) * (r + 1) + (e,): c for e, c in q_terms.items()})
+
+
 def gauss_to_q_poly(value: GaussValue, r: int) -> LaurentPoly:
     """A symbol-free value as a Laurent polynomial in q."""
-    n = ring_size(r)
-    out = LaurentPoly.zero(n)
-    for syms, e, c in value.terms:
-        if syms:
-            raise ValueError("value still contains primitive symbols")
-        out = out + LaurentPoly.variable(n, q_index(r), e, coeff=c)
-    return out
-
-
-def reduced_pattern_weight(P: GTPattern, r: int) -> LaurentPoly:
-    """Product over entries of the reduced factors 1, 1 - 1/q, -1/q for
-    minimal, generic, maximal entries (zero at the degenerate right-edge
-    coincidence)."""
-    n = ring_size(r)
-    qi = q_index(r)
-    one = LaurentPoly.const(n, 1)
-    qinv = LaurentPoly.variable(n, qi, -1)
-    factors = {"minimal": one, "generic": one - qinv, "maximal": -qinv}
-    out = one
-    for e in P.records():
-        if e.is_min and not e.slack:
-            return LaurentPoly.zero(n)
-        out = out * factors[e.tag]
-    return out
+    if any(syms for syms, _, _ in value.terms):
+        raise ValueError("value still contains primitive symbols")
+    return q_poly(r, {e: c for _, e, c in value.terms})
 
 
 def h_tilde_table(twist: LambdaTwist) -> dict:
-    """Reduced coefficients: k -> sum over strict patterns of the reduced
-    entry-factor product."""
-    r = twist.rank
-    acc = {}
+    """Reduced coefficients: k -> sum over strict patterns of the product
+    of the reduced entry factors 1, 1 - 1/q, -1/q at minimal, generic and
+    maximal entries, that is t^{#maximal} (1 + t)^{#generic} at t = -1/q.
+    A pattern with the degenerate coincidence (minimal at zero slack, see
+    coeffs.gamma_b) weighs zero but keeps its k as a key."""
+    q_terms = {}  # k -> {q exponent: coefficient}
+    classes = {}  # (k, #maximal, #generic) -> number of patterns
     for P in enumerate_patterns(twist.top_row, strict=True):
-        term = reduced_pattern_weight(P, r)
-        k = P.k_vec
-        acc[k] = acc.get(k, LaurentPoly.zero(ring_size(r))) + term
-    return acc
+        q_terms.setdefault(P.k_vec, {})
+        tags = [e.tag if e.slack or not e.is_min else None
+                for e in P.records()]
+        if None not in tags:
+            key = P.k_vec, tags.count("maximal"), tags.count("generic")
+            classes[key] = classes.get(key, 0) + 1
+    for (k, m, g), mult in classes.items():
+        for j, c in class_weight(m, g):  # t^j at t = -1/q
+            q_terms[k][-j] = q_terms[k].get(-j, 0) + (-1) ** j * c * mult
+    return {k: q_poly(twist.rank, terms) for k, terms in q_terms.items()}
 
 
-def verify_h_tilde(twist: LambdaTwist):
-    """H(p^k) = Htilde(p^k) q^{k_1 + ... + k_r} for every key."""
-    r = twist.rank
-    table = h_table(twist, 1)
-    tilde = h_tilde_table(twist)
-    qi = q_index(r)
-    bad = []
-    keys = set(table.keys()) | set(tilde.keys())
-    for k in sorted(keys):
-        lhs = gauss_to_q_poly(table.value(k), r)
-        rhs = tilde.get(k, LaurentPoly.zero(ring_size(r)))
-        rhs = rhs * LaurentPoly.variable(ring_size(r), qi, sum(k))
-        if lhs != rhs:
-            bad.append(k)
+def _n1_rank(table: HTable) -> int:
+    """The rank of an n = 1 table; other degrees are refused."""
+    if table.n != 1:
+        raise ValueError(f"an n = 1 table is needed, not n = {table.n}")
+    return table.twist.rank
+
+
+def verify_h_tilde(table: HTable):
+    """H(p^k) = Htilde(p^k) q^{k_1 + ... + k_r} for every key of the n = 1
+    table or of Htilde."""
+    r = _n1_rank(table)
+    tilde = h_tilde_table(table.twist)
+    zero = LaurentPoly.zero(ring_size(r))
+    bad = [k for k in sorted(set(table.keys()) | set(tilde))
+           if gauss_to_q_poly(table.value(k), r)
+           != tilde.get(k, zero) * q_poly(r, {sum(k): 1})]
     return not bad, bad
 
 
@@ -161,10 +157,9 @@ def euler_factor_product(r: int) -> LaurentPoly:
     """prod over positive roots alpha of (1 - q^{-1} x^alpha); the simple
     root x^{alpha_i} is the Satake monomial of q^{1-2s_i}."""
     n = ring_size(r)
-    one = LaurentPoly.const(n, 1)
-    out = one
+    out = LaurentPoly.const(n, 1)
     for alpha in build_root_system(r).positive_roots:
-        out = out * (one - LaurentPoly.monomial(n, alpha + (0, -1)))
+        out = out * (1 - LaurentPoly.monomial(n, alpha + (0, -1)))
     return out
 
 
@@ -173,43 +168,37 @@ def verify_euler_bridge(r: int):
     positive-root Euler product; exact in x and q."""
     n = ring_size(r)
     qi = q_index(r)
-    qinv = (Fraction(-1), tuple(-1 if k == qi else 0 for k in range(n)))
-    mapping = {t_index(r): qinv}
-    for i in range(r):
-        mono = [0] * n
-        mono[i] = 1
-        mono[qi] = -1
-        mapping[i] = (Fraction(-1), tuple(mono))
+    # x_i -> -x_i / q and t -> -1/q
+    mapping = {i: (-1, tuple(int(k == i) - (k == qi) for k in range(n)))
+               for i in range(r)}
+    mapping[t_index(r)] = (-1, tuple(-(k == qi) for k in range(n)))
     lhs = (deformation_D(r).substitute(mapping)
            * LaurentPoly.monomial(n, build_root_system(r).rho + (0, 0)))
     diff = lhs - euler_factor_product(r)
     return diff.is_zero(), diff
 
 
-def h_generating_function(twist: LambdaTwist) -> LaurentPoly:
-    """sum_k H(p^k) q^{-2 k . s}, written in the x variables: key k is
-    x^{sum k_i alpha_i} q^{-|k|}."""
-    r = twist.rank
-    n = ring_size(r)
+def h_generating_function(table: HTable) -> LaurentPoly:
+    """sum_k H(p^k) q^{-2 k . s} over the n = 1 table, written in the x
+    variables: key k is x^{sum k_i alpha_i} q^{-|k|}."""
+    r = _n1_rank(table)
     simple = build_root_system(r).simple_roots
-    out = LaurentPoly.zero(n)
-    for k, val in h_table(twist, 1).entries:
-        x = [sum(c * alpha[j] for c, alpha in zip(k, simple))
-             for j in range(r)]
-        out = out + (gauss_to_q_poly(val, r)
-                     * LaurentPoly.monomial(n, x + [0, -sum(k)]))
-    return out
+    acc = {}  # the simple roots are a basis: each k has its own x
+    for k, val in table.entries:  # at n = 1 no value holds a symbol
+        x = tuple(sum(c * alpha[j] for c, alpha in zip(k, simple))
+                  for j in range(r))
+        acc.update({x + (0, e - sum(k)): c for _, e, c in val.terms})
+    return LaurentPoly(ring_size(r), acc)
 
 
-def verify_euler_factor_identity(twist: LambdaTwist):
-    """The full identity: the coefficient generating function equals
+def verify_euler_factor_identity(table: HTable):
+    """The full identity: the generating function of the n = 1 table equals
     x^{L - rho} sp_lam(x) times the Euler-factor product."""
-    r = twist.rank
-    n = ring_size(r)
-    lhs = h_generating_function(twist)
-    lead = tuple(reversed(twist.partition)) + (0, 0)  # L - rho = lambda
-    rhs = (LaurentPoly.monomial(n, lead)
-           * character_gt(twist.partition, r)
+    lam = table.twist.partition
+    r = len(lam)
+    lhs = h_generating_function(table)
+    lead = lam[::-1] + (0, 0)  # L - rho = lambda
+    rhs = (LaurentPoly.monomial(ring_size(r), lead) * character_gt(lam, r)
            * euler_factor_product(r))
     diff = lhs - rhs
     return diff.is_zero(), diff
@@ -273,9 +262,9 @@ def euler_product_n1(m, bound: int) -> dict:
                 raise AssertionError(f"H(1; p^l) is not 1 at l = {l}")
             blocks[l] = block
         values = {}
-        for k, q_poly in blocks[l]:
+        for k, poly in blocks[l]:
             if all(p ** ki <= bound for ki in k):
-                num = q_poly.eval_at({qi: p})
+                num = poly.eval_at({qi: p})
                 if num.denominator != 1:
                     raise AssertionError("coefficient must be integral")
                 if num:

@@ -116,8 +116,8 @@ def cmd_hcoeff(args):
             _emit(",".join(str(x) for x in entry["k"]) + "," + val)
         return 0
     if args.numeric:
-        e = max((t[1] for _, v in table.entries for t in v.terms), default=0)
-        gauss.check_numeric_terms(len(table.entries), ctx, e)
+        values = [v for _, v in table.entries]
+        gauss.check_numeric_terms(len(values), ctx, values)
         entries = _with_numeric(entries, table, ctx)
     # the entry list goes one level deeper, between the head and the tail
     head, _, tail = _dump(table.to_json(entries=[])).rpartition("[]")
@@ -136,7 +136,8 @@ def _with_numeric(entries, table, ctx):
 
 
 def cmd_character(args):
-    from .chars import character_gt, check_pattern_count
+    from .chars import character_gt
+    from .roots import check_pattern_count
     twist = _parse_twist(args)
     check_pattern_count(twist.partition)
     poly = character_gt(twist.partition, args.rank)
@@ -226,11 +227,11 @@ def cmd_verify_gauss(args):
 
 
 def cmd_verify_cs(args):
-    from . import chars
-    twist = _twist(args)
+    from . import chars, coeffs
+    table = coeffs.h_table(_twist(args), 1)  # read by both table identities
     ok_a, diff_a = chars.verify_euler_bridge(args.rank)
-    ok_b, diff_b = chars.verify_euler_factor_identity(twist)
-    ok_t, bad = chars.verify_h_tilde(twist)
+    ok_b, diff_b = chars.verify_euler_factor_identity(table)
+    ok_t, bad = chars.verify_h_tilde(table)
     ok = ok_a and ok_b and ok_t
     return _verdict(ok, {"ok": ok,
                          "bridge_residual": diff_a.to_json(),

@@ -14,7 +14,7 @@ independent oracle for all symbolic values.
 import cmath
 from functools import cached_property, reduce
 from itertools import chain, islice, repeat
-from math import isqrt
+from math import inf, isqrt, sqrt
 from operator import add, mul
 
 from .record import Record
@@ -269,22 +269,32 @@ def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
     return total
 
 
-def check_numeric_terms(calls: int, ctx: ArithContext, q_exp=0) -> None:
+def check_numeric_terms(calls: int, ctx: ArithContext, values=()) -> None:
     """Refuse `calls` numeric_eval calls at ctx, before any sum, when their
     brute-force sums (n - 1 primitive sums of p terms each, per call) add
-    more than NUMERIC_TERMS_LIMIT terms, or when p^q_exp overflows a float."""
+    more than NUMERIC_TERMS_LIMIT terms, or when a term c q^e G[s_1]..G[s_j]
+    of `values` overflows a float: p^e, or its size |c| p^(e + j/2), as
+    each primitive sum has absolute value sqrt(p)."""
     terms = calls * (ctx.n - 1) * ctx.p
     if terms > NUMERIC_TERMS_LIMIT:
         raise OverflowError(f"numeric evaluation needs {terms} brute-force "
                             f"terms, above the limit 10^9")
+    raw = [t for v in values for t in v.terms]
+    q_exp = max((e for _, e, _ in raw), default=0)
+    p = float(ctx.p)
     try:
-        float(ctx.p) ** q_exp
+        p ** q_exp
     except OverflowError:
         raise OverflowError(f"p^e = {ctx.p}^{q_exp} overflows float") from None
+    for syms, e, c in raw:
+        if abs(c) * p ** e * sqrt(p) ** len(syms) == inf:
+            raise OverflowError(f"|c| p^(e + j/2) = {abs(c)} * {ctx.p}^"
+                                f"{e + len(syms) / 2:g} overflows float")
 
 
 def numeric_eval(value: GaussValue, ctx: ArithContext) -> complex:
-    """Substitute q -> p and G[s] -> the primitive brute-force sum."""
+    """Substitute q -> p and G[s] -> the primitive brute-force sum; a
+    result that is not finite is refused."""
     if value.n != ctx.n:
         raise ValueError("context degree does not match value")
     prim = {s: gauss_brute(s, 0, 1, ctx) for s in range(1, ctx.n)}
@@ -294,4 +304,6 @@ def numeric_eval(value: GaussValue, ctx: ArithContext) -> complex:
         for s in syms:
             term *= prim[s]
         total += term
+    if not cmath.isfinite(total):
+        raise OverflowError(f"numeric value at p = {ctx.p} is not finite")
     return total

@@ -17,9 +17,9 @@ of nonnegative integers, where consecutive rows interleave:
 of a b-row acts as the lower bound 0).
 """
 
+from collections import namedtuple
 from functools import cache
 from itertools import product
-from typing import NamedTuple
 
 from .record import Record
 from .roots import LambdaTwist, check_support
@@ -120,7 +120,7 @@ def pair_positions(r: int, i: int) -> tuple:
             + tuple(("a", i, j) for j in range(r, i, -1)))
 
 
-class EntryRecord(NamedTuple):
+class EntryRecord(namedtuple("EntryRecord", "pos is_min slack exp t")):
     """What the weight of one entry needs, read off its row pair.
 
     `slack` is the distance to the bound at which the entry is maximal:
@@ -130,11 +130,7 @@ class EntryRecord(NamedTuple):
     v_{i,r} + sum_{m>=j} (a_{i,m} - b_{i,m}) at an a-entry.  `t` is 2 at
     b_{i,r} and 1 elsewhere."""
 
-    pos: tuple
-    is_min: bool
-    slack: int
-    exp: int
-    t: int
+    __slots__ = ()
 
     @property
     def tag(self) -> str:

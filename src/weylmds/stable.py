@@ -59,9 +59,9 @@ def verify_stable_match(twist: LambdaTwist, n: int,
             continue
         equal.append((w, k, lhs, rhs))
     if ctx is not None:
-        # refused before the first sum when some p^e overflows a float
-        e = max((t[1] for *_, v in equal for t in v.terms), default=0)
-        check_numeric_terms(2 * len(equal), ctx, e)
+        # refused before the first sum when some term overflows a float
+        values = [v for *_, lhs, rhs in equal for v in (lhs, rhs)]
+        check_numeric_terms(len(values), ctx, values)
         for w, k, lhs, rhs in equal:
             a, b = numeric_eval(lhs, ctx), numeric_eval(rhs, ctx)
             scale = max(1.0, abs(a), abs(b))

@@ -11,12 +11,11 @@ from weylmds.chars import (character_gt, deformation_D, euler_product_n1,
                            h_tilde_table, hk_rhs, q_index, ring_size,
                            scale_x_by_t, t_index,
                            verify_deformation_identity, verify_euler_bridge,
-                           verify_euler_factor_identity, verify_h_tilde,
-                           weyl_dimension)
+                           verify_euler_factor_identity, verify_h_tilde)
 from weylmds.coeffs import h_table
 from weylmds.laurent import LaurentPoly
-from weylmds.patterns import LambdaTwist
-from weylmds.roots import WeylElement
+from weylmds.patterns import LambdaTwist, enumerate_patterns
+from weylmds.roots import WeylElement, weyl_dimension
 from weylmds.tableaux import standard_tableaux, tableau_stats
 
 from stable_lemmas import sign
@@ -160,14 +159,57 @@ def test_h_tilde_rank1():
     assert tilde[(0,)] == one
     assert tilde[(1,)] == one - qinv
     assert tilde[(2,)] == -qinv
-    ok, bad = verify_h_tilde(twist)
+    ok, bad = verify_h_tilde(h_table(twist, 1))
     assert ok and not bad
 
 
 def test_h_tilde_exhaustive_small():
     for l in [(0, 0), (1, 1), (0, 0, 0)]:
-        ok, bad = verify_h_tilde(LambdaTwist(l))
+        ok, bad = verify_h_tilde(h_table(LambdaTwist(l), 1))
         assert ok, (l, bad)
+
+
+def reduced_pattern_weight(P, r):
+    """Product over entries of the reduced factors 1, 1 - 1/q, -1/q for
+    minimal, generic, maximal entries (zero at the degenerate right-edge
+    coincidence)."""
+    n = ring_size(r)
+    one = LaurentPoly.const(n, 1)
+    qinv = LaurentPoly.variable(n, q_index(r), -1)
+    factors = {"minimal": one, "generic": one - qinv, "maximal": -qinv}
+    out = one
+    for e in P.records():
+        if e.is_min and not e.slack:
+            return LaurentPoly.zero(n)
+        out = out * factors[e.tag]
+    return out
+
+
+def is_degenerate(P):
+    return any(e.is_min and not e.slack for e in P.records())
+
+
+# every twist with entries <= 1 at ranks 1-3, and rank 4 at l = 0
+H_TILDE_GRID = [l for r in (1, 2, 3) for l in product((0, 1), repeat=r)]
+H_TILDE_GRID.append((0, 0, 0, 0))
+
+
+def test_h_tilde_table_equals_the_per_entry_product():
+    degenerate = {}
+    for l in H_TILDE_GRID:
+        twist = LambdaTwist(l)
+        r = twist.rank
+        zero = LaurentPoly.zero(ring_size(r))
+        oracle = {}
+        strict = list(enumerate_patterns(twist.top_row, strict=True))
+        for P in strict:
+            oracle[P.k_vec] = (oracle.get(P.k_vec, zero)
+                               + reduced_pattern_weight(P, r))
+        degenerate[l] = sum(map(is_degenerate, strict))
+        tilde = h_tilde_table(twist)
+        assert tilde == oracle, l  # the same keys, zero values included
+    # the zero weight of the degenerate coincidence is exercised
+    assert degenerate[(0, 0)] == 2 and degenerate[(0, 0, 0)] == 92
 
 
 def test_euler_bridge_small_ranks():
@@ -178,18 +220,26 @@ def test_euler_bridge_small_ranks():
 
 def test_euler_identity_rank1_hand_values():
     twist = LambdaTwist((0,))
-    gen = h_generating_function(twist)
+    gen = h_generating_function(h_table(twist, 1))
     # 1 - q^{-2s_1} written as 1 - x^2/q
     expected = LaurentPoly.const(3, 1) - _mono(1, (2,), q=-1)
     assert gen == expected
-    ok, diff = verify_euler_factor_identity(twist)
+    ok, diff = verify_euler_factor_identity(h_table(twist, 1))
     assert ok and diff.is_zero()
 
 
 def test_euler_identity_r2():
     for l in [(0, 0), (1, 0), (2, 1)]:
-        ok, diff = verify_euler_factor_identity(LambdaTwist(l))
+        ok, diff = verify_euler_factor_identity(h_table(LambdaTwist(l), 1))
         assert ok, l
+
+
+def test_n1_identities_refuse_a_table_of_another_degree():
+    table = h_table(LambdaTwist((1, 0)), 3)
+    for check in (verify_h_tilde, verify_euler_factor_identity,
+                  h_generating_function):
+        with pytest.raises(ValueError, match="n = 3"):
+            check(table)
 
 
 def test_gauss_to_q_poly_rejects_symbols():

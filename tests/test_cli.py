@@ -319,6 +319,49 @@ def test_verify_stable_float_overflow_refused_before_any_sum(capsys,
         assert err == f"error: p^e = {p}^{l} overflows float\n"
 
 
+def test_term_size_overflow_refused_with_the_gauss_sum_factor(capsys,
+                                                               monkeypatch):
+    # at k = (97,) the value is q^96 G[s]: 1609^96 is a float, but the term
+    # has size 1609^96.5, since |G[s]| = sqrt(p)
+    from weylmds import gauss, stable
+
+    def never(*args):
+        raise AssertionError("numeric_eval called")
+
+    monkeypatch.setattr(gauss, "numeric_eval", never)
+    monkeypatch.setattr(stable, "numeric_eval", never)
+    twist = ("--rank", "1", "--l", "96", "--n", "201", "--p", "1609")
+    for argv in (("hcoeff", *twist, "--numeric"), ("verify", "stable", *twist)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: |c| p^(e + j/2) = 1 * 1609^96.5 overflows "
+                       "float\n")
+
+
+def test_numeric_eval_refuses_a_value_that_is_not_finite():
+    from weylmds.gauss import ArithContext, GaussValue, numeric_eval
+    ctx = ArithContext(201, 1609)
+    assert numeric_eval(GaussValue.symbol(201, 2, 95), ctx) != 0
+    with pytest.raises(OverflowError, match="not finite"):
+        numeric_eval(GaussValue.symbol(201, 2, 96), ctx)
+
+
+def test_verify_cs_builds_one_table(capsys, monkeypatch):
+    from weylmds import chars, coeffs
+    calls = []
+
+    def counted(twist, n):
+        calls.append((twist.l, n))
+        return h_table(twist, n)
+
+    h_table = coeffs.h_table
+    monkeypatch.setattr(coeffs, "h_table", counted)
+    monkeypatch.setattr(chars, "h_table", counted)
+    code, out, err = run(capsys, "verify", "cs", "--rank", "2", "--l", "1,0")
+    assert (code, err) == (0, "") and json.loads(out)["ok"]
+    assert calls == [((1, 0), 1)]
+
+
 def test_zero_degree_is_not_absent(capsys):
     assert run(capsys, "verify", "gauss", "--n", "0")[0] == 2
     assert run(capsys, "verify", "gauss", "--n", "0", "--p", "7")[0] == 2
@@ -363,7 +406,7 @@ def test_oversized_enumeration_refused_up_front(capsys):
     # the character of lambda = 0 has one pattern and is not refused
     assert run(capsys, "character", "--rank", "5", "--l", "0,0,0,0,0")[0] == 0
     # the prediction is the count itself (criterion 7 checks ranks 1-3)
-    from weylmds.chars import weyl_dimension
+    from weylmds.roots import weyl_dimension
     code, out, _ = run(capsys, "patterns", "--rank", "4", "--l", "0,0,0,0",
                        "--count-only")
     assert code == 0 and out == "65536\n"

@@ -1,6 +1,6 @@
 """What a CLI process imports: each command loads only the package modules
-it runs, and none loads dataclasses, inspect or fractions; the package
-exports its names lazily."""
+it runs, and none loads dataclasses, inspect or fractions; patterns does not
+load typing; the package exports its names lazily."""
 
 import importlib
 import os
@@ -45,6 +45,15 @@ def test_command_loads_only_the_modules_it_runs(command):
     package = {name.split(".", 1)[1] for name in loaded
                if name.startswith("weylmds.")}
     assert package == COMMANDS[command] | {"cli", "record"}
+
+
+def test_patterns_loads_no_typing():
+    probe = ("import sys, weylmds.patterns; "
+             "print('typing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_exports_resolve_lazily_to_their_module_objects():
