@@ -114,15 +114,15 @@ def h_tilde_table(twist: LambdaTwist) -> dict:
     of the reduced entry factors 1, 1 - 1/q, -1/q at minimal, generic and
     maximal entries, that is t^{#maximal} (1 + t)^{#generic} at t = -1/q.
     A pattern with the degenerate coincidence (minimal at zero slack, see
-    coeffs.gamma_b) weighs zero but keeps its k as a key."""
+    coeffs.gamma_b) weighs zero but keeps its k as a key.  Each pattern's
+    counts are summed from its row pairs (GTPattern.classes)."""
     q_terms = {}  # k -> {q exponent: coefficient}
     classes = {}  # (k, #maximal, #generic) -> number of patterns
     for P in enumerate_patterns(twist.top_row, strict=True):
         q_terms.setdefault(P.k_vec, {})
-        tags = [e.tag if e.slack or not e.is_min else None
-                for e in P.records()]
-        if None not in tags:
-            key = P.k_vec, tags.count("maximal"), tags.count("generic")
+        m, g, degenerate = P.classes()
+        if not degenerate:
+            key = P.k_vec, m, g
             classes[key] = classes.get(key, 0) + 1
     for (k, m, g), mult in classes.items():
         for j, c in class_weight(m, g):  # t^j at t = -1/q

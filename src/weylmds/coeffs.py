@@ -12,7 +12,7 @@ character identities both hold (such patterns correspond to fillings that
 are not standard shifted tableaux).
 """
 
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 
 from .gauss import GaussValue, gauss_eval
 from .patterns import (EntryRecord, GTPattern, LambdaTwist,
@@ -35,7 +35,7 @@ def gamma_a(e: EntryRecord, n: int) -> GaussValue:
     return gauss_eval(e.t, e.exp + e.slack - 1, e.exp, n)
 
 
-@cache
+@lru_cache(maxsize=2 ** 14)
 def pair_G(r: int, i: int, above: tuple, b: tuple, below: tuple,
            n: int) -> GaussValue:
     """Product of the entry factors of row pair i, in pair_positions order,

@@ -18,8 +18,9 @@ of a b-row acts as the lower bound 0).
 """
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
+from operator import gt
 
 from .record import Record
 from .roots import LambdaTwist, check_support
@@ -65,6 +66,14 @@ class GTPattern(Record):
         """Every EntryRecord, pair by pair, lazily."""
         for i in range(1, self.rank + 1):
             yield from self.pair_records(i)
+
+    def classes(self) -> tuple:
+        """(#maximal, #generic, #degenerate) over every entry, summed from
+        pair_classes."""
+        r, a, b = self.rank, self.a, self.b
+        return tuple(map(sum, zip(*[
+            pair_classes(r, i, a[i - 1], b[i - 1], a[i] if i < r else ())
+            for i in range(1, r + 1)])))
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
@@ -156,13 +165,25 @@ def pair_entries(r: int, i: int, above, b, below):
         yield EntryRecord(pos, x == lo, hi - x, exp, 1)
 
 
+@lru_cache(maxsize=2 ** 14)
+def pair_classes(r: int, i: int, above, b, below) -> tuple:
+    """(#maximal, #generic, #degenerate) over the entries of row pair i, by
+    EntryRecord.tag, from the rows a_{i-1} (`above`), b_i and a_i (`below`).
+    A degenerate entry (minimal at zero slack, see coeffs) is tagged
+    maximal, so it is counted among the maximal entries too."""
+    entries = list(pair_entries(r, i, above, b, below))
+    tags = [e.tag for e in entries]
+    return (tags.count("maximal"), tags.count("generic"),
+            sum(e.is_min and not e.slack for e in entries))
+
+
 def is_strict(P: GTPattern) -> bool:
     """True iff every horizontal row strictly decreases."""
     return all(map(_decreasing, P.a + P.b))
 
 
 def _decreasing(row) -> bool:
-    return all(x > y for x, y in zip(row, row[1:]))
+    return all(map(gt, row, row[1:]))
 
 
 def pair_step(fold, top_m, s_above, s_b, s_below):

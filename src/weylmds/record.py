@@ -18,6 +18,14 @@ class Record:
             object.__setattr__(self, name, values[name])
         self.__post_init__()
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """Internal constructor for fields valid by construction: no arity
+        check and no __post_init__."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls._fields, values))
+        return obj
+
     def __post_init__(self):
         """Check or derive values once the fields are set."""
 

@@ -13,13 +13,38 @@ the boxes in tableau row j-i+1 with letters <= r-i+1, and b_{i,j} counts
 those with letters <= (r-i+1)'.
 """
 
+from bisect import bisect_right
+from functools import cached_property
+from itertools import repeat
+from operator import le, lt
+
 from .patterns import GTPattern, enumerate_patterns, is_strict
 from .record import Record
 
 
 def letter_key(value: int, barred: bool) -> int:
-    """Position of a letter in the alphabet order; barred sorts first."""
+    """Position of a letter in the alphabet order; barred sorts first.
+    The key is 2v - 1 for v' and 2v for v, so it is odd exactly when the
+    letter is barred."""
     return 2 * value - (1 if barred else 0)
+
+
+def _first_fault(k, below, top) -> str:
+    """The rule broken at the first box of a row that breaks one, read box
+    by box from the keys k of the row and those of the row below (which
+    starts one column further right); at each box the value, row, column
+    and diagonal rules are checked in that order."""
+    for j, x in enumerate(k):
+        for broken, text in (
+                (not 1 <= x <= top, "letter value out of range"),
+                (j + 1 < len(k) and k[j + 1] < x, "rows must weakly increase"),
+                (0 < j <= len(below) and below[j - 1] < x,
+                 "columns must weakly increase"),
+                (j < len(below) and below[j] <= x,
+                 "diagonals must strictly increase")):
+            if broken:
+                return text
+    raise AssertionError("the row breaks no fill rule")
 
 
 class ShiftedTableau(Record):
@@ -32,11 +57,11 @@ class ShiftedTableau(Record):
     def mu(self) -> tuple:
         return tuple(len(row) for row in self.rows)
 
-    def cells(self):
-        """(row, col, letter) triples with 1-based shifted coordinates."""
-        for R, row in enumerate(self.rows, start=1):
-            for off, letter in enumerate(row):
-                yield R, R + off, letter
+    @cached_property
+    def keys(self) -> tuple:
+        """The letter_key of every box, row by row."""
+        return tuple(tuple([letter_key(v, bar) for v, bar in row])
+                     for row in self.rows)
 
     def validate(self) -> None:
         """Check the fill rules; standardness is is_standard."""
@@ -45,20 +70,15 @@ class ShiftedTableau(Record):
             raise ValueError("tableau must have exactly r rows")
         if any(mu[k] <= mu[k + 1] for k in range(len(mu) - 1)) or mu[-1] < 1:
             raise ValueError("row lengths must strictly decrease")
-        grid = {(R, c): letter for R, c, letter in self.cells()}
-        for (R, c), (val, bar) in grid.items():
-            if not 1 <= val <= self.rank:
-                raise ValueError("letter value out of range")
-            k = letter_key(val, bar)
-            right = grid.get((R, c + 1))
-            if right is not None and letter_key(*right) < k:
-                raise ValueError("rows must weakly increase")
-            below = grid.get((R + 1, c))
-            if below is not None and letter_key(*below) < k:
-                raise ValueError("columns must weakly increase")
-            diag = grid.get((R + 1, c + 1))
-            if diag is not None and letter_key(*diag) <= k:
-                raise ValueError("diagonals must strictly increase")
+        keys, top = self.keys, 2 * self.rank
+        for k, below in zip(keys, keys[1:] + ((),)):
+            # row R + 1 starts one column right of row R; 1 <= key <= 2r
+            # exactly when 1 <= value <= r
+            if not (1 <= min(k) and max(k) <= top
+                    and all(map(le, k, k[1:]))
+                    and all(map(le, k[1:], below))
+                    and all(map(lt, k, below))):
+                raise ValueError(_first_fault(k, below, top))
 
     def is_standard(self) -> bool:
         """Row R starts with R' or R."""
@@ -115,7 +135,7 @@ def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
             row += [(val, True)] * (barred - len(row))
             row += [(val, False)] * (upto - barred)
         rows.append(tuple(row))
-    return ShiftedTableau(r, tuple(rows))
+    return ShiftedTableau._unchecked(r, tuple(rows))
 
 
 def standard_tableaux(top_row):
@@ -127,24 +147,24 @@ def standard_tableaux(top_row):
             yield S
 
 
+def _pattern_rows(S: ShiftedTableau) -> tuple:
+    """The rows (a, b) the counting rules read off a tableau that obeys the
+    fill rules: a_0 is the shape, a_{i,j} counts the letters <= r-i of row
+    j-i and b_{i,j} the letters <= (r-i+1)' of row j-i+1."""
+    r, keys = S.rank, S.keys
+    a = (S.mu,) + tuple(tuple(map(bisect_right, keys[:r - i],
+                                  repeat(letter_key(r - i, False))))
+                        for i in range(1, r))
+    b = tuple(tuple(map(bisect_right, keys[:r - i + 1],
+                        repeat(letter_key(r - i + 1, True))))
+              for i in range(1, r + 1))
+    return a, b
+
+
 def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
     """Read the counting rules backwards; inverse of tableau_from_pattern."""
     S.validate()
-    r = S.rank
-
-    def count(R, key):
-        if not 1 <= R <= r:
-            return 0
-        return sum(1 for x in S.rows[R - 1] if letter_key(*x) <= key)
-
-    a_rows = [tuple(len(row) for row in S.rows)]
-    for i in range(1, r):
-        a_rows.append(tuple(count(j - i, letter_key(r - i, False))
-                            for j in range(i + 1, r + 1)))
-    b_rows = [tuple(count(j - i + 1, letter_key(r - i + 1, True))
-                    for j in range(i, r + 1))
-              for i in range(1, r + 1)]
-    P = GTPattern(r, tuple(a_rows), tuple(b_rows))
+    P = GTPattern(S.rank, *_pattern_rows(S))
     if not is_strict(P):
         raise ValueError("tableau does not encode a strict pattern")
     return P
@@ -159,51 +179,49 @@ class TableauStats(Record):
     height: int      # sum over k of rows(k) - components(k) - rows(k')
 
 
-def _components(cells) -> int:
-    cells = set(cells)
-    comps = 0
-    while cells:
-        comps += 1
-        stack = [cells.pop()]
-        while stack:
-            R, c = stack.pop()
-            for nb in ((R + 1, c), (R - 1, c), (R, c + 1), (R, c - 1)):
-                if nb in cells:
-                    cells.remove(nb)
-                    stack.append(nb)
-    return comps
-
-
 def tableau_stats(S: ShiftedTableau) -> TableauStats:
-    by_letter = {}
-    for R, c, letter in S.cells():
-        by_letter.setdefault(letter, []).append((R, c))
+    """The statistics of a tableau that obeys the fill rules, read off the
+    runs of its rows: each letter fills one run of each row it is in, since
+    rows weakly increase.  Its runs in rows R and R + 1 join one component
+    exactly when their columns overlap; as diagonals strictly increase they
+    overlap in at most one column, so a letter's components are its runs
+    minus those joins, and rows(k) - components(k) is the joins of k."""
     wgt = [0] * S.rank
     str_total = barred = height = 0
-    for (val, bar), cells in by_letter.items():
-        comps = _components(cells)
-        rows = len({R for R, _ in cells})
-        str_total += comps
-        if bar:
-            wgt[val - 1] -= len(cells)
-            barred += len(cells)
-            height -= rows
-        else:
-            wgt[val - 1] += len(cells)
-            height += rows - comps
-    return TableauStats(tuple(wgt), str_total, barred, height)
+    above = {}
+    for R, k in enumerate(S.keys):
+        letters = list(dict.fromkeys(k))  # letter keys: odd when barred
+        starts = [R + k.index(x) for x in letters] + [R + len(k)]
+        runs = dict(zip(letters, zip(starts, starts[1:])))  # columns [lo, hi)
+        for x, (lo, hi) in runs.items():
+            up = above.get(x)
+            joined = up is not None and up[0] < hi and lo < up[1]
+            str_total += not joined
+            if x % 2:
+                wgt[x // 2] -= hi - lo
+                barred += hi - lo
+                height -= 1
+            else:
+                wgt[x // 2 - 1] += hi - lo
+                height += joined
+        above = runs
+    return TableauStats._unchecked(tuple(wgt), str_total, barred, height)
 
 
 def verify_tableau_stats(P: GTPattern) -> bool:
     """Entry-classification counts against the statistics of P's tableau:
-    #generic = str - r and #maximal = height + r(r+1)/2; the tableau must
-    also read back to P."""
+    #generic = str - r and #maximal = height + r(r+1)/2.  The tableau must
+    also obey the fill rules and read back to the rows of P; P is a valid
+    strict pattern, so equal rows are P."""
     S = tableau_from_pattern(P)
+    try:
+        S.validate()
+    except ValueError:
+        return False
     stats = tableau_stats(S)
-    tags = [e.tag for e in P.records()]
-    gen, mx = tags.count("generic"), tags.count("maximal")
+    mx, gen, _ = P.classes()
     r = P.rank
     return (gen == stats.str_total - r
             and mx == stats.height + r * (r + 1) // 2
             and stats.wgt == P.wgt
-            and pattern_from_tableau(S) == P)
+            and _pattern_rows(S) == (P.a, P.b))

@@ -101,6 +101,34 @@ def test_verify_suites_pass(capsys):
     assert run(capsys, "verify", "cs", "--rank", "2", "--l", "0,0")[0] == 0
 
 
+
+def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(capsys,
+                                                          monkeypatch):
+    # a mutant fill: the first two different letters of a row trade places
+    from weylmds import tableaux
+    from weylmds.patterns import GTPattern, enumerate_patterns
+    fill = tableaux.tableau_from_pattern
+
+    def swapped(P):
+        rows = list(fill(P).rows)
+        for R, row in enumerate(rows):
+            j = next((j for j in range(len(row) - 1) if row[j] != row[j + 1]),
+                     None)
+            if j is not None:
+                rows[R] = row[:j] + (row[j + 1], row[j]) + row[j + 2:]
+                break
+        return tableaux.ShiftedTableau(P.rank, tuple(rows))
+
+    monkeypatch.setattr(tableaux, "tableau_from_pattern", swapped)
+    code, out, err = run(capsys, "verify", "lemma4", "--rank", "2",
+                         "--l", "0,0")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    strict = list(enumerate_patterns((2, 1), strict=True))
+    broken = [P for P in strict if swapped(P) != fill(P)]
+    assert report["ok"] is False and (len(broken), len(strict)) == (9, 14)
+    assert [GTPattern.from_json(p) for p in report["failures"]] == broken
+
 def test_character_output(capsys):
     code, out, _ = run(capsys, "character", "--rank", "1", "--l", "1")
     assert code == 0

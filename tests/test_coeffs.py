@@ -8,7 +8,7 @@ from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, pair_G,
                             pattern_G, verify_k_sum)
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              is_strict)
+                              is_strict, pair_classes)
 
 from stable_lemmas import record
 from test_patterns import FIG1, bound_flags_long, u_long, v_long
@@ -164,6 +164,13 @@ def test_pair_G_is_zero_on_a_tie_in_any_of_its_rows():
                 if any(x == y for row in rows for x, y in zip(row, row[1:])):
                     assert pair_G(3, i, *rows, 1).is_zero()
                     assert pair_G(3, i, *rows, 3).is_zero()
+
+
+def test_row_pair_caches_are_bounded():
+    # one entry per distinct row triple: hcoeff --rank 1 --l 99999 meets
+    # 100,001 of them, and an unbounded cache holds every value to the end
+    assert pair_G.cache_info().maxsize == 2 ** 14
+    assert pair_classes.cache_info().maxsize == 2 ** 14
 
 
 @settings(max_examples=30, deadline=None)

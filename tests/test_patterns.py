@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              interleave_bounds, is_strict, pair_entries,
-                              pair_positions)
+                              interleave_bounds, is_strict, pair_classes,
+                              pair_entries, pair_positions)
 from weylmds.roots import WeylElement, support_vector
 
 from stable_lemmas import (is_stable, long_element, record,
@@ -251,6 +251,35 @@ def test_entry_records_match_the_definitions():
                         exp, is_min, is_max)
                     assert e.t == (2 if e.pos == ("b", i, r) else 1)
                     assert record(P, e.pos) == e
+
+
+def classes_long(records):
+    """Oracle: (#maximal, #generic, #degenerate) from the tag of every
+    record, a degenerate entry (minimal at zero slack) being tagged
+    maximal."""
+    records = list(records)
+    tags = [e.tag for e in records]
+    degenerate = [e for e in records if e.is_min and not e.slack]
+    assert all(e.tag == "maximal" for e in degenerate)
+    return tags.count("maximal"), tags.count("generic"), len(degenerate)
+
+
+def test_pair_classes_equal_the_per_record_tag_count():
+    tops = [(2, 1), (3, 1), (4, 2), (2, 2), (1, 0), (3, 2, 1), (4, 2, 1),
+            (3, 1, 0), (2, 2, 1), (1, 1, 1), (0, 0, 0)]
+    seen = set()  # (strict, class) of every class some pattern has
+    for top in tops:
+        r = len(top)
+        for P in enumerate_patterns(top):
+            below = P.a[1:] + ((),)
+            for i in range(1, r + 1):
+                assert (pair_classes(r, i, P.a[i - 1], P.b[i - 1],
+                                     below[i - 1])
+                        == classes_long(P.pair_records(i)))
+            counts = P.classes()
+            assert counts == classes_long(P.records())
+            seen |= {(is_strict(P), c) for c, x in enumerate(counts) if x}
+    assert len(seen) == 6
 
 
 def _rows(r, flat):

@@ -3,10 +3,12 @@ from itertools import combinations
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
-from weylmds.tableaux import (ShiftedTableau, pattern_from_tableau,
-                              tableau_from_pattern, tableau_stats,
-                              verify_tableau_stats)
+from weylmds.tableaux import (ShiftedTableau, TableauStats, letter_key,
+                              pattern_from_tableau, tableau_from_pattern,
+                              tableau_stats, verify_tableau_stats)
 
 from test_patterns import FIG1, a_entry, b_entry
 
@@ -34,6 +36,82 @@ def tableau_from_pattern_long(P):
     S = ShiftedTableau(r, tuple(rows))
     S.validate()
     return S
+
+
+def cells(S):
+    """(row, col, letter) triples with 1-based shifted coordinates."""
+    for R, row in enumerate(S.rows, start=1):
+        for off, letter in enumerate(row):
+            yield R, R + off, letter
+
+
+def validate_long(S):
+    """Oracle: the fill rules checked box by box on a grid of every cell,
+    in reading order."""
+    mu = S.mu
+    if len(mu) != S.rank:
+        raise ValueError("tableau must have exactly r rows")
+    if any(mu[k] <= mu[k + 1] for k in range(len(mu) - 1)) or mu[-1] < 1:
+        raise ValueError("row lengths must strictly decrease")
+    grid = {(R, c): letter for R, c, letter in cells(S)}
+    for (R, c), (val, bar) in grid.items():
+        if not 1 <= val <= S.rank:
+            raise ValueError("letter value out of range")
+        k = letter_key(val, bar)
+        right = grid.get((R, c + 1))
+        if right is not None and letter_key(*right) < k:
+            raise ValueError("rows must weakly increase")
+        below = grid.get((R + 1, c))
+        if below is not None and letter_key(*below) < k:
+            raise ValueError("columns must weakly increase")
+        diag = grid.get((R + 1, c + 1))
+        if diag is not None and letter_key(*diag) <= k:
+            raise ValueError("diagonals must strictly increase")
+
+
+def _components(cells) -> int:
+    cells = set(cells)
+    comps = 0
+    while cells:
+        comps += 1
+        stack = [cells.pop()]
+        while stack:
+            R, c = stack.pop()
+            for nb in ((R + 1, c), (R - 1, c), (R, c + 1), (R, c - 1)):
+                if nb in cells:
+                    cells.remove(nb)
+                    stack.append(nb)
+    return comps
+
+
+def tableau_stats_long(S):
+    """Oracle: each letter's components by a flood fill over its cells."""
+    by_letter = {}
+    for R, c, letter in cells(S):
+        by_letter.setdefault(letter, []).append((R, c))
+    wgt = [0] * S.rank
+    str_total = barred = height = 0
+    for (val, bar), cells_of in by_letter.items():
+        comps = _components(cells_of)
+        rows = len({R for R, _ in cells_of})
+        str_total += comps
+        if bar:
+            wgt[val - 1] -= len(cells_of)
+            barred += len(cells_of)
+            height -= rows
+        else:
+            wgt[val - 1] += len(cells_of)
+            height += rows - comps
+    return TableauStats(tuple(wgt), str_total, barred, height)
+
+
+def fault(check, S):
+    """The text of the ValueError check(S) raises, or None."""
+    try:
+        check(S)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 FIG1_ROWS = [["1_", "1", "1", "2", "3", "4", "4", "5", "5"],
@@ -137,6 +215,79 @@ def test_validation_catches_bad_fillings():
         unordered.validate()
     with pytest.raises(ValueError):
         pattern_from_tableau(unordered)
+    # each rule alone, and the first box in reading order names the rule
+    one, two = (1, False), (2, False)
+    cases = {
+        ((one, one), (one,)): "diagonals must strictly increase",
+        (((1, True), two), (one,)): "columns must weakly increase",
+        ((two, one), (two,)): "rows must weakly increase",
+        ((one, (3, False)), (two,)): "letter value out of range",
+        ((one, two, two), ((2, True), two)): "columns must weakly increase",
+        ((one, (1, True)), ((0, False),)): "rows must weakly increase",
+    }
+    for rows, text in cases.items():
+        S = ShiftedTableau(2, rows)
+        assert fault(ShiftedTableau.validate, S) == text
+        assert fault(validate_long, S) == text
+
+
+def positive_strict_patterns():
+    """Every strict pattern of every top row with positive entries, at most
+    5 at ranks 1-3 and at most 4 at rank 4."""
+    for r, most in ((1, 5), (2, 5), (3, 5), (4, 4)):
+        for top in combinations(range(most, 0, -1), r):
+            yield from enumerate_patterns(top, strict=True)
+
+
+def test_runs_and_row_keys_match_the_cell_oracles_exhaustively():
+    checked = 0
+    for P in positive_strict_patterns():
+        S = tableau_from_pattern(P)
+        S.validate()
+        validate_long(S)
+        assert tableau_stats(S) == tableau_stats_long(S)
+        checked += 1
+    assert checked == 52974
+
+
+SMALL_TABLEAUX = [tableau_from_pattern(P)
+                  for top in [(3,), (3, 1), (4, 2), (3, 2, 1), (4, 2, 1)]
+                  for P in enumerate_patterns(top, strict=True)]
+
+
+@st.composite
+def fillings(draw):
+    """A filling of a shifted shape, valid or not: a tableau of a strict
+    pattern with at most one box changed, or letters drawn at random into
+    rows of random lengths, each row sorted or not."""
+    if draw(st.booleans()):
+        S = draw(st.sampled_from(SMALL_TABLEAUX))
+        rows = [list(row) for row in S.rows]
+        if draw(st.booleans()):
+            R = draw(st.integers(0, S.rank - 1))
+            j = draw(st.integers(0, len(rows[R]) - 1))
+            rows[R][j] = (draw(st.integers(0, S.rank + 1)), draw(st.booleans()))
+        return ShiftedTableau(S.rank, tuple(map(tuple, rows)))
+    rank = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=rank - 1,
+                            max_size=rank + 1))
+    letter = st.tuples(st.integers(0, rank + 1), st.booleans())
+    rows = []
+    for m in lengths:
+        row = draw(st.lists(letter, min_size=m, max_size=m))
+        if draw(st.booleans()):
+            row.sort(key=lambda x: letter_key(*x))
+        rows.append(tuple(row))
+    return ShiftedTableau(rank, tuple(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fillings())
+def test_validation_and_runs_match_the_cell_oracles_on_random_fillings(S):
+    text = fault(validate_long, S)
+    assert fault(ShiftedTableau.validate, S) == text
+    if text is None:
+        assert tableau_stats(S) == tableau_stats_long(S)
 
 
 def test_text_rendering():
