@@ -228,65 +228,59 @@ def _ord(x: int, p: int) -> int:
     return e
 
 
-def euler_product_n1(m, bound: int) -> dict:
-    """The global table H(c; m) for all c with entries at most `bound`,
-    exactly.  H is multiplicative: H(c; m) is the product over the primes
+def euler_product_n1(m, bound: int):
+    """The global coefficients H(c; m) for all c with entries at most
+    `bound`, exactly, as (c, H) pairs in lexicographic order of c, zeros
+    skipped.  H is multiplicative: H(c; m) is the product over the primes
     p dividing some c_i of the local value H(p^k; p^l), with
-    k_i = ord_p(c_i) and l_i = ord_p(m_i).  One q-polynomial block per l
-    is evaluated once per prime.  The table has up to bound ** rank
-    entries, refused above 10^6, and each block is refused up front by
-    check_pattern_count."""
+    k_i = ord_p(c_i) and l_i = ord_p(m_i).  The table has up to
+    bound ** rank entries, refused above 10^6.  Each block is refused by
+    check_pattern_count, built once and checked before this returns."""
     m = tuple(m)
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ValueError("m entries must be positive integers")
     if bound < 1 or bound ** len(m) > 10 ** 6:
         raise ValueError("bound out of range")
     r = len(m)
-    qi = q_index(r)
     spf = _smallest_prime_factors(bound)
-    # every prime p <= bound divides some c and builds the block ord_p(m)
-    for l in sorted({tuple(_ord(mi, p) for mi in m)
-                     for p in range(2, bound + 1) if spf[p] == p}):
+    # every prime p <= bound divides some c and reads the block ord_p(m)
+    l_of = {p: tuple(_ord(mi, p) for mi in m)
+            for p in range(2, bound + 1) if spf[p] == p}
+    ls = sorted(set(l_of.values()))
+    for l in ls:
         check_pattern_count(LambdaTwist(l).top_row)
-    blocks = {}   # l -> [(k, q-polynomial H(p^k; p^l))]
-    local = {}    # p -> {k: H(p^k; p^l) at q = p, nonzero}
+    blocks = {l: h_table(LambdaTwist(l), 1).entries for l in ls}
+    for l, entries in blocks.items():
+        # the primes dividing no c_i are skipped below: each would
+        # multiply in H(1; p^l), which must therefore be 1
+        if dict(entries).get((0,) * r) != GaussValue.one(1):
+            raise AssertionError(f"H(1; p^l) is not 1 at l = {l}")
+        # a polynomial in q, with no symbol, is an integer at q = p
+        if any(syms or e < 0
+               for _, val in entries for syms, e, _ in val.terms):
+            raise AssertionError("coefficient must be integral")
+    local = {}  # p -> {k: H(p^k; p^l) at q = p, nonzero, p^k_i <= bound}
+    for p, l in l_of.items():
+        values = ((k, sum(c * p ** e for _, e, c in val.terms))
+                  for k, val in blocks[l] if all(p ** ki <= bound for ki in k))
+        local[p] = {k: v for k, v in values if v}
+    return _nonzero_products(r, bound, spf, local)
 
-    def local_values(p):
-        l = tuple(_ord(mi, p) for mi in m)
-        if l not in blocks:
-            block = [(k, gauss_to_q_poly(val, r))
-                     for k, val in h_table(LambdaTwist(l), 1).entries]
-            # the primes dividing no c_i are skipped below: each would
-            # multiply in H(1; p^l), which must therefore be 1
-            if dict(block).get((0,) * r) != 1:
-                raise AssertionError(f"H(1; p^l) is not 1 at l = {l}")
-            blocks[l] = block
-        values = {}
-        for k, poly in blocks[l]:
-            if all(p ** ki <= bound for ki in k):
-                num = poly.eval_at({qi: p})
-                if num.denominator != 1:
-                    raise AssertionError("coefficient must be integral")
-                if num:
-                    values[k] = num
-        return values
 
-    table = {}
+def _nonzero_products(r: int, bound: int, spf: list, local: dict):
+    """(c, prod over p | c of local[p][ord_p(c)]) in lexicographic order
+    of c in [1, bound]^r, zeros skipped; c_i is factored by its spf."""
     for c in product(range(1, bound + 1), repeat=r):
         k_of = {}   # p -> [ord_p(c_1), ..., ord_p(c_r)]
         for i, x in enumerate(c):
             while x > 1:
                 p = spf[x]
-                e = _ord(x, p)
-                x //= p ** e
-                k_of.setdefault(p, [0] * r)[i] = e
+                x //= p
+                k_of.setdefault(p, [0] * r)[i] += 1
         h = 1
         for p, k in k_of.items():
-            if p not in local:
-                local[p] = local_values(p)
             h *= local[p].get(tuple(k), 0)
             if not h:
                 break
         if h:
-            table[c] = h
-    return table
+            yield c, h

@@ -154,12 +154,12 @@ def cmd_euler(args):
     m = _parse_ints(args.m)
     if len(m) != args.rank:
         raise SystemExit2(f"--m must have {args.rank} entries")
-    table = sorted(euler_product_n1(m, args.bound).items())
+    entries = euler_product_n1(m, args.bound)
     if args.format == "csv":
-        for c, v in table:
+        for c, v in entries:
             _emit(",".join(map(str, c + (v,))))
         return 0
-    _emit_list({"c": list(c), "value": str(v)} for c, v in table)
+    _emit_list({"c": list(c), "value": str(v)} for c, v in entries)
     return 0
 
 

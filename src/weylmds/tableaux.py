@@ -140,11 +140,10 @@ def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
 
 def standard_tableaux(top_row):
     """The standard tableaux of shape top_row, read off the strict patterns
-    in canonical order."""
-    for P in enumerate_patterns(top_row, strict=True):
-        S = tableau_from_pattern(P)
-        if S.is_standard():
-            yield S
+    in canonical order: those with no degenerate entry (coeffs.gamma_b)."""
+    return (tableau_from_pattern(P)
+            for P in enumerate_patterns(top_row, strict=True)
+            if not P.classes()[2])
 
 
 def _pattern_rows(S: ShiftedTableau) -> tuple:

@@ -13,6 +13,7 @@ from weylmds.chars import (character_gt, deformation_D, euler_product_n1,
                            verify_deformation_identity, verify_euler_bridge,
                            verify_euler_factor_identity, verify_h_tilde)
 from weylmds.coeffs import h_table
+from weylmds.gauss import GaussValue
 from weylmds.laurent import LaurentPoly
 from weylmds.patterns import LambdaTwist, enumerate_patterns
 from weylmds.roots import WeylElement, weyl_dimension
@@ -243,19 +244,18 @@ def test_n1_identities_refuse_a_table_of_another_degree():
 
 
 def test_gauss_to_q_poly_rejects_symbols():
-    from weylmds.gauss import GaussValue
     with pytest.raises(ValueError):
         gauss_to_q_poly(GaussValue.symbol(3, 1), 1)
 
 
 def test_euler_product_trivial_m():
-    table = euler_product_n1((1, 1), 6)
+    table = dict(euler_product_n1((1, 1), 6))
     assert table[(1, 1)] == 1
 
 
 def test_euler_product_rank1_matches_tables():
     bound = 50
-    table = euler_product_n1((1,), bound)
+    table = dict(euler_product_n1((1,), bound))
     for p in (2, 3, 5, 7):
         block = h_table(LambdaTwist((0,)), 1)
         for k, val in block.entries:
@@ -266,7 +266,7 @@ def test_euler_product_rank1_matches_tables():
 
 
 def test_euler_product_multiplicative():
-    table = euler_product_n1((1,), 400)
+    table = dict(euler_product_n1((1,), 400))
     for c1, c2 in [(2, 3), (4, 25), (8, 9), (5, 49)]:
         assert table.get((c1 * c2,), 0) == \
             table.get((c1,), 0) * table.get((c2,), 0)
@@ -274,7 +274,7 @@ def test_euler_product_multiplicative():
 
 def test_euler_product_twisted_rank1():
     # at l = ord_p(m): support reaches k = l + 1 with value -p^l
-    table = euler_product_n1((4,), 40)
+    table = dict(euler_product_n1((4,), 40))
     assert table.get((2,), 0) == 1       # phi(2) at p = 2, l = 2
     assert table.get((4,), 0) == 2       # phi(4)
     assert table.get((8,), 0) == -4      # k = l + 1
@@ -321,9 +321,17 @@ def euler_product_n1_long(m, bound):
     ((1, 1), 30), ((4, 8), 20), ((6, 4), 40), ((9, 1), 28), ((2 * 37, 3), 25),
     ((1, 1, 1), 8), ((2, 1, 3), 10), ((4, 2, 1), 9), ((1, 1, 11), 7)])
 def test_euler_product_matches_per_prime_merge(m, bound):
-    table = euler_product_n1(m, bound)
+    table = dict(euler_product_n1(m, bound))
     assert table == euler_product_n1_long(m, bound)
     assert all(type(v) is int for v in table.values())
+
+
+@pytest.mark.parametrize("m, bound", [
+    ((12,), 1000), ((1, 1), 30), ((6, 4), 40), ((2, 1, 3), 10)])
+def test_euler_product_yields_nonzero_ints_in_lexicographic_order(m, bound):
+    keys, values = zip(*euler_product_n1(m, bound))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(type(v) is int and v for v in values)
 
 
 # rank 3 stays with the fixed cases above: a twist like (2,2,2) alone takes
@@ -336,7 +344,8 @@ def test_euler_product_matches_per_prime_merge_random(data):
     m = tuple(data.draw(st.lists(st.integers(1, m_max), min_size=rank,
                                  max_size=rank), label="m"))
     bound = data.draw(st.integers(1, bound_max), label="bound")
-    assert euler_product_n1(m, bound) == euler_product_n1_long(m, bound)
+    assert dict(euler_product_n1(m, bound)) == \
+        euler_product_n1_long(m, bound)
 
 
 def test_euler_product_refuses_block_without_unit_constant(monkeypatch,
@@ -353,3 +362,20 @@ def test_euler_product_refuses_block_without_unit_constant(monkeypatch,
     assert main(["euler", "--rank", "1", "--m", "1", "--bound", "10"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: internal check")
+
+
+@pytest.mark.parametrize("corrupt, text", [
+    (lambda k, v: v + v if not any(k) else v, "H\\(1; p\\^l\\) is not 1"),
+    # q^{-1} at k = 2, in the block l = 1 that p = 2 reads only up to k = 1
+    (lambda k, v: GaussValue.q_power(1, -1) if k == (2,) else v,
+     "coefficient must be integral")],
+    ids=["doubled-constant", "negative-q-exponent"])
+def test_euler_product_checks_every_block_before_any_entry(monkeypatch,
+                                                           corrupt, text):
+    def corrupted(twist, n):
+        return SimpleNamespace(entries=tuple(
+            (k, corrupt(k, v)) for k, v in h_table(twist, n).entries))
+
+    monkeypatch.setattr(chars, "h_table", corrupted)
+    with pytest.raises(AssertionError, match=text):
+        euler_product_n1((2,), 3)  # raised by the call: nothing is iterated

@@ -259,3 +259,24 @@ def test_h_table_support_inside_weight_multiset():
             vec = _weight_from_support(k, twist.L)
             # the weight multiset is symmetric under negation
             assert tuple(-x for x in vec) in weights
+
+
+def test_h_table_rank1_is_one_gauss_sum_at_every_odd_n():
+    # at rank 1, H(p^k; p^l) is g_2(p^l, p^k): below the stability bound
+    # too (l = 3 at n = 3, say), with no pattern product in the check
+    for l in range(12):
+        for n in range(1, 16, 2):
+            table = h_table(LambdaTwist((l,)), n)
+            for k in range(l + 4):
+                assert table.value((k,)) == gauss_eval(2, l, k, n), (l, n, k)
+
+
+@pytest.mark.parametrize("l, threshold", [
+    ((1, 0), 13), ((2, 1), 11), ((0, 0, 0), 13), ((1, 0, 0), 17)])
+def test_h_table_repeats_one_table_from_a_sharp_threshold_in_n(l, threshold):
+    def shape(n):
+        return [(k, v.terms) for k, v in h_table(LambdaTwist(l), n).entries]
+    stable = shape(threshold)
+    for n in (threshold + 2, threshold + 4, 79):
+        assert shape(n) == stable, n
+    assert shape(threshold - 2) != stable

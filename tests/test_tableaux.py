@@ -160,6 +160,9 @@ def test_fill_matches_per_box_oracle():
                         tableau_from_pattern_long(P)
                     continue
                 assert tableau_from_pattern(P) == tableau_from_pattern_long(P)
+                # standard_tableaux keeps the patterns with no degenerate entry
+                assert (P.classes()[2] == 0) == \
+                    tableau_from_pattern(P).is_standard()
                 checked += 1
     assert checked == 33955
 
