@@ -6,14 +6,14 @@ character identities."""
 from importlib import import_module
 
 _EXPORTS = {
-    "chars": "character_gt deformation_D euler_product_n1 h_tilde_table hk_rhs"
+    "chars": "character_gt deformation_D euler_product_n1 h_tilde_table"
              " verify_deformation_identity verify_euler_bridge"
              " verify_euler_factor_identity verify_h_tilde",
     "coeffs": "HTable gamma_a gamma_b h_table pattern_G verify_k_sum",
     "gauss": "ArithContext GaussValue gauss_brute gauss_eval numeric_eval",
     "laurent": "LaurentPoly",
     "patterns": "EntryRecord GTPattern enumerate_patterns interleave_bounds"
-                " is_strict pair_entries",
+                " is_strict pair_entries pair_sums",
     "roots": "LambdaTwist RootSystemC WeylElement build_root_system d_lambda"
              " phi_w stability_bound weyl_dimension",
     "stable": "h_stable k_of_weyl verify_stable_match",

@@ -8,13 +8,15 @@ Euler-factor identities are verified as exact polynomial equalities.
 
 from itertools import product
 from math import comb, isqrt
+from operator import add
 
 from .coeffs import HTable, h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
-from .patterns import LambdaTwist, enumerate_patterns
-from .roots import _check_partition, build_root_system, check_pattern_count
-from .tableaux import standard_tableaux, tableau_stats
+from .patterns import LambdaTwist, pair_classes, pair_sums, pair_weight
+from .roots import (_check_partition, build_root_system, check_pattern_count,
+                    support_vector)
+from .tableaux import pair_tableau_stats
 
 
 def ring_size(r: int) -> int:
@@ -30,13 +32,11 @@ def q_index(r: int) -> int:
 
 
 def character_gt(lam, r: int) -> LaurentPoly:
-    """Weight generating function over the pattern basis with top row lam."""
+    """Weight generating function over the pattern basis with top row lam,
+    each pattern's wgt summed from its row pairs (pair_weight)."""
     lam = _check_partition(lam, r)
-    acc = {}
-    for P in enumerate_patterns(lam):
-        e = P.wgt + (0, 0)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(ring_size(r), acc)
+    return LaurentPoly(ring_size(r), {wgt + (0, 0): count for wgt, count
+                                      in pair_sums(lam, pair_weight).items()})
 
 
 def deformation_D(r: int) -> LaurentPoly:
@@ -66,29 +66,45 @@ def class_weight(m: int, g: int):
     return [(m + j, comb(g, j)) for j in range(g + 1)]
 
 
-def hk_rhs(r: int, stats) -> LaurentPoly:
-    """sum over the statistics of the standard tableaux of
+def _standard_pair(r, i, above, b, below):
+    """(wgt, str, barred, height) of row pair i of a standard tableau; None
+    at a degenerate entry, whose tableau is not standard (coeffs.gamma_b)."""
+    if pair_classes(r, i, above, b, below)[2]:
+        return None
+    w, str_total, barred, height = pair_tableau_stats(r, i, above, b, below)
+    return (*[0] * (r - i), w, *[0] * (i - 1), str_total, barred, height)
+
+
+def tableau_classes(twist: LambdaTwist) -> dict:
+    """{(*wgt, str, barred, height): number of standard tableaux} over the
+    standard tableaux of shape twist.top_row, summed per row pair."""
+    return pair_sums(twist.top_row, _standard_pair, strict=True)
+
+
+def tableau_side(r: int, classes: dict) -> LaurentPoly:
+    """sum over the tableau classes of
     t^{height + r(r+1)/2} (1 + t)^{str - r} x^{wgt}."""
     offset = r * (r + 1) // 2
     acc = {}
-    for st in stats:
-        for j, c in class_weight(st.height + offset, st.str_total - r):
-            e = st.wgt + (j, 0)
-            acc[e] = acc.get(e, 0) + c
+    for (*wgt, str_total, _, height), count in classes.items():
+        for j, c in class_weight(height + offset, str_total - r):
+            e = (*wgt, j, 0)
+            acc[e] = acc.get(e, 0) + c * count
     return LaurentPoly(ring_size(r), acc)
 
 
 def verify_deformation_identity(twist: LambdaTwist):
     """D(t x; t) sp_lam(x) against the tableau statistic sum, plus the
-    weight-sum bridging identity for every tableau.  Returns
+    weight-sum bridging identity for every tableau class.  Returns
     (ok, difference polynomial)."""
     r = twist.rank
     offset = r * (r + 1) // 2
     fixed = offset + sum((r - i) * li for i, li in enumerate(twist.l))
-    stats = [tableau_stats(S) for S in standard_tableaux(twist.top_row)]
-    bridging = all(sum(st.wgt) == fixed - 2 * st.barred for st in stats)
+    classes = tableau_classes(twist)
+    bridging = all(sum(wgt) == fixed - 2 * barred
+                   for *wgt, _, barred, _ in classes)
     lhs = scale_x_by_t(deformation_D(r), r) * character_gt(twist.partition, r)
-    diff = lhs - hk_rhs(r, stats)
+    diff = lhs - tableau_side(r, classes)
     return (diff.is_zero() and bridging), diff
 
 
@@ -109,25 +125,30 @@ def gauss_to_q_poly(value: GaussValue, r: int) -> LaurentPoly:
     return q_poly(r, {e: c for _, e, c in value.terms})
 
 
+def _class_pair(r, i, above, b, below):
+    """(*wgt, #maximal, #generic, #degenerate) of row pair i."""
+    return (*pair_weight(r, i, above, b, below),
+            *pair_classes(r, i, above, b, below))
+
+
 def h_tilde_table(twist: LambdaTwist) -> dict:
     """Reduced coefficients: k -> sum over strict patterns of the product
     of the reduced entry factors 1, 1 - 1/q, -1/q at minimal, generic and
     maximal entries, that is t^{#maximal} (1 + t)^{#generic} at t = -1/q.
     A pattern with the degenerate coincidence (minimal at zero slack, see
-    coeffs.gamma_b) weighs zero but keeps its k as a key.  Each pattern's
-    counts are summed from its row pairs (GTPattern.classes)."""
+    coeffs.gamma_b) weighs zero but keeps its k as a key.  The patterns are
+    counted per (wgt, #maximal, #generic, #degenerate) class, summed from
+    their row pairs (pair_classes); k has lambda+rho + wgt = sum k_i alpha_i."""
+    r = twist.rank
     q_terms = {}  # k -> {q exponent: coefficient}
-    classes = {}  # (k, #maximal, #generic) -> number of patterns
-    for P in enumerate_patterns(twist.top_row, strict=True):
-        q_terms.setdefault(P.k_vec, {})
-        m, g, degenerate = P.classes()
+    for (*wgt, m, g, degenerate), count in pair_sums(
+            twist.top_row, _class_pair, strict=True).items():
+        k = support_vector(r, tuple(map(add, twist.L, wgt)))
+        terms = q_terms.setdefault(k, {})
         if not degenerate:
-            key = P.k_vec, m, g
-            classes[key] = classes.get(key, 0) + 1
-    for (k, m, g), mult in classes.items():
-        for j, c in class_weight(m, g):  # t^j at t = -1/q
-            q_terms[k][-j] = q_terms[k].get(-j, 0) + (-1) ** j * c * mult
-    return {k: q_poly(twist.rank, terms) for k, terms in q_terms.items()}
+            for j, c in class_weight(m, g):  # t^j at t = -1/q
+                terms[-j] = terms.get(-j, 0) + (-1) ** j * c * count
+    return {k: q_poly(r, terms) for k, terms in q_terms.items()}
 
 
 def _n1_rank(table: HTable) -> int:

@@ -20,7 +20,7 @@ of a b-row acts as the lower bound 0).
 from collections import namedtuple
 from functools import cache, lru_cache
 from itertools import product
-from operator import gt
+from operator import add, gt
 
 from .record import Record
 from .roots import LambdaTwist, check_support
@@ -202,18 +202,69 @@ def weight_and_support(fold):
     return wgt, check_support((c[0] // 2, *c[1:]))
 
 
+def pair_weight(r: int, i: int, above, b, below) -> tuple:
+    """wgt with only the slot of row pair i set: wgt_{r+1-i} =
+    s(a_{i-1}) - 2 s(b_i) + s(a_i), from the rows `above`, b and `below`."""
+    wgt = [0] * r
+    wgt[r - i] = sum(above) - 2 * sum(b) + sum(below)
+    return tuple(wgt)
+
+
+def _check_top(top_row) -> tuple:
+    top = tuple(top_row)
+    if any((not isinstance(x, int)) or x < 0 for x in top):
+        raise ValueError("top row entries must be nonnegative integers")
+    if any(top[k] < top[k + 1] for k in range(len(top) - 1)):
+        raise ValueError("top row must be sorted in decreasing order")
+    return top
+
+
+def rows_below(above, pad, strict=False):
+    """The rows that interleave with the row `above`, in descending lex
+    order (pad as in interleave_bounds); with `strict`, only those that
+    strictly decrease.  Below a one-entry b-row the only a-row is ()."""
+    rows = product(*[range(hi, lo - 1, -1)
+                     for hi, lo in interleave_bounds(above, pad)])
+    return filter(_decreasing, rows) if strict else rows
+
+
+def pair_sums(top_row, weigh, strict=False) -> dict:
+    """{summed statistic: number of patterns} over the patterns with the
+    given top row (with `strict`, those whose rows all strictly decrease),
+    without visiting a pattern.  `weigh(r, i, above, b, below)` gives the
+    statistic of row pair i as a tuple of ints, summed componentwise over
+    the pairs of a pattern, or None to drop the patterns through that pair.
+    The walk goes one row pair at a time; its state is the a-row that
+    closes the pair, mapped to {statistic so far: number of patterns}."""
+    top = _check_top(top_row)
+    r = len(top)
+    if strict and not _decreasing(top):
+        return {}
+    states = {top: {(): 1}}
+    for i in range(1, r + 1):
+        reached = {}
+        for above, sums in states.items():
+            for b in rows_below(above, (0,), strict):
+                for below in rows_below(b, (), strict):
+                    w = weigh(r, i, above, b, below)
+                    if w is None:
+                        continue
+                    acc = reached.setdefault(below, {})
+                    for s, count in sums.items():
+                        key = tuple(map(add, s, w)) if s else w  # pair 1
+                        acc[key] = acc.get(key, 0) + count
+        states = reached
+    return states.get((), {})
+
+
 def enumerate_patterns(top_row, strict=False):
     """Yield every pattern with the given weakly decreasing top row, exactly
     once, in canonical order (row-major, larger entries first); with
     `strict`, only those whose rows all strictly decrease, in that order.
     One loop walks a stack of row iterators b_1, a_1, .., a_{r-1} and carries
     the row sums, so each b_r yields a pattern with wgt and k_vec set."""
-    top = tuple(top_row)
+    top = _check_top(top_row)
     r = len(top)
-    if any((not isinstance(x, int)) or x < 0 for x in top):
-        raise ValueError("top row entries must be nonnegative integers")
-    if any(top[k] < top[k + 1] for k in range(r - 1)):
-        raise ValueError("top row must be sorted in decreasing order")
     if strict and not _decreasing(top):
         return
     new = GTPattern._unchecked
@@ -224,10 +275,7 @@ def enumerate_patterns(top_row, strict=False):
     while True:
         if d < last:  # descending-lex candidates for the row below
             d += 1
-            its[d] = product(*[range(hi, lo - 1, -1) for hi, lo in
-                               interleave_bounds(rows[d - 1], (0,) * (d % 2))])
-            if strict:
-                its[d] = filter(_decreasing, its[d])
+            its[d] = rows_below(rows[d - 1], (0,) * (d % 2), strict)
         else:  # b_r = (x,) closes pair r
             a, b = tuple(rows[0::2]), tuple(rows[1::2])
             for x in range(rows[d][-1], -1, -1):

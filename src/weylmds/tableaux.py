@@ -14,7 +14,7 @@ those with letters <= (r-i+1)'.
 """
 
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import le, lt
 
@@ -205,6 +205,36 @@ def tableau_stats(S: ShiftedTableau) -> TableauStats:
                 height += joined
         above = runs
     return TableauStats._unchecked(tuple(wgt), str_total, barred, height)
+
+
+@lru_cache(maxsize=2 ** 14)
+def pair_tableau_stats(r: int, i: int, above, b, below) -> tuple:
+    """(wgt slot, components, barred, height) of the letters v' and v,
+    v = r - i + 1, in the tableau of a strict pattern with row pair i =
+    (`above`, b, `below`); summed over the pairs, they are tableau_stats.
+    By the counting rules row m + 1 holds v' in the boxes below[m] ..
+    b[m] - 1 and v in b[m] .. above[m] - 1 (row v holds no smaller letter),
+    and the runs join as in tableau_stats."""
+    wgt = str_total = barred = height = 0
+    up = {}
+    for R, (upto_v, upto_bar, before) in enumerate(zip(above, b,
+                                                       (*below, 0))):
+        runs = {bar: (R + start, R + end)  # columns [start, end)
+                for bar, start, end in ((True, before, upto_bar),
+                                        (False, upto_bar, upto_v))
+                if start < end}
+        for bar, (start, end) in runs.items():
+            joined = bar in up and up[bar][0] < end and start < up[bar][1]
+            str_total += not joined
+            if bar:
+                wgt -= end - start
+                barred += end - start
+                height -= 1
+            else:
+                wgt += end - start
+                height += joined
+        up = runs
+    return wgt, str_total, barred, height
 
 
 def verify_tableau_stats(P: GTPattern) -> bool:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds import chars
-from weylmds.chars import (character_gt, deformation_D, euler_product_n1,
-                           gauss_to_q_poly, h_generating_function,
-                           h_tilde_table, hk_rhs, q_index, ring_size,
-                           scale_x_by_t, t_index,
-                           verify_deformation_identity, verify_euler_bridge,
-                           verify_euler_factor_identity, verify_h_tilde)
+from weylmds.chars import (character_gt, class_weight, deformation_D,
+                           euler_product_n1, gauss_to_q_poly,
+                           h_generating_function, h_tilde_table, q_index,
+                           ring_size, scale_x_by_t, t_index, tableau_classes,
+                           tableau_side, verify_deformation_identity,
+                           verify_euler_bridge, verify_euler_factor_identity,
+                           verify_h_tilde)
 from weylmds.coeffs import h_table
 from weylmds.gauss import GaussValue
 from weylmds.laurent import LaurentPoly
@@ -135,6 +136,18 @@ def test_scale_x_by_t():
     assert scale_x_by_t(t * q + 3, 2) == t * q + 3
 
 
+def hk_rhs(r, stats):
+    """Oracle: sum over the statistics of the standard tableaux, one
+    tableau at a time, of t^{height + r(r+1)/2} (1 + t)^{str - r} x^{wgt}."""
+    offset = r * (r + 1) // 2
+    acc = {}
+    for st in stats:
+        for j, c in class_weight(st.height + offset, st.str_total - r):
+            e = st.wgt + (j, 0)
+            acc[e] = acc.get(e, 0) + c
+    return LaurentPoly(ring_size(r), acc)
+
+
 def test_hk_rhs_rank1_matches_deformation():
     twist = LambdaTwist((0,))
     rhs = hk_rhs(1, [tableau_stats(S)
@@ -211,6 +224,14 @@ def test_h_tilde_table_equals_the_per_entry_product():
         assert tilde == oracle, l  # the same keys, zero values included
     # the zero weight of the degenerate coincidence is exercised
     assert degenerate[(0, 0)] == 2 and degenerate[(0, 0, 0)] == 92
+
+
+def test_tableau_side_equals_the_per_tableau_sum():
+    for l in H_TILDE_GRID:
+        twist = LambdaTwist(l)
+        r = twist.rank
+        stats = [tableau_stats(S) for S in standard_tableaux(twist.top_row)]
+        assert tableau_side(r, tableau_classes(twist)) == hk_rhs(r, stats), l
 
 
 def test_euler_bridge_small_ranks():

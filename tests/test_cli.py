@@ -374,6 +374,23 @@ def test_numeric_eval_refuses_a_value_that_is_not_finite():
         numeric_eval(GaussValue.symbol(201, 2, 96), ctx)
 
 
+def test_hamel_king_fails_on_a_wrong_tableau_height(capsys, monkeypatch):
+    # a mutant tableau side: the height of row pair 1 is one too high
+    from weylmds import chars
+    stats = chars.pair_tableau_stats
+
+    def off_by_one(r, i, above, b, below):
+        w, str_total, barred, height = stats(r, i, above, b, below)
+        return w, str_total, barred, height + (i == 1)
+
+    monkeypatch.setattr(chars, "pair_tableau_stats", off_by_one)
+    code, out, err = run(capsys, "verify", "hamel-king", "--rank", "3",
+                         "--l", "1,0,0")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["ok"] is False
+    assert report["residual"]
+
+
 def test_verify_cs_builds_one_table(capsys, monkeypatch):
     from weylmds import chars, coeffs
     calls = []

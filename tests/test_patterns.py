@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import (combinations, combinations_with_replacement, islice,
                        permutations, product)
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
                               interleave_bounds, is_strict, pair_classes,
-                              pair_entries, pair_positions)
-from weylmds.roots import WeylElement, support_vector
+                              pair_entries, pair_positions, pair_sums,
+                              pair_weight)
+from weylmds.roots import WeylElement, support_vector, weyl_dimension
 
 from stable_lemmas import (is_stable, long_element, record,
                            stable_pattern_for, weyl_from_stable)
@@ -476,4 +478,23 @@ def test_constructed_pattern_folds_the_same_weight_and_support():
             Q = GTPattern(P.rank, P.a, P.b)
             assert (Q.wgt, Q.k_vec) == (P.wgt, P.k_vec)
             assert vars(GTPattern.from_json(P.to_json())) == vars(P)
+
+
+# rank 4 stays at entries <= 3 (at most 13,728 patterns): the oracle
+# enumerates every pattern
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_sums_count_and_weigh_the_enumerated_patterns(data):
+    r = data.draw(st.integers(1, 4), label="rank")
+    most = {1: 9, 2: 6, 3: 4, 4: 3}[r]
+    top = tuple(sorted(data.draw(st.lists(st.integers(0, most), min_size=r,
+                                          max_size=r), label="top"),
+                       reverse=True))
+    strict = data.draw(st.booleans(), label="strict")
+    wgts = Counter(P.wgt for P in enumerate_patterns(top, strict))
+    counts = pair_sums(top, lambda *pair: (), strict)
+    assert sum(counts.values()) == sum(wgts.values())
+    if not strict:
+        assert counts == {(): weyl_dimension(top, r)}
+    assert pair_sums(top, pair_weight, strict) == wgts
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
 from weylmds.tableaux import (ShiftedTableau, TableauStats, letter_key,
-                              pattern_from_tableau, tableau_from_pattern,
-                              tableau_stats, verify_tableau_stats)
+                              pair_tableau_stats, pattern_from_tableau,
+                              tableau_from_pattern, tableau_stats,
+                              verify_tableau_stats)
 
 from test_patterns import FIG1, a_entry, b_entry
 
@@ -105,6 +106,18 @@ def tableau_stats_long(S):
     return TableauStats(tuple(wgt), str_total, barred, height)
 
 
+def summed_pair_stats(P):
+    """The TableauStats summed from pair_tableau_stats over P's row pairs."""
+    r = P.rank
+    wgt, str_total, barred, height = [0] * r, 0, 0, 0
+    for i in range(1, r + 1):
+        w, s, n, h = pair_tableau_stats(r, i, P.a[i - 1], P.b[i - 1],
+                                        P.a[i] if i < r else ())
+        wgt[r - i] = w
+        str_total, barred, height = str_total + s, barred + n, height + h
+    return TableauStats(tuple(wgt), str_total, barred, height)
+
+
 def fault(check, S):
     """The text of the ValueError check(S) raises, or None."""
     try:
@@ -160,6 +173,10 @@ def test_fill_matches_per_box_oracle():
                         tableau_from_pattern_long(P)
                     continue
                 assert tableau_from_pattern(P) == tableau_from_pattern_long(P)
+                # the per-pair statistics sum to the per-tableau ones,
+                # degenerate patterns included
+                assert summed_pair_stats(P) == \
+                    tableau_stats(tableau_from_pattern(P))
                 # standard_tableaux keeps the patterns with no degenerate entry
                 assert (P.classes()[2] == 0) == \
                     tableau_from_pattern(P).is_standard()
