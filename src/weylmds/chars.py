@@ -53,11 +53,32 @@ def deformation_D(r: int) -> LaurentPoly:
 
 
 def scale_x_by_t(poly: LaurentPoly, r: int) -> LaurentPoly:
-    """Substitute x_i -> t x_i for every x variable."""
+    """Substitute x_i -> t x_i for every x variable: x^e t^j q^k goes to
+    x^e t^{j + |e|} q^k, |e| the total x degree.  The map is injective on
+    exponent tuples, so no terms collect."""
     ti = t_index(r)
-    return poly.substitute(
-        {i: (1, tuple(int(k in (i, ti)) for k in range(ring_size(r))))
-         for i in range(r)})
+    out = {}
+    for e, c in poly.terms.items():
+        key = list(e)
+        key[ti] += sum(e[:r])
+        out[tuple(key)] = c
+    return LaurentPoly._of(poly.nvars, out)
+
+
+def minus_x_over_q(poly: LaurentPoly, r: int) -> LaurentPoly:
+    """Substitute x_i -> -x_i/q and t -> -1/q: x^e t^j q^k goes to
+    (-1)^{|e| + j} x^e q^{k - |e| - j}, |e| the total x degree.  Terms
+    that differ only in t and q can meet, so they collect."""
+    ti, qi = t_index(r), q_index(r)
+    out = {}
+    for e, c in poly.terms.items():
+        shift = sum(e[:r]) + e[ti]
+        key = list(e)
+        key[ti] = 0
+        key[qi] -= shift
+        key = tuple(key)
+        out[key] = out.get(key, 0) + (-c if shift % 2 else c)
+    return LaurentPoly(poly.nvars, out)
 
 
 def class_weight(m: int, g: int):
@@ -187,14 +208,9 @@ def euler_factor_product(r: int) -> LaurentPoly:
 def verify_euler_bridge(r: int):
     """x^rho D(-x/q; -1/q), where x^rho = x_1 x_2^2 ... x_r^r, equals the
     positive-root Euler product; exact in x and q."""
-    n = ring_size(r)
-    qi = q_index(r)
-    # x_i -> -x_i / q and t -> -1/q
-    mapping = {i: (-1, tuple(int(k == i) - (k == qi) for k in range(n)))
-               for i in range(r)}
-    mapping[t_index(r)] = (-1, tuple(-(k == qi) for k in range(n)))
-    lhs = (deformation_D(r).substitute(mapping)
-           * LaurentPoly.monomial(n, build_root_system(r).rho + (0, 0)))
+    lhs = (minus_x_over_q(deformation_D(r), r)
+           * LaurentPoly.monomial(ring_size(r),
+                                  build_root_system(r).rho + (0, 0)))
     diff = lhs - euler_factor_product(r)
     return diff.is_zero(), diff
 

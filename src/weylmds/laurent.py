@@ -3,9 +3,8 @@
 Terms are a map from integer exponent tuples (negative exponents allowed)
 to coefficients.  An integral coefficient is stored as an `int`; a
 `Fraction` appears only for a value that is not integral, such as an
-`exact_div` quotient or a negative power in `substitute`.  Zero
-coefficients are dropped, so equality is structural, and `1` and
-`Fraction(1)` build the same polynomial.
+`exact_div` quotient.  Zero coefficients are dropped, so equality is
+structural, and `1` and `Fraction(1)` build the same polynomial.
 """
 
 from fractions import Fraction
@@ -134,29 +133,7 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    # -- substitutions -------------------------------------------------
-    def substitute(self, mapping):
-        """Map variable idx -> (coeff, exponent tuple); unmapped variables
-        stay themselves.  Coefficients may be rational; negative powers of a
-        substituted monomial invert it."""
-        out = {}
-        for e, c in self.terms.items():
-            coeff = c
-            exps = [0] * self.nvars
-            for idx, power in enumerate(e):
-                if power == 0:
-                    continue
-                if idx in mapping:
-                    mc, mexp = mapping[idx]
-                    coeff = coeff * Fraction(mc) ** power
-                    for k, me in enumerate(mexp):
-                        exps[k] += me * power
-                else:
-                    exps[idx] += power
-            key = tuple(exps)
-            out[key] = out.get(key, 0) + coeff
-        return LaurentPoly(self.nvars, out)
-
+    # -- evaluation -----------------------------------------------------
     def eval_at(self, values):
         """Evaluate exactly, as an int when the value is integral;
         `values[idx]` (a Fraction or int) must be supplied for every

@@ -14,7 +14,7 @@ those with letters <= (r-i+1)'.
 """
 
 from bisect import bisect_right
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from operator import le, lt
 
@@ -207,7 +207,6 @@ def tableau_stats(S: ShiftedTableau) -> TableauStats:
     return TableauStats._unchecked(tuple(wgt), str_total, barred, height)
 
 
-@lru_cache(maxsize=2 ** 14)
 def pair_tableau_stats(r: int, i: int, above, b, below) -> tuple:
     """(wgt slot, components, barred, height) of the letters v' and v,
     v = r - i + 1, in the tableau of a strict pattern with row pair i =

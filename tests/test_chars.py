@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from weylmds import chars
 from weylmds.chars import (character_gt, class_weight, deformation_D,
                            euler_product_n1, gauss_to_q_poly,
-                           h_generating_function, h_tilde_table, q_index,
-                           ring_size, scale_x_by_t, t_index, tableau_classes,
+                           h_generating_function, h_tilde_table,
+                           minus_x_over_q, q_index, ring_size, scale_x_by_t,
+                           t_index, tableau_classes,
                            tableau_side, verify_deformation_identity,
                            verify_euler_bridge, verify_euler_factor_identity,
                            verify_h_tilde)
@@ -134,6 +135,75 @@ def test_scale_x_by_t():
     assert scale_x_by_t(p, 2) == (x0 ** 2 * t ** 2 + x0inv * tinv
                                   + Fraction(1, 2) * x0 * x1inv * q)
     assert scale_x_by_t(t * q + 3, 2) == t * q + 3
+
+
+def substitute_long(poly, mapping):
+    """Oracle: map variable idx -> (coeff, exponent tuple); unmapped
+    variables stay themselves.  Coefficients may be rational; negative
+    powers of a substituted monomial invert it."""
+    out = {}
+    for e, c in poly.terms.items():
+        coeff = c
+        exps = [0] * poly.nvars
+        for idx, power in enumerate(e):
+            if power == 0:
+                continue
+            if idx in mapping:
+                mc, mexp = mapping[idx]
+                coeff = coeff * Fraction(mc) ** power
+                for k, me in enumerate(mexp):
+                    exps[k] += me * power
+            else:
+                exps[idx] += power
+        key = tuple(exps)
+        out[key] = out.get(key, 0) + coeff
+    return LaurentPoly(poly.nvars, out)
+
+
+def scale_mapping(r):
+    """x_i -> t x_i."""
+    ti = t_index(r)
+    return {i: (1, tuple(int(k in (i, ti)) for k in range(ring_size(r))))
+            for i in range(r)}
+
+
+def bridge_mapping(r):
+    """x_i -> -x_i / q and t -> -1/q."""
+    n, qi = ring_size(r), q_index(r)
+    mapping = {i: (-1, tuple(int(k == i) - (k == qi) for k in range(n)))
+               for i in range(r)}
+    mapping[t_index(r)] = (-1, tuple(-(k == qi) for k in range(n)))
+    return mapping
+
+
+_coeff = st.one_of(st.integers(-5, 5),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exponent_maps_equal_the_substitution(data):
+    r = data.draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-3, 3)] * ring_size(r))
+    poly = LaurentPoly(ring_size(r),
+                       data.draw(st.dictionaries(exps, _coeff, max_size=8)))
+    for fast, mapping in ((scale_x_by_t, scale_mapping(r)),
+                          (minus_x_over_q, bridge_mapping(r))):
+        image = fast(poly, r)
+        assert image == substitute_long(poly, mapping)
+        assert all(type(c) is int or c.denominator != 1
+                   for c in image.terms.values())
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_exponent_maps_of_the_deformed_denominator(r):
+    D, D_long = deformation_D(r), deformation_D_long(r)
+    assert scale_x_by_t(D, r) == scale_x_by_t(D_long, r)
+    assert minus_x_over_q(D, r) == minus_x_over_q(D_long, r)
+    if r <= 4:  # the oracle takes 21 s on rank 5's 250,606 terms
+        assert scale_x_by_t(D, r) == substitute_long(D_long, scale_mapping(r))
+        assert minus_x_over_q(D, r) == substitute_long(D_long,
+                                                       bridge_mapping(r))
 
 
 def hk_rhs(r, stats):

@@ -391,6 +391,24 @@ def test_hamel_king_fails_on_a_wrong_tableau_height(capsys, monkeypatch):
     assert report["residual"]
 
 
+def test_cs_fails_on_a_bridge_map_without_the_t_sign(capsys, monkeypatch):
+    # a mutant bridge map: t -> 1/q instead of -1/q
+    from weylmds import chars
+    from weylmds.laurent import LaurentPoly
+    bridge = chars.minus_x_over_q
+
+    def t_sign_dropped(poly, r):
+        ti = chars.t_index(r)
+        flipped = {e: -c if e[ti] % 2 else c for e, c in poly.terms.items()}
+        return bridge(LaurentPoly(poly.nvars, flipped), r)
+
+    monkeypatch.setattr(chars, "minus_x_over_q", t_sign_dropped)
+    code, out, err = run(capsys, "verify", "cs", "--rank", "2", "--l", "0,0")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["ok"] is False
+    assert report["bridge_residual"]
+
+
 def test_verify_cs_builds_one_table(capsys, monkeypatch):
     from weylmds import chars, coeffs
     calls = []
