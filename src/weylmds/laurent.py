@@ -110,18 +110,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = LaurentPoly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.nvars, other)

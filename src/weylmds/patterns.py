@@ -23,7 +23,7 @@ from itertools import product
 from operator import add, gt
 
 from .record import Record
-from .roots import LambdaTwist, check_support
+from .roots import LambdaTwist, _check_partition, check_support
 
 
 class GTPattern(Record):
@@ -210,15 +210,6 @@ def pair_weight(r: int, i: int, above, b, below) -> tuple:
     return tuple(wgt)
 
 
-def _check_top(top_row) -> tuple:
-    top = tuple(top_row)
-    if any((not isinstance(x, int)) or x < 0 for x in top):
-        raise ValueError("top row entries must be nonnegative integers")
-    if any(top[k] < top[k + 1] for k in range(len(top) - 1)):
-        raise ValueError("top row must be sorted in decreasing order")
-    return top
-
-
 def rows_below(above, pad, strict=False):
     """The rows that interleave with the row `above`, in descending lex
     order (pad as in interleave_bounds); with `strict`, only those that
@@ -236,7 +227,7 @@ def pair_sums(top_row, weigh, strict=False) -> dict:
     the pairs of a pattern, or None to drop the patterns through that pair.
     The walk goes one row pair at a time; its state is the a-row that
     closes the pair, mapped to {statistic so far: number of patterns}."""
-    top = _check_top(top_row)
+    top = _check_partition(top_row, len(top_row))
     r = len(top)
     if strict and not _decreasing(top):
         return {}
@@ -263,7 +254,7 @@ def enumerate_patterns(top_row, strict=False):
     `strict`, only those whose rows all strictly decrease, in that order.
     One loop walks a stack of row iterators b_1, a_1, .., a_{r-1} and carries
     the row sums, so each b_r yields a pattern with wgt and k_vec set."""
-    top = _check_top(top_row)
+    top = _check_partition(top_row, len(top_row))
     r = len(top)
     if strict and not _decreasing(top):
         return

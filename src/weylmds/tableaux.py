@@ -6,15 +6,16 @@ occupying columns R .. R + mu_R - 1, filled from the ordered alphabet
 weakly increasing along rows and columns and strictly increasing along
 northwest-southeast diagonals.  Standardness additionally requires the
 diagonal entry of row R to be R' or R; fillings read off strict patterns
-always satisfy every other condition.
+always satisfy every other condition.  Each box holds the position of its
+letter in that order (letter_key); the letters themselves appear only in
+the JSON and text forms (render_letter, parse_letter).
 
 The correspondence with strict patterns: the pattern entry a_{i-1,j} counts
 the boxes in tableau row j-i+1 with letters <= r-i+1, and b_{i,j} counts
 those with letters <= (r-i+1)'.
 """
 
-from bisect import bisect_right
-from functools import cached_property
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 from operator import le, lt
 
@@ -48,7 +49,7 @@ def _first_fault(k, below, top) -> str:
 
 
 class ShiftedTableau(Record):
-    """rows[R-1] is a tuple of (value, barred) letters for row R."""
+    """rows[R-1] is the tuple of letter keys of row R."""
 
     rank: int
     rows: tuple
@@ -57,12 +58,6 @@ class ShiftedTableau(Record):
     def mu(self) -> tuple:
         return tuple(len(row) for row in self.rows)
 
-    @cached_property
-    def keys(self) -> tuple:
-        """The letter_key of every box, row by row."""
-        return tuple(tuple([letter_key(v, bar) for v, bar in row])
-                     for row in self.rows)
-
     def validate(self) -> None:
         """Check the fill rules; standardness is is_standard."""
         mu = self.mu
@@ -70,8 +65,8 @@ class ShiftedTableau(Record):
             raise ValueError("tableau must have exactly r rows")
         if any(mu[k] <= mu[k + 1] for k in range(len(mu) - 1)) or mu[-1] < 1:
             raise ValueError("row lengths must strictly decrease")
-        keys, top = self.keys, 2 * self.rank
-        for k, below in zip(keys, keys[1:] + ((),)):
+        rows, top = self.rows, 2 * self.rank
+        for k, below in zip(rows, rows[1:] + ((),)):
             # row R + 1 starts one column right of row R; 1 <= key <= 2r
             # exactly when 1 <= value <= r
             if not (1 <= min(k) and max(k) <= top
@@ -82,7 +77,7 @@ class ShiftedTableau(Record):
 
     def is_standard(self) -> bool:
         """Row R starts with R' or R."""
-        return all(letter_key(*row[0]) <= letter_key(R, False)
+        return all(row[0] <= 2 * R
                    for R, row in enumerate(self.rows, start=1))
 
     def to_json(self) -> dict:
@@ -106,15 +101,15 @@ class ShiftedTableau(Record):
         return "\n".join(lines)
 
 
-def render_letter(letter) -> str:
-    value, barred = letter
-    return f"{value}_" if barred else str(value)
+def render_letter(key: int) -> str:
+    value = (key + 1) // 2
+    return f"{value}_" if key % 2 else str(value)
 
 
-def parse_letter(s: str):
+def parse_letter(s: str) -> int:
     if s.endswith("_"):
-        return int(s[:-1]), True
-    return int(s), False
+        return letter_key(int(s[:-1]), True)
+    return letter_key(int(s), False)
 
 
 def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
@@ -132,8 +127,8 @@ def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
         row = []
         for val in range(R, r + 1):
             barred, upto = P.b[r - val][R - 1], P.a[r - val][R - 1]
-            row += [(val, True)] * (barred - len(row))
-            row += [(val, False)] * (upto - barred)
+            row += [2 * val - 1] * (barred - len(row))
+            row += [2 * val] * (upto - barred)
         rows.append(tuple(row))
     return ShiftedTableau._unchecked(r, tuple(rows))
 
@@ -150,11 +145,11 @@ def _pattern_rows(S: ShiftedTableau) -> tuple:
     """The rows (a, b) the counting rules read off a tableau that obeys the
     fill rules: a_0 is the shape, a_{i,j} counts the letters <= r-i of row
     j-i and b_{i,j} the letters <= (r-i+1)' of row j-i+1."""
-    r, keys = S.rank, S.keys
-    a = (S.mu,) + tuple(tuple(map(bisect_right, keys[:r - i],
+    r, rows = S.rank, S.rows
+    a = (S.mu,) + tuple(tuple(map(bisect_right, rows[:r - i],
                                   repeat(letter_key(r - i, False))))
                         for i in range(1, r))
-    b = tuple(tuple(map(bisect_right, keys[:r - i + 1],
+    b = tuple(tuple(map(bisect_right, rows[:r - i + 1],
                         repeat(letter_key(r - i + 1, True))))
               for i in range(1, r + 1))
     return a, b
@@ -178,25 +173,24 @@ class TableauStats(Record):
     height: int      # sum over k of rows(k) - components(k) - rows(k')
 
 
-def tableau_stats(S: ShiftedTableau) -> TableauStats:
-    """The statistics of a tableau that obeys the fill rules, read off the
-    runs of its rows: each letter fills one run of each row it is in, since
-    rows weakly increase.  Its runs in rows R and R + 1 join one component
-    exactly when their columns overlap; as diagonals strictly increase they
-    overlap in at most one column, so a letter's components are its runs
-    minus those joins, and rows(k) - components(k) is the joins of k."""
-    wgt = [0] * S.rank
+def _run_stats(r: int, rows) -> tuple:
+    """(wgt, str, barred, height) of the letters in `rows`, one dict
+    {letter key: (first column, end column)} of letter runs per tableau
+    row, top to bottom; wgt is a list over the values 1..r.  As rows weakly
+    increase, a letter fills one run of each row it is in.  Its runs in
+    rows R and R + 1 join one component exactly when their columns
+    overlap; as diagonals strictly increase they overlap in at most one
+    column, so a letter's components are its runs minus those joins, and
+    rows(k) - components(k) is the joins of k."""
+    wgt = [0] * r
     str_total = barred = height = 0
     above = {}
-    for R, k in enumerate(S.keys):
-        letters = list(dict.fromkeys(k))  # letter keys: odd when barred
-        starts = [R + k.index(x) for x in letters] + [R + len(k)]
-        runs = dict(zip(letters, zip(starts, starts[1:])))  # columns [lo, hi)
+    for runs in rows:
         for x, (lo, hi) in runs.items():
             up = above.get(x)
             joined = up is not None and up[0] < hi and lo < up[1]
             str_total += not joined
-            if x % 2:
+            if x % 2:  # barred
                 wgt[x // 2] -= hi - lo
                 barred += hi - lo
                 height -= 1
@@ -204,6 +198,15 @@ def tableau_stats(S: ShiftedTableau) -> TableauStats:
                 wgt[x // 2 - 1] += hi - lo
                 height += joined
         above = runs
+    return wgt, str_total, barred, height
+
+
+def tableau_stats(S: ShiftedTableau) -> TableauStats:
+    """The statistics of a tableau that obeys the fill rules, read off the
+    runs of its rows (_run_stats)."""
+    wgt, str_total, barred, height = _run_stats(S.rank, (
+        {x: (R + bisect_left(row, x), R + bisect_right(row, x))
+         for x in set(row)} for R, row in enumerate(S.rows)))
     return TableauStats._unchecked(tuple(wgt), str_total, barred, height)
 
 
@@ -213,27 +216,16 @@ def pair_tableau_stats(r: int, i: int, above, b, below) -> tuple:
     (`above`, b, `below`); summed over the pairs, they are tableau_stats.
     By the counting rules row m + 1 holds v' in the boxes below[m] ..
     b[m] - 1 and v in b[m] .. above[m] - 1 (row v holds no smaller letter),
-    and the runs join as in tableau_stats."""
-    wgt = str_total = barred = height = 0
-    up = {}
-    for R, (upto_v, upto_bar, before) in enumerate(zip(above, b,
-                                                       (*below, 0))):
-        runs = {bar: (R + start, R + end)  # columns [start, end)
-                for bar, start, end in ((True, before, upto_bar),
-                                        (False, upto_bar, upto_v))
-                if start < end}
-        for bar, (start, end) in runs.items():
-            joined = bar in up and up[bar][0] < end and start < up[bar][1]
-            str_total += not joined
-            if bar:
-                wgt -= end - start
-                barred += end - start
-                height -= 1
-            else:
-                wgt += end - start
-                height += joined
-        up = runs
-    return wgt, str_total, barred, height
+    and their runs join as in _run_stats."""
+    v = r - i + 1
+    rows = ({x: (R + start, R + end)
+             for x, start, end in ((2 * v - 1, before, upto_bar),
+                                   (2 * v, upto_bar, upto_v))
+             if start < end}
+            for R, (upto_v, upto_bar, before) in enumerate(zip(above, b,
+                                                               (*below, 0))))
+    wgt, str_total, barred, height = _run_stats(r, rows)
+    return wgt[v - 1], str_total, barred, height
 
 
 def verify_tableau_stats(P: GTPattern) -> bool:

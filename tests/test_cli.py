@@ -143,6 +143,8 @@ PINNED_STDOUT = {
         "a666beca595d44ea8702739c36eb7b02419436401ba04157c4d88f01152fb09b",
     ("tableaux", "--rank", "3", "--l", "1,0,0", "--format", "text"):
         "30f74c3185bd24d5ed7dff639f3143dcb4f09323cf298b9ab764f7ea911fc8d5",
+    ("tableaux", "--rank", "3", "--l", "2,1,0", "--format", "text"):
+        "cf956033f993bbfebb3ee3f7279e26281597d4cd2dae302d5ae1833b3ae86285",
     ("patterns", "--rank", "3", "--l", "1,0,0", "--format", "json"):
         "b5fc9fdfa49b15a72dbcf9d41f53830d0dd7cd4c0e803f807e8b8250aa1f47fb",
     ("patterns", "--rank", "3", "--l", "1,0,0", "--format", "json",
@@ -389,6 +391,24 @@ def test_hamel_king_fails_on_a_wrong_tableau_height(capsys, monkeypatch):
     report = json.loads(out)
     assert (code, err) == (1, "") and report["ok"] is False
     assert report["residual"]
+
+
+def test_lemma4_and_hamel_king_fail_when_runs_never_join(capsys,
+                                                         monkeypatch):
+    # a mutant run rule: an empty row between any two tableau rows, so no
+    # letter's run joins the run above it; both statistic readers fold
+    # their runs through it, and at (1,0,0) some letter's runs join
+    from weylmds import tableaux
+    run_stats = tableaux._run_stats
+
+    def never_joined(r, rows):
+        return run_stats(r, (runs for row in rows for runs in (row, {})))
+
+    monkeypatch.setattr(tableaux, "_run_stats", never_joined)
+    for target in ("lemma4", "hamel-king"):
+        code, out, err = run(capsys, "verify", target, "--rank", "3",
+                             "--l", "1,0,0")
+        assert (code, err) == (1, "") and json.loads(out)["ok"] is False
 
 
 def test_cs_fails_on_a_bridge_map_without_the_t_sign(capsys, monkeypatch):

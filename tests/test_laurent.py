@@ -15,7 +15,7 @@ def test_ring_operations():
     x, y = V(0), V(1)
     p = (x + y) * (x - y)
     assert p == x * x - y * y
-    assert (x + 1) ** 3 == x ** 3 + 3 * x * x + 3 * x + 1
+    assert (x + 1) * (x + 1) * (x + 1) == V(0, 3) + 3 * x * x + 3 * x + 1
     assert (p - p).is_zero()
 
 
@@ -27,7 +27,7 @@ def test_laurent_negative_exponents():
 
 def test_exact_division():
     x, y = V(0), V(1)
-    num = x ** 3 - y ** 3
+    num = V(0, 3) - V(1, 3)
     quot = num.exact_div(x - y)
     assert quot == x * x + x * y + y * y
     assert (quot * (x - y)) == num
@@ -81,7 +81,7 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + zero == a and a * one == a and (a - a).is_zero()
-    for p in (a + b, a - b, a * b, -c, a ** 2, 2 * a + Fraction(1, 2)):
+    for p in (a + b, a - b, a * b, -c, a * a, 2 * a + Fraction(1, 2)):
         assert _canonical(p)
 
 

@@ -164,6 +164,12 @@ def test_enumeration_rejects_increasing_top():
         list(enumerate_patterns((1, 2)))
 
 
+@pytest.mark.parametrize("top", [(1, 2), (2, -1)])
+def test_pair_sums_rejects_a_bad_top_row(top):
+    with pytest.raises(ValueError):
+        pair_sums(top, pair_weight)
+
+
 def test_figure1_pattern_is_valid_with_its_top_row():
     assert FIG1.top_row == (9, 6, 5, 3, 2)
     assert is_strict(FIG1)

@@ -27,8 +27,8 @@ CASES = [
     (lambda: GaussValue(3, (((1,), 0, 2),)), (3, (((1,), 0, 2),)),
      "GaussValue(n=3, terms=(((1,), 0, 2),))"),
     (lambda: ArithContext(3, 7), (3, 7, 3), "ArithContext(n=3, p=7, root=3)"),
-    (lambda: ShiftedTableau(1, (((1, False),),)), (1, (((1, False),),)),
-     "ShiftedTableau(rank=1, rows=(((1, False),),))"),
+    (lambda: ShiftedTableau(1, ((2,),)), (1, ((2,),)),
+     "ShiftedTableau(rank=1, rows=((2,),))"),
     (lambda: TableauStats((1,), 1, 0, 0), ((1,), 1, 0, 0),
      "TableauStats(wgt=(1,), str_total=1, barred=0, height=0)"),
 ]

@@ -34,16 +34,26 @@ def tableau_from_pattern_long(P):
             value, barred = divmod(pos, 2)
             row.append((value + 1, barred == 0))
         rows.append(tuple(row))
-    S = ShiftedTableau(r, tuple(rows))
+    S = ShiftedTableau(r, keyed(rows))
     S.validate()
     return S
+
+
+def keyed(rows):
+    """Rows of (value, barred) letters as the key rows of a ShiftedTableau."""
+    return tuple(tuple(letter_key(*x) for x in row) for row in rows)
+
+
+def letter_of(key):
+    """The (value, barred) letter of a letter key."""
+    return (key + 1) // 2, key % 2 == 1
 
 
 def cells(S):
     """(row, col, letter) triples with 1-based shifted coordinates."""
     for R, row in enumerate(S.rows, start=1):
-        for off, letter in enumerate(row):
-            yield R, R + off, letter
+        for off, key in enumerate(row):
+            yield R, R + off, letter_of(key)
 
 
 def validate_long(S):
@@ -151,10 +161,10 @@ def test_figure1_roundtrip_and_stats():
 def test_rank1_single_boxes():
     up = GTPattern(1, ((1,),), ((1,),))
     S = tableau_from_pattern(up)
-    assert S.rows == (((1, True),),)
+    assert S.rows == ((1,),)
     down = GTPattern(1, ((1,),), ((0,),))
     S2 = tableau_from_pattern(down)
-    assert S2.rows == (((1, False),),)
+    assert S2.rows == ((2,),)
     st = tableau_stats(S2)
     assert (st.str_total, st.barred, st.height) == (1, 0, 0)
 
@@ -227,10 +237,11 @@ def test_standardness_excludes_degenerate_patterns():
 
 
 def test_validation_catches_bad_fillings():
-    bad = ShiftedTableau(2, (((2, True), (2, False)), ((2, False),)))
+    bad = ShiftedTableau(2, keyed((((2, True), (2, False)), ((2, False),))))
     bad.validate()  # fill rules hold
     assert not bad.is_standard()  # row 1 must start with 1' or 1
-    unordered = ShiftedTableau(2, (((1, False), (1, True)), ((2, False),)))
+    unordered = ShiftedTableau(2, keyed((((1, False), (1, True)),
+                                         ((2, False),))))
     with pytest.raises(ValueError):
         unordered.validate()
     with pytest.raises(ValueError):
@@ -246,7 +257,7 @@ def test_validation_catches_bad_fillings():
         ((one, (1, True)), ((0, False),)): "rows must weakly increase",
     }
     for rows, text in cases.items():
-        S = ShiftedTableau(2, rows)
+        S = ShiftedTableau(2, keyed(rows))
         assert fault(ShiftedTableau.validate, S) == text
         assert fault(validate_long, S) == text
 
@@ -286,7 +297,8 @@ def fillings(draw):
         if draw(st.booleans()):
             R = draw(st.integers(0, S.rank - 1))
             j = draw(st.integers(0, len(rows[R]) - 1))
-            rows[R][j] = (draw(st.integers(0, S.rank + 1)), draw(st.booleans()))
+            rows[R][j] = letter_key(draw(st.integers(0, S.rank + 1)),
+                                    draw(st.booleans()))
         return ShiftedTableau(S.rank, tuple(map(tuple, rows)))
     rank = draw(st.integers(1, 4))
     lengths = draw(st.lists(st.integers(0, 6), min_size=rank - 1,
@@ -298,7 +310,7 @@ def fillings(draw):
         if draw(st.booleans()):
             row.sort(key=lambda x: letter_key(*x))
         rows.append(tuple(row))
-    return ShiftedTableau(rank, tuple(rows))
+    return ShiftedTableau(rank, keyed(rows))
 
 
 @settings(max_examples=400, deadline=None)
