@@ -6,7 +6,7 @@ character identities."""
 from importlib import import_module
 
 _EXPORTS = {
-    "chars": "character_gt deformation_D euler_product_n1 h_tilde_table"
+    "chars": "character_gt deformation_factors euler_product_n1 h_tilde_table"
              " verify_deformation_identity verify_euler_bridge"
              " verify_euler_factor_identity verify_h_tilde",
     "coeffs": "HTable gamma_a gamma_b h_table pattern_G verify_k_sum",

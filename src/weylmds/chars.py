@@ -6,9 +6,10 @@ functions over pattern enumerations.  The deformed-denominator and
 Euler-factor identities are verified as exact polynomial equalities.
 """
 
+from functools import reduce
 from itertools import product
 from math import comb, isqrt
-from operator import add
+from operator import add, mul
 
 from .coeffs import HTable, h_table
 from .gauss import GaussValue
@@ -39,17 +40,16 @@ def character_gt(lam, r: int) -> LaurentPoly:
                                       in pair_sums(lam, pair_weight).items()})
 
 
-def deformation_D(r: int) -> LaurentPoly:
-    """x^{rev rho} prod over positive roots alpha of (1 + t x^{-rev alpha}),
-    where rev reads x_1 .. x_r in reverse order: x_1^r x_2^{r-1} ... x_r
-    times (1 + t x_i^{-2}) and (1 + t x_i^{-1} x_j^{+-1}) for i < j."""
+def deformation_factors(r: int) -> list:
+    """The factors of Hamel-King's D(x; t): x^{rev rho}, then
+    (1 + t x^{-rev alpha}) per positive root alpha, where rev reads
+    x_1 .. x_r in reverse order: x_1^r x_2^{r-1} ... x_r, then
+    (1 + t x_i^{-2}) and (1 + t x_i^{-1} x_j^{+-1}) for i < j."""
     n = ring_size(r)
     rs = build_root_system(r)
-    out = LaurentPoly.monomial(n, rs.rho[::-1] + (0, 0))
-    for alpha in rs.positive_roots:
-        rev = tuple(-c for c in reversed(alpha))
-        out = out * (1 + LaurentPoly.monomial(n, rev + (1, 0)))
-    return out
+    return [LaurentPoly.monomial(n, rs.rho[::-1] + (0, 0))] + [
+        1 + LaurentPoly.monomial(n, tuple(-c for c in alpha[::-1]) + (1, 0))
+        for alpha in rs.positive_roots]
 
 
 def scale_x_by_t(poly: LaurentPoly, r: int) -> LaurentPoly:
@@ -115,16 +115,17 @@ def tableau_side(r: int, classes: dict) -> LaurentPoly:
 
 
 def verify_deformation_identity(twist: LambdaTwist):
-    """D(t x; t) sp_lam(x) against the tableau statistic sum, plus the
-    weight-sum bridging identity for every tableau class.  Returns
-    (ok, difference polynomial)."""
+    """D(t x; t) sp_lam(x), with sp_lam times each scaled factor of D in
+    turn, against the tableau statistic sum, plus the weight-sum bridging
+    identity for every tableau class.  Returns (ok, difference polynomial)."""
     r = twist.rank
     offset = r * (r + 1) // 2
     fixed = offset + sum((r - i) * li for i, li in enumerate(twist.l))
     classes = tableau_classes(twist)
     bridging = all(sum(wgt) == fixed - 2 * barred
                    for *wgt, _, barred, _ in classes)
-    lhs = scale_x_by_t(deformation_D(r), r) * character_gt(twist.partition, r)
+    lhs = reduce(mul, (scale_x_by_t(f, r) for f in deformation_factors(r)),
+                 character_gt(twist.partition, r))
     diff = lhs - tableau_side(r, classes)
     return (diff.is_zero() and bridging), diff
 
@@ -195,23 +196,22 @@ def verify_h_tilde(table: HTable):
 # Euler factors
 
 
-def euler_factor_product(r: int) -> LaurentPoly:
-    """prod over positive roots alpha of (1 - q^{-1} x^alpha); the simple
-    root x^{alpha_i} is the Satake monomial of q^{1-2s_i}."""
+def euler_factors(r: int) -> list:
+    """(1 - q^{-1} x^alpha) per positive root alpha; the simple root
+    x^{alpha_i} is the Satake monomial of q^{1-2s_i}."""
     n = ring_size(r)
-    out = LaurentPoly.const(n, 1)
-    for alpha in build_root_system(r).positive_roots:
-        out = out * (1 - LaurentPoly.monomial(n, alpha + (0, -1)))
-    return out
+    return [1 - LaurentPoly.monomial(n, alpha + (0, -1))
+            for alpha in build_root_system(r).positive_roots]
 
 
 def verify_euler_bridge(r: int):
     """x^rho D(-x/q; -1/q), where x^rho = x_1 x_2^2 ... x_r^r, equals the
-    positive-root Euler product; exact in x and q."""
-    lhs = (minus_x_over_q(deformation_D(r), r)
-           * LaurentPoly.monomial(ring_size(r),
-                                  build_root_system(r).rho + (0, 0)))
-    diff = lhs - euler_factor_product(r)
+    positive-root Euler product; exact in x and q.  Both sides are folded
+    over the factor lists that the two identities read."""
+    rho = LaurentPoly.monomial(ring_size(r), build_root_system(r).rho + (0, 0))
+    lhs = reduce(mul, (minus_x_over_q(f, r) for f in deformation_factors(r)),
+                 rho)
+    diff = lhs - reduce(mul, euler_factors(r))
     return diff.is_zero(), diff
 
 
@@ -230,13 +230,13 @@ def h_generating_function(table: HTable) -> LaurentPoly:
 
 def verify_euler_factor_identity(table: HTable):
     """The full identity: the generating function of the n = 1 table equals
-    x^{L - rho} sp_lam(x) times the Euler-factor product."""
+    x^{L - rho} sp_lam(x) times the Euler factors, folded in one at a time."""
     lam = table.twist.partition
     r = len(lam)
     lhs = h_generating_function(table)
     lead = lam[::-1] + (0, 0)  # L - rho = lambda
-    rhs = (LaurentPoly.monomial(ring_size(r), lead) * character_gt(lam, r)
-           * euler_factor_product(r))
+    sp = LaurentPoly.monomial(ring_size(r), lead) * character_gt(lam, r)
+    rhs = reduce(mul, euler_factors(r), sp)
     diff = lhs - rhs
     return diff.is_zero(), diff
 

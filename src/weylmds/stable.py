@@ -13,10 +13,18 @@ from .roots import (LambdaTwist, WeylElement, d_lambda, norm_sq, phi_w,
 REL_TOL = 1e-6
 
 
-def h_stable(w: WeylElement, twist: LambdaTwist, n: int) -> GaussValue:
-    """prod over inverted roots of g_{|alpha|^2}(p^{d-1}, p^{d})."""
+def _check_degree(twist: LambdaTwist, n: int) -> None:
+    """Refuse a degree the stable-case formula does not cover, with
+    h_table's refusal of a degree below 1 first."""
+    if n < 1:
+        raise ValueError("degree must be positive")
     if n % 2 == 0 or n < stability_bound(twist):
         raise ValueError("degree below the stability bound (or even)")
+
+
+def h_stable(w: WeylElement, twist: LambdaTwist, n: int) -> GaussValue:
+    """prod over inverted roots of g_{|alpha|^2}(p^{d-1}, p^{d})."""
+    _check_degree(twist, n)
     out = GaussValue.one(n)
     for alpha in phi_w(w):
         d = d_lambda(twist, alpha)
@@ -37,6 +45,7 @@ def verify_stable_match(twist: LambdaTwist, n: int,
     exactly the k(w).  With a context, both sides are also evaluated
     numerically, but only after they agree symbolically, so that comparison
     sees two equal values and does not check the table."""
+    _check_degree(twist, n)
     r = twist.rank
     table = h_table(twist, n)
     mismatches = []

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, permutations, product
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds import chars
-from weylmds.chars import (character_gt, class_weight, deformation_D,
-                           euler_product_n1, gauss_to_q_poly,
+from weylmds.chars import (character_gt, class_weight, deformation_factors,
+                           euler_factors, euler_product_n1, gauss_to_q_poly,
                            h_generating_function, h_tilde_table,
                            minus_x_over_q, q_index, ring_size, scale_x_by_t,
                            t_index, tableau_classes,
@@ -111,9 +113,41 @@ def deformation_D_long(r):
     return out
 
 
+def deformation_D(r):
+    """Hamel-King's deformed denominator, the fold of its factor list."""
+    return reduce(mul, deformation_factors(r))
+
+
 @pytest.mark.parametrize("r", range(1, 6))
 def test_deformation_D_equals_explicit_product(r):
     assert deformation_D(r) == deformation_D_long(r)
+
+
+def euler_factors_long(r):
+    """The positive-root Euler product written out from the roots:
+    prod (1 - q^{-1} x_i^2) prod_{i<j} (1 - q^{-1} x_j x_i^{-1})
+    (1 - q^{-1} x_j x_i)."""
+    one = LaurentPoly.const(ring_size(r), 1)
+
+    def qfactor(*exp_pairs):
+        mono = [0] * r
+        for i, p in exp_pairs:
+            mono[i - 1] += p
+        return one - _mono(r, mono, q=-1)
+
+    out = one
+    for i in range(1, r + 1):
+        out = out * qfactor((i, 2))
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            out = out * qfactor((j, 1), (i, -1)) * qfactor((j, 1), (i, 1))
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_euler_factors_fold_to_the_explicit_product(r):
+    assert len(euler_factors(r)) == r * r
+    assert reduce(mul, euler_factors(r)) == euler_factors_long(r)
 
 
 def test_deformation_examples():

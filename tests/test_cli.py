@@ -349,6 +349,27 @@ def test_verify_stable_float_overflow_refused_before_any_sum(capsys,
         assert err == f"error: p^e = {p}^{l} overflows float\n"
 
 
+def test_verify_stable_refuses_a_bad_degree_before_the_table(capsys,
+                                                             monkeypatch):
+    # rank 4 at l = (1,0,0,0) has stability bound 9 and 516,096 patterns;
+    # a bad --p is reported before the degree, and a degree below 1 with
+    # the text h_table gives it
+    from weylmds import stable
+
+    def never(*args):
+        raise AssertionError("h_table called")
+
+    monkeypatch.setattr(stable, "h_table", never)
+    twist = ("verify", "stable", "--rank", "4", "--l", "1,0,0,0")
+    for extra, text in (
+            (("--n", "3"), "degree below the stability bound (or even)"),
+            (("--n", "10"), "degree below the stability bound (or even)"),
+            (("--n", "0"), "degree must be positive"),
+            (("--n", "3", "--p", "8"), "8 is not prime")):
+        code, out, err = run(capsys, *twist, *extra)
+        assert (code, out, err) == (2, "", f"error: {text}\n"), extra
+
+
 def test_term_size_overflow_refused_with_the_gauss_sum_factor(capsys,
                                                                monkeypatch):
     # at k = (97,) the value is q^96 G[s]: 1609^96 is a float, but the term
@@ -427,6 +448,46 @@ def test_cs_fails_on_a_bridge_map_without_the_t_sign(capsys, monkeypatch):
     report = json.loads(out)
     assert (code, err) == (1, "") and report["ok"] is False
     assert report["bridge_residual"]
+    # the same bytes as when the bridge mapped D(x; t) multiplied out whole:
+    # the mutant map is a ring homomorphism too
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b07c1fb14ffcc8e9965d9457499189147a64a00d59c908dac97c993982ea5ce4")
+
+
+def test_identities_fail_on_a_deformed_denominator_without_a_factor(
+        capsys, monkeypatch):
+    # a mutant factor list: the binomial of the last positive root is gone;
+    # Hamel-King and the bridge both fold the list
+    from weylmds import chars
+    factors = chars.deformation_factors
+    monkeypatch.setattr(chars, "deformation_factors",
+                        lambda r: factors(r)[:-1])
+    code, out, err = run(capsys, "verify", "hamel-king", "--rank", "2",
+                         "--l", "1,1")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["ok"] is False
+    assert report["residual"]
+    code, out, err = run(capsys, "verify", "cs", "--rank", "2", "--l", "0,0")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["ok"] is False
+    assert report["bridge_residual"]
+
+
+def test_cs_fails_on_an_euler_factor_with_the_wrong_sign(capsys,
+                                                         monkeypatch):
+    # a mutant factor list: 1 + q^{-1} x^alpha at the first positive root
+    from weylmds import chars
+    factors = chars.euler_factors
+
+    def sign_flipped(r):
+        first, *rest = factors(r)
+        return [2 - first, *rest]
+
+    monkeypatch.setattr(chars, "euler_factors", sign_flipped)
+    code, out, err = run(capsys, "verify", "cs", "--rank", "2", "--l", "0,0")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["ok"] is False
+    assert report["full_residual"]
 
 
 def test_verify_cs_builds_one_table(capsys, monkeypatch):
