@@ -36,8 +36,14 @@ def character_gt(lam, r: int) -> LaurentPoly:
     """Weight generating function over the pattern basis with top row lam,
     each pattern's wgt summed from its row pairs (pair_weight)."""
     lam = _check_partition(lam, r)
-    return LaurentPoly(ring_size(r), {wgt + (0, 0): count for wgt, count
-                                      in pair_sums(lam, pair_weight).items()})
+    sums = pair_sums(lam, lambda r, i, *rows: _slot(r, i, pair_weight(*rows)))
+    return LaurentPoly(ring_size(r), {wgt + (0, 0): count
+                                      for wgt, count in sums.items()})
+
+
+def _slot(r, i, w) -> tuple:
+    """wgt with only the slot of row pair i, wgt_{r+1-i} = w, set."""
+    return (*[0] * (r - i), w, *[0] * (i - 1))
 
 
 def deformation_factors(r: int) -> list:
@@ -93,7 +99,7 @@ def _standard_pair(r, i, above, b, below):
     if pair_classes(r, i, above, b, below)[2]:
         return None
     w, str_total, barred, height = pair_tableau_stats(r, i, above, b, below)
-    return (*[0] * (r - i), w, *[0] * (i - 1), str_total, barred, height)
+    return (*_slot(r, i, w), str_total, barred, height)
 
 
 def tableau_classes(twist: LambdaTwist) -> dict:
@@ -149,7 +155,7 @@ def gauss_to_q_poly(value: GaussValue, r: int) -> LaurentPoly:
 
 def _class_pair(r, i, above, b, below):
     """(*wgt, #maximal, #generic, #degenerate) of row pair i."""
-    return (*pair_weight(r, i, above, b, below),
+    return (*_slot(r, i, pair_weight(above, b, below)),
             *pair_classes(r, i, above, b, below))
 
 

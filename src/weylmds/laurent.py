@@ -58,12 +58,6 @@ class LaurentPoly:
     def monomial(nvars, exps, coeff=1):
         return LaurentPoly(nvars, {tuple(exps): coeff})
 
-    @staticmethod
-    def variable(nvars, idx, power=1, coeff=1):
-        exps = [0] * nvars
-        exps[idx] = power
-        return LaurentPoly.monomial(nvars, exps, coeff)
-
     # -- ring operations ----------------------------------------------
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -120,22 +114,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    # -- evaluation -----------------------------------------------------
-    def eval_at(self, values):
-        """Evaluate exactly, as an int when the value is integral;
-        `values[idx]` (a Fraction or int) must be supplied for every
-        variable appearing with nonzero exponent."""
-        total = 0
-        for e, c in self.terms.items():
-            val = c
-            for idx, power in enumerate(e):
-                if power > 0:
-                    val *= values[idx] ** power
-                elif power:
-                    val *= Fraction(values[idx]) ** power
-            total += val
-        return _exact(total)
 
     # -- exact division -------------------------------------------------
     def exact_div(self, divisor):

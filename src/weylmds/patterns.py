@@ -19,18 +19,19 @@ of a b-row acts as the lower bound 0).
 
 from collections import namedtuple
 from functools import cache, lru_cache
-from itertools import product
+from itertools import count, product
 from operator import add, gt
 
 from .record import Record
-from .roots import LambdaTwist, _check_partition, check_support
+from .roots import (LambdaTwist, _check_partition, support_from_tails,
+                    support_vector)
 
 
 class GTPattern(Record):
     """Immutable pattern; `a` holds rows a_0..a_{r-1}, `b` holds b_1..b_r.
-    With the rows come the weight `wgt`, wgt_i = s(a_{r-i}) - 2 s(b_{r+1-i})
-    + s(a_{r+1-i}) (s the row sum, a_r empty), and the support vector
-    `k_vec`, lambda+rho + wgt = sum k_i alpha_i, both folded by pair_step."""
+    With the rows come the weight `wgt`, wgt_{r+1-i} the pair_weight of row
+    pair i, and the support vector `k_vec`, lambda+rho + wgt =
+    sum k_i alpha_i."""
 
     rank: int
     a: tuple
@@ -38,11 +39,10 @@ class GTPattern(Record):
 
     def __post_init__(self):
         validate_pattern(self)
-        sums = [sum(row) for pair in zip(self.a, self.b) for row in pair] + [0]
-        fold = ((), ())
-        for m, top_m in enumerate(self.a[0]):
-            fold = pair_step(fold, top_m, *sums[2 * m:2 * m + 3])
-        self.__dict__.update(zip(("wgt", "k_vec"), weight_and_support(fold)))
+        wgt = tuple(pair_weight(*pair) for pair in self.row_pairs())[::-1]
+        shifted = tuple(map(add, reversed(self.a[0]), wgt))  # lambda+rho+wgt
+        self.__dict__.update(wgt=wgt,
+                             k_vec=support_vector(self.rank, shifted))
 
     @classmethod
     def _unchecked(cls, rank, a, b, wgt, k_vec):
@@ -55,25 +55,21 @@ class GTPattern(Record):
     def top_row(self):
         return self.a[0]
 
-    def pair_records(self, i: int):
-        """The EntryRecords of row pair i, 1 <= i <= r, lazily."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"no row pair {i}")
-        below = self.a[i] if i < self.rank else ()
-        return pair_entries(self.rank, i, self.a[i - 1], self.b[i - 1], below)
+    def row_pairs(self):
+        """(a_{i-1}, b_i, a_i) for each row pair i = 1..r, with a_r = ()."""
+        return zip(self.a, self.b, (*self.a[1:], ()))
 
     def records(self):
         """Every EntryRecord, pair by pair, lazily."""
-        for i in range(1, self.rank + 1):
-            yield from self.pair_records(i)
+        for i, pair in enumerate(self.row_pairs(), 1):
+            yield from pair_entries(self.rank, i, *pair)
 
     def classes(self) -> tuple:
         """(#maximal, #generic, #degenerate) over every entry, summed from
         pair_classes."""
-        r, a, b = self.rank, self.a, self.b
         return tuple(map(sum, zip(*[
-            pair_classes(r, i, a[i - 1], b[i - 1], a[i] if i < r else ())
-            for i in range(1, r + 1)])))
+            pair_classes(self.rank, i, *pair)
+            for i, pair in enumerate(self.row_pairs(), 1)])))
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
@@ -102,13 +98,14 @@ def validate_pattern(P: GTPattern) -> None:
             raise ValueError("entries must be nonnegative integers")
         if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
             raise ValueError("rows must be weakly decreasing")
-    rows = [row for pair in zip(P.a, P.b) for row in pair]  # a_0, b_1, a_1..
-    for k in range(1, 2 * r):
-        pad = (0,) if k % 2 else ()  # rows[k] is a b-row for odd k
-        if any(not lo <= x <= hi for x, (hi, lo)
-               in zip(rows[k], interleave_bounds(rows[k - 1], pad))):
-            raise ValueError(f"row {k} below the top does not interleave "
-                             f"with the row above")
+    for i, (above, b, below) in enumerate(P.row_pairs(), 1):
+        # b_i is row 2i - 1 below the top, a_i row 2i
+        for k, row, over, pad in ((2 * i - 1, b, above, (0,)),
+                                  (2 * i, below, b, ())):
+            if any(not lo <= x <= hi for x, (hi, lo)
+                   in zip(row, interleave_bounds(over, pad))):
+                raise ValueError(f"row {k} below the top does not "
+                                 f"interleave with the row above")
 
 
 def interleave_bounds(above, pad) -> list:
@@ -186,37 +183,31 @@ def _decreasing(row) -> bool:
     return all(map(gt, row, row[1:]))
 
 
-def pair_step(fold, top_m, s_above, s_b, s_below):
-    """Fold row pair m into (wgt_{r+1-m}.., c_{r+1-m}..) from the row sums
-    s(a_{m-1}), s(b_m), s(a_m) (0 for m = r): c_i sums (lambda+rho + wgt)_j
-    over j >= i, and (lambda+rho)_{r+1-m} = a_{0,m}."""
-    wgt, c = fold
-    w = s_above - 2 * s_b + s_below
-    return (w, *wgt), (top_m + w + (c[0] if c else 0), *c)
+def pair_weight(above, b, below) -> int:
+    """wgt_{r+1-i} = s(a_{i-1}) - 2 s(b_i) + s(a_i) (s the row sum) of row
+    pair i, from the rows `above`, b and `below`."""
+    return sum(above) - 2 * sum(b) + sum(below)
 
 
-def weight_and_support(fold):
-    """(wgt, k_vec) from the fold of all r pairs: k_i = c_i, except that
-    k_1 = c_1 / 2 since alpha_1 = 2e_1 (roots.simple_coords)."""
-    wgt, c = fold
-    return wgt, check_support((c[0] // 2, *c[1:]))
+def pair_rows(above, strict=False):
+    """The rows (b_i, a_i) of a row pair below a_{i-1} = `above`, in
+    descending lex order; with `strict`, only rows that strictly decrease.
+    Below a one-entry b-row the only a-row is ()."""
+    def below(row, pad):  # pad as in interleave_bounds
+        rows = product(*[range(hi, lo - 1, -1)
+                         for hi, lo in interleave_bounds(row, pad)])
+        return filter(_decreasing, rows) if strict else rows
+
+    for b in below(above, (0,)):
+        for a in below(b, ()):
+            yield b, a
 
 
-def pair_weight(r: int, i: int, above, b, below) -> tuple:
-    """wgt with only the slot of row pair i set: wgt_{r+1-i} =
-    s(a_{i-1}) - 2 s(b_i) + s(a_i), from the rows `above`, b and `below`."""
-    wgt = [0] * r
-    wgt[r - i] = sum(above) - 2 * sum(b) + sum(below)
-    return tuple(wgt)
-
-
-def rows_below(above, pad, strict=False):
-    """The rows that interleave with the row `above`, in descending lex
-    order (pad as in interleave_bounds); with `strict`, only those that
-    strictly decrease.  Below a one-entry b-row the only a-row is ()."""
-    rows = product(*[range(hi, lo - 1, -1)
-                     for hi, lo in interleave_bounds(above, pad)])
-    return filter(_decreasing, rows) if strict else rows
+def _top_row(top_row, strict):
+    """The checked top row; None when `strict` and it does not strictly
+    decrease, so that no pattern lies below it."""
+    top = _check_partition(top_row, len(top_row))
+    return top if not strict or _decreasing(top) else None
 
 
 def pair_sums(top_row, weigh, strict=False) -> dict:
@@ -227,23 +218,22 @@ def pair_sums(top_row, weigh, strict=False) -> dict:
     the pairs of a pattern, or None to drop the patterns through that pair.
     The walk goes one row pair at a time; its state is the a-row that
     closes the pair, mapped to {statistic so far: number of patterns}."""
-    top = _check_partition(top_row, len(top_row))
-    r = len(top)
-    if strict and not _decreasing(top):
+    top = _top_row(top_row, strict)
+    if top is None:
         return {}
+    r = len(top)
     states = {top: {(): 1}}
     for i in range(1, r + 1):
         reached = {}
         for above, sums in states.items():
-            for b in rows_below(above, (0,), strict):
-                for below in rows_below(b, (), strict):
-                    w = weigh(r, i, above, b, below)
-                    if w is None:
-                        continue
-                    acc = reached.setdefault(below, {})
-                    for s, count in sums.items():
-                        key = tuple(map(add, s, w)) if s else w  # pair 1
-                        acc[key] = acc.get(key, 0) + count
+            for b, below in pair_rows(above, strict):
+                w = weigh(r, i, above, b, below)
+                if w is None:
+                    continue
+                acc = reached.setdefault(below, {})
+                for s, n in sums.items():
+                    key = tuple(map(add, s, w)) if s else w  # pair 1
+                    acc[key] = acc.get(key, 0) + n
         states = reached
     return states.get((), {})
 
@@ -252,31 +242,29 @@ def enumerate_patterns(top_row, strict=False):
     """Yield every pattern with the given weakly decreasing top row, exactly
     once, in canonical order (row-major, larger entries first); with
     `strict`, only those whose rows all strictly decrease, in that order.
-    One loop walks a stack of row iterators b_1, a_1, .., a_{r-1} and carries
-    the row sums, so each b_r yields a pattern with wgt and k_vec set."""
-    top = _check_partition(top_row, len(top_row))
-    r = len(top)
-    if strict and not _decreasing(top):
+    A depth-first walk takes one row pair per level from pair_rows and
+    carries wgt and the tail sums c_i = sum_{j>=i} (lambda+rho + wgt)_j, so
+    each pattern arrives with wgt and k_vec = support_from_tails(c) set."""
+    top = _top_row(top_row, strict)
+    if top is None:
         return
-    new = GTPattern._unchecked
-    last = 2 * r - 2  # the depth of a_{r-1} (a_0 at rank 1); b_m is at 2m-1
-    rows, sums = [top] * (last + 1), [sum(top)] * (last + 1)
-    its, folds = [None] * (last + 1), [((), ())] * r  # folds[m]: pairs 1..m
-    d = 0
-    while True:
-        if d < last:  # descending-lex candidates for the row below
-            d += 1
-            its[d] = rows_below(rows[d - 1], (0,) * (d % 2), strict)
-        else:  # b_r = (x,) closes pair r
-            a, b = tuple(rows[0::2]), tuple(rows[1::2])
-            for x in range(rows[d][-1], -1, -1):
-                fold = pair_step(folds[-1], top[-1], sums[d], x, 0)
-                yield new(r, a, (*b, (x,)), *weight_and_support(fold))
-        while d and (row := next(its[d], None)) is None:
-            d -= 1
-        if not d:
+    r, new = len(top), GTPattern._unchecked
+
+    def walk(a, b, wgt, c):
+        # pairs 1..m are set, and wgt and c hold their slots r+1-m..r
+        m, above = len(b), a[-1]
+        tail = top[m] + (c[0] if c else 0)  # c_{r-m} less wgt_{r-m}
+        if m < r - 1:
+            for b_i, a_i in pair_rows(above, strict):
+                w = pair_weight(above, b_i, a_i)
+                yield from walk((*a, a_i), (*b, b_i), (w, *wgt),
+                                (tail + w, *c))
             return
-        rows[d], sums[d] = row, sum(row)
-        if not d % 2:  # a_m closes pair m
-            m = d // 2
-            folds[m] = pair_step(folds[m - 1], top[m - 1], *sums[d - 2:d + 1])
+        # b_r = (x,) closes pair r; from x = a_{r-1,r} down, its weight
+        # (pair_weight at b_r = a_{r-1}) rises by 2 as x falls by 1
+        for x, w in zip(range(above[0], -1, -1),
+                        count(pair_weight(above, above, ()), 2)):
+            yield new(r, a, (*b, (x,)), (w, *wgt),
+                      support_from_tails((tail + w, *c)))
+
+    yield from walk((top,), (), (), ())

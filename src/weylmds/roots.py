@@ -8,7 +8,8 @@ under which short roots have squared length 1 and long roots 2.
 """
 
 from functools import cache, cached_property
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import sub
 
 from .record import Record
 
@@ -42,29 +43,24 @@ class RootSystemC(Record):
         return frozenset(self.positive_roots)
 
 
-def simple_coords(r: int, alpha):
-    """Solve alpha = c_1(2e_1) + sum_{i>=2} c_i(e_i - e_{i-1}) for integer c."""
-    c = [0] * r
-    for j in range(r - 1, 0, -1):
-        c[j] = alpha[j] + (c[j + 1] if j + 1 < r else 0)
-    t = alpha[0] + (c[1] if r > 1 else 0)
-    if t % 2:
-        raise ValueError(f"{alpha} is not in the root lattice of C_{r}")
-    c[0] = t // 2
-    return tuple(c)
+def support_from_tails(c):
+    """The k with sum k_i alpha_i equal to the weight whose tail sums
+    c_i = sum_{j>=i} weight_j are `c`: k_1 = c_1 / 2 since alpha_1 = 2e_1,
+    and k_i = c_i for i >= 2.  Refused when c_1 is odd (not in the root
+    lattice) and when k is negative, which no coefficient-table key is."""
+    if c[0] % 2:
+        weight = tuple(map(sub, c, (*c[1:], 0)))
+        raise ValueError(f"{weight} is not in the root lattice of C_{len(c)}")
+    k = (c[0] // 2, *c[1:])
+    if min(k) < 0:
+        raise AssertionError(f"negative support vector {k}")
+    return k
 
 
 def support_vector(r: int, weight):
     """The k with weight = sum k_i alpha_i, such as lambda+rho -
-    w(lambda+rho), refused when negative (see check_support)."""
-    return check_support(simple_coords(r, weight))
-
-
-def check_support(k):
-    """k; a coefficient-table key must not have a negative coordinate."""
-    if min(k) < 0:
-        raise AssertionError(f"negative support vector {k}")
-    return k
+    w(lambda+rho): support_from_tails of the weight's tail sums."""
+    return support_from_tails(tuple(accumulate(weight[::-1]))[::-1])
 
 
 @cache

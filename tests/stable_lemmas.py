@@ -11,7 +11,7 @@ root-system facts that only these checks read.  No command reaches them.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from weylmds.patterns import GTPattern, is_strict
+from weylmds.patterns import GTPattern, is_strict, pair_entries
 from weylmds.roots import (LambdaTwist, RootSystemC, WeylElement,
                            build_root_system, d_lambda, inner,
                            stability_bound)
@@ -94,9 +94,16 @@ def s_action(rs: RootSystemC, i: int, s):
     return tuple(out)
 
 
+def pair_records(P: GTPattern, i: int):
+    """The EntryRecords of row pair i of P, 1 <= i <= r, lazily."""
+    if not 1 <= i <= P.rank:
+        raise ValueError(f"no row pair {i}")
+    return pair_entries(P.rank, i, *list(P.row_pairs())[i - 1])
+
+
 def record(P: GTPattern, pos):
     """The EntryRecord of P at position (kind, i, j)."""
-    for e in P.pair_records(pos[1]):
+    for e in pair_records(P, pos[1]):
         if e.pos == pos:
             return e
     raise ValueError(f"no entry {pos}")
@@ -110,7 +117,7 @@ def is_stable(P: GTPattern) -> bool:
     if not is_strict(P):
         return False
     for i in range(1, P.rank + 1):
-        tags = [e.tag for e in P.pair_records(i)]
+        tags = [e.tag for e in pair_records(P, i)]
         m = tags.count("minimal")
         if tags != ["minimal"] * m + ["maximal"] * (len(tags) - m):
             return False
@@ -234,7 +241,7 @@ def maximal_count(P: GTPattern, i: int) -> int:
     """Number of maximal entries in rows b_{r+1-i} and a_{r+1-i} together."""
     if not is_stable(P):
         raise ValueError("pattern is not stable")
-    return sum(1 for e in P.pair_records(P.rank + 1 - i)
+    return sum(1 for e in pair_records(P, P.rank + 1 - i)
                if e.tag == "maximal")
 
 

@@ -24,6 +24,7 @@ from weylmds.roots import WeylElement, weyl_dimension
 from weylmds.tableaux import standard_tableaux, tableau_stats
 
 from stable_lemmas import sign
+from test_laurent import eval_at, variable
 
 
 def _mono(r, exps, coeff=1, t=0, q=0):
@@ -74,7 +75,7 @@ def test_character_dimension_at_one():
     for lam, r in [((2, 1), 2), ((1, 1, 0), 3), ((4, 4, 4), 3)]:
         c = character_gt(lam, r)
         ones = {i: Fraction(1) for i in range(ring_size(r))}
-        assert c.eval_at(ones) == weyl_dimension(lam, r)
+        assert eval_at(c, ones) == weyl_dimension(lam, r)
     assert weyl_dimension((2, 1), 2) == 16
 
 
@@ -158,13 +159,13 @@ def test_deformation_examples():
                      {e: c for e, c in r2.terms.items() if e[t_index(2)] == 0})
     assert t0 == _mono(2, (2, 1))
     vals = {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1), 3: Fraction(1)}
-    assert r2.eval_at(vals) == 0  # t = -1, x = 1 kills (1 + t)
+    assert eval_at(r2, vals) == 0  # t = -1, x = 1 kills (1 + t)
 
 
 def test_scale_x_by_t():
-    x0, x1, t, q = (LaurentPoly.variable(4, i) for i in range(4))
-    x0inv, x1inv = (LaurentPoly.variable(4, i, -1) for i in range(2))
-    tinv = LaurentPoly.variable(4, t_index(2), -1)
+    x0, x1, t, q = (variable(4, i) for i in range(4))
+    x0inv, x1inv = (variable(4, i, -1) for i in range(2))
+    tinv = variable(4, t_index(2), -1)
     p = x0 * x0 + x0inv + Fraction(1, 2) * x0 * x1inv * q
     assert scale_x_by_t(p, 2) == (x0 * x0 * t * t + x0inv * tinv
                                   + Fraction(1, 2) * x0 * x1inv * q)
@@ -273,7 +274,7 @@ def test_h_tilde_rank1():
     n = ring_size(1)
     qi = q_index(1)
     one = LaurentPoly.const(n, 1)
-    qinv = LaurentPoly.variable(n, qi, -1)
+    qinv = variable(n, qi, -1)
     assert tilde[(0,)] == one
     assert tilde[(1,)] == one - qinv
     assert tilde[(2,)] == -qinv
@@ -293,7 +294,7 @@ def reduced_pattern_weight(P, r):
     coincidence)."""
     n = ring_size(r)
     one = LaurentPoly.const(n, 1)
-    qinv = LaurentPoly.variable(n, q_index(r), -1)
+    qinv = variable(n, q_index(r), -1)
     factors = {"minimal": one, "generic": one - qinv, "maximal": -qinv}
     out = one
     for e in P.records():
@@ -386,7 +387,7 @@ def test_euler_product_rank1_matches_tables():
         for k, val in block.entries:
             c = p ** k[0]
             if c <= bound:
-                num = gauss_to_q_poly(val, 1).eval_at({2: Fraction(p)})
+                num = eval_at(gauss_to_q_poly(val, 1), {2: Fraction(p)})
                 assert table.get((c,), 0) == num, (p, k)
 
 
@@ -427,7 +428,7 @@ def euler_product_n1_long(m, bound):
         block = {}
         for k, val in h_table(LambdaTwist(tuple(l)), 1).entries:
             if all(p ** ki <= bound for ki in k):
-                num = gauss_to_q_poly(val, r).eval_at({q_index(r): p})
+                num = eval_at(gauss_to_q_poly(val, r), {q_index(r): p})
                 if num:
                     block[k] = num
         new = {}

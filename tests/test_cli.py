@@ -129,6 +129,20 @@ def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(capsys,
     assert report["ok"] is False and (len(broken), len(strict)) == (9, 14)
     assert [GTPattern.from_json(p) for p in report["failures"]] == broken
 
+
+def test_lemma3_fails_on_a_carried_support_vector_off_by_one(capsys,
+                                                             monkeypatch):
+    # a mutant change of basis in the enumeration: k_r one too large
+    from weylmds import patterns
+    tails = patterns.support_from_tails
+    monkeypatch.setattr(patterns, "support_from_tails",
+                        lambda c: (*tails(c)[:-1], tails(c)[-1] + 1))
+    code, out, err = run(capsys, "verify", "lemma3", "--rank", "3",
+                         "--l", "1,0,0")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["ok"] is False and report["failures"]
+
 def test_character_output(capsys):
     code, out, _ = run(capsys, "character", "--rank", "1", "--l", "1")
     assert code == 0

@@ -4,12 +4,25 @@ from itertools import product
 import pytest
 
 from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
-                           d_lambda, inner, norm_sq, phi_w, simple_coords,
-                           stability_bound, support_vector)
+                           d_lambda, inner, norm_sq, phi_w, stability_bound,
+                           support_vector)
 
 from stable_lemmas import (compose, d_lambda_fraction, fundamental_weights,
                            inv_pr_counts, inverse, long_element, s_action,
                            stability_min_n)
+
+
+def simple_coords(r: int, alpha):
+    """Oracle: solve alpha = c_1(2e_1) + sum_{i>=2} c_i(e_i - e_{i-1}) for
+    integer c, one coordinate at a time from the last."""
+    c = [0] * r
+    for j in range(r - 1, 0, -1):
+        c[j] = alpha[j] + (c[j + 1] if j + 1 < r else 0)
+    t = alpha[0] + (c[1] if r > 1 else 0)
+    if t % 2:
+        raise ValueError(f"{alpha} is not in the root lattice of C_{r}")
+    c[0] = t // 2
+    return tuple(c)
 
 
 def simple_reflection(alpha_i, beta):
@@ -234,7 +247,32 @@ def test_s_action_orbit_size():
 
 def test_support_vector_refuses_negative_coordinates():
     assert support_vector(2, (0, 2)) == (1, 2)  # alpha_1 + 2 alpha_2
-    with pytest.raises(AssertionError, match="negative support vector"):
+    with pytest.raises(AssertionError,
+                       match=r"^negative support vector \(-1, -2\)$"):
         support_vector(2, (0, -2))
+    with pytest.raises(ValueError,  # an odd first tail sum
+                       match=r"^\(1, 0, 2\) is not in the root lattice "
+                             r"of C_3$"):
+        support_vector(3, (1, 0, 2))
     with pytest.raises(ValueError):  # not in the root lattice
         support_vector(1, (1,))
+
+
+def test_support_vector_is_the_simple_root_solve():
+    # every weight in [-3, 3]^r: the solve where it is nonnegative, and a
+    # refusal with the solve's text (odd first tail sum) or a negative k
+    for r in range(1, 5):
+        for w in product(range(-3, 4), repeat=r):
+            try:
+                k = simple_coords(r, w)
+            except ValueError as err:
+                kind, text = ValueError, str(err)
+            else:
+                if min(k) >= 0:
+                    assert support_vector(r, w) == k, w
+                    continue
+                kind, text = AssertionError, f"negative support vector {k}"
+            with pytest.raises(kind) as refused:
+                support_vector(r, w)
+            assert str(refused.value) == text, w
+
