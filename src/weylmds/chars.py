@@ -6,8 +6,8 @@ functions over pattern enumerations.  The deformed-denominator and
 Euler-factor identities are verified as exact polynomial equalities.
 """
 
+from array import array
 from functools import reduce
-from itertools import product
 from math import comb, isqrt
 from operator import add, mul
 
@@ -140,19 +140,6 @@ def verify_deformation_identity(twist: LambdaTwist):
 # n = 1 reduction
 
 
-def q_poly(r: int, q_terms: dict) -> LaurentPoly:
-    """sum of c q^e over the q exponents e -> coefficients c."""
-    return LaurentPoly(ring_size(r),
-                       {(0,) * (r + 1) + (e,): c for e, c in q_terms.items()})
-
-
-def gauss_to_q_poly(value: GaussValue, r: int) -> LaurentPoly:
-    """A symbol-free value as a Laurent polynomial in q."""
-    if any(syms for syms, _, _ in value.terms):
-        raise ValueError("value still contains primitive symbols")
-    return q_poly(r, {e: c for _, e, c in value.terms})
-
-
 def _class_pair(r, i, above, b, below):
     """(*wgt, #maximal, #generic, #degenerate) of row pair i."""
     return (*_slot(r, i, pair_weight(above, b, below)),
@@ -160,23 +147,22 @@ def _class_pair(r, i, above, b, below):
 
 
 def h_tilde_table(twist: LambdaTwist) -> dict:
-    """Reduced coefficients: k -> sum over strict patterns of the product
-    of the reduced entry factors 1, 1 - 1/q, -1/q at minimal, generic and
-    maximal entries, that is t^{#maximal} (1 + t)^{#generic} at t = -1/q.
-    A pattern with the degenerate coincidence (minimal at zero slack, see
-    coeffs.gamma_b) weighs zero but keeps its k as a key.  The patterns are
-    counted per (wgt, #maximal, #generic, #degenerate) class, summed from
-    their row pairs (pair_classes); k has lambda+rho + wgt = sum k_i alpha_i."""
-    r = twist.rank
-    q_terms = {}  # k -> {q exponent: coefficient}
+    """Reduced coefficients as n = 1 Gauss values: k -> sum over strict
+    patterns of the product of the entry factors 1, 1 - 1/q, -1/q at minimal,
+    generic and maximal entries, t^#maximal (1 + t)^#generic at t = -1/q.  A
+    pattern with the degenerate coincidence (minimal at zero slack, see
+    coeffs.gamma_b) weighs zero but keeps its key k.  The patterns are counted
+    per (wgt, #maximal, #generic, #degenerate) class, summed from their row
+    pairs (pair_classes); lambda+rho + wgt = sum k_i alpha_i."""
+    raw = {}  # k -> {q exponent: coefficient}
     for (*wgt, m, g, degenerate), count in pair_sums(
             twist.top_row, _class_pair, strict=True).items():
-        k = support_vector(r, tuple(map(add, twist.L, wgt)))
-        terms = q_terms.setdefault(k, {})
-        if not degenerate:
-            for j, c in class_weight(m, g):  # t^j at t = -1/q
-                terms[-j] = terms.get(-j, 0) + (-1) ** j * c * count
-    return {k: q_poly(r, terms) for k, terms in q_terms.items()}
+        k = support_vector(twist.rank, tuple(map(add, twist.L, wgt)))
+        terms = raw.setdefault(k, {})
+        for j, c in [] if degenerate else class_weight(m, g):  # t = -1/q
+            terms[-j] = terms.get(-j, 0) + (-1) ** j * c * count
+    return {k: GaussValue._canonical(1, [((), e, c) for e, c in terms.items()])
+            for k, terms in raw.items()}
 
 
 def _n1_rank(table: HTable) -> int:
@@ -188,13 +174,13 @@ def _n1_rank(table: HTable) -> int:
 
 def verify_h_tilde(table: HTable):
     """H(p^k) = Htilde(p^k) q^{k_1 + ... + k_r} for every key of the n = 1
-    table or of Htilde."""
-    r = _n1_rank(table)
+    table or of Htilde, compared in the table's own ring."""
+    _n1_rank(table)
     tilde = h_tilde_table(table.twist)
-    zero = LaurentPoly.zero(ring_size(r))
+    zero = GaussValue.zero(1)
     bad = [k for k in sorted(set(table.keys()) | set(tilde))
-           if gauss_to_q_poly(table.value(k), r)
-           != tilde.get(k, zero) * q_poly(r, {sum(k): 1})]
+           if table.value(k)
+           != tilde.get(k, zero) * GaussValue.q_power(1, sum(k))]
     return not bad, bad
 
 
@@ -251,9 +237,9 @@ def verify_euler_factor_identity(table: HTable):
 # global coefficients at n = 1
 
 
-def _smallest_prime_factors(bound: int) -> list:
+def _smallest_prime_factors(bound: int) -> array:
     """spf[x] is the smallest prime factor of x, for 2 <= x <= bound."""
-    spf = list(range(bound + 1))
+    spf = array("l", range(bound + 1))
     for p in range(2, isqrt(bound) + 1):
         if spf[p] == p:
             for x in range(p * p, bound + 1, p):
@@ -310,12 +296,15 @@ def euler_product_n1(m, bound: int):
     return _nonzero_products(r, bound, spf, local)
 
 
-def _nonzero_products(r: int, bound: int, spf: list, local: dict):
+def _nonzero_products(r: int, bound: int, spf: array, local: dict):
     """(c, prod over p | c of local[p][ord_p(c)]) in lexicographic order
     of c in [1, bound]^r, zeros skipped; c_i is factored by its spf."""
-    for c in product(range(1, bound + 1), repeat=r):
+    for index in range(bound ** r):  # lazily: product() pools bound ints
+        c = [0] * r
         k_of = {}   # p -> [ord_p(c_1), ..., ord_p(c_r)]
-        for i, x in enumerate(c):
+        for i in reversed(range(r)):  # c_i - 1 is a base-bound digit
+            index, x = divmod(index, bound)
+            c[i] = x = x + 1
             while x > 1:
                 p = spf[x]
                 x //= p
@@ -326,4 +315,4 @@ def _nonzero_products(r: int, bound: int, spf: list, local: dict):
             if not h:
                 break
         if h:
-            yield c, h
+            yield tuple(c), h

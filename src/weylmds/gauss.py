@@ -1,11 +1,11 @@
 """Exact n-th power Gauss sums g_t(p^c, p^v) at a prime p.
 
-Values live in the ring Z[q] extended by formal symbols G[1]..G[n-1], where
-G[s] stands for the primitive sum over d mod p of chi^s(d) e^{2 pi i d / p}
-for a fixed multiplicative character chi of exact order n, and q stands for
-p itself.  The only simplification applied to symbol products is
-G[s] G[n-s] -> q (valid for odd n, where chi(-1) = 1); everything else stays
-formal.
+Values live in the ring Z[q, 1/q] extended by formal symbols G[1]..G[n-1],
+where G[s] stands for the primitive sum over d mod p of chi^s(d)
+e^{2 pi i d / p} for a fixed multiplicative character chi of exact order n,
+and q stands for p itself.  The only simplification applied to symbol
+products is G[s] G[n-s] -> q (valid for odd n, where chi(-1) = 1);
+everything else stays formal.
 
 A floating-point brute-force evaluator over Z/p^vZ doubles as an
 independent oracle for all symbolic values.
@@ -41,7 +41,8 @@ def _symbol_product(n: int, s1: tuple, s2: tuple):
 
 
 class GaussValue(Record):
-    """Canonical sum of terms coeff * q^e * G[s_1]...G[s_k] for a fixed n.
+    """Canonical sum of terms coeff * q^e * G[s_1]...G[s_k] for a fixed n,
+    where e may be negative, as in the reduced n = 1 table Htilde.
 
     Canonical by construction: only `symbol` and `from_json` read raw symbol
     indices, and they check them; every operation keeps the form."""

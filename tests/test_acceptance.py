@@ -8,9 +8,8 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from weylmds.chars import (gauss_to_q_poly, verify_deformation_identity,
-                           verify_euler_bridge, verify_euler_factor_identity,
-                           verify_h_tilde, q_index)
+from weylmds.chars import (verify_deformation_identity, verify_euler_bridge,
+                           verify_euler_factor_identity, verify_h_tilde)
 from weylmds.coeffs import h_table, verify_k_sum
 from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                            numeric_eval)

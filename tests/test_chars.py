@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylmds import chars
 from weylmds.chars import (character_gt, class_weight, deformation_factors,
-                           euler_factors, euler_product_n1, gauss_to_q_poly,
+                           euler_factors, euler_product_n1,
                            h_generating_function, h_tilde_table,
                            minus_x_over_q, q_index, ring_size, scale_x_by_t,
                            t_index, tableau_classes,
@@ -271,10 +271,8 @@ def test_deformation_identity_small():
 def test_h_tilde_rank1():
     twist = LambdaTwist((1,))
     tilde = h_tilde_table(twist)
-    n = ring_size(1)
-    qi = q_index(1)
-    one = LaurentPoly.const(n, 1)
-    qinv = variable(n, qi, -1)
+    one = GaussValue.one(1)
+    qinv = GaussValue.q_power(1, -1)
     assert tilde[(0,)] == one
     assert tilde[(1,)] == one - qinv
     assert tilde[(2,)] == -qinv
@@ -288,18 +286,17 @@ def test_h_tilde_exhaustive_small():
         assert ok, (l, bad)
 
 
-def reduced_pattern_weight(P, r):
+def reduced_pattern_weight(P):
     """Product over entries of the reduced factors 1, 1 - 1/q, -1/q for
     minimal, generic, maximal entries (zero at the degenerate right-edge
-    coincidence)."""
-    n = ring_size(r)
-    one = LaurentPoly.const(n, 1)
-    qinv = variable(n, q_index(r), -1)
+    coincidence), an n = 1 Gauss value."""
+    one = GaussValue.one(1)
+    qinv = GaussValue.q_power(1, -1)
     factors = {"minimal": one, "generic": one - qinv, "maximal": -qinv}
     out = one
     for e in P.records():
         if e.is_min and not e.slack:
-            return LaurentPoly.zero(n)
+            return GaussValue.zero(1)
         out = out * factors[e.tag]
     return out
 
@@ -317,13 +314,12 @@ def test_h_tilde_table_equals_the_per_entry_product():
     degenerate = {}
     for l in H_TILDE_GRID:
         twist = LambdaTwist(l)
-        r = twist.rank
-        zero = LaurentPoly.zero(ring_size(r))
+        zero = GaussValue.zero(1)
         oracle = {}
         strict = list(enumerate_patterns(twist.top_row, strict=True))
         for P in strict:
             oracle[P.k_vec] = (oracle.get(P.k_vec, zero)
-                               + reduced_pattern_weight(P, r))
+                               + reduced_pattern_weight(P))
         degenerate[l] = sum(map(is_degenerate, strict))
         tilde = h_tilde_table(twist)
         assert tilde == oracle, l  # the same keys, zero values included
@@ -367,6 +363,15 @@ def test_n1_identities_refuse_a_table_of_another_degree():
                   h_generating_function):
         with pytest.raises(ValueError, match="n = 3"):
             check(table)
+
+
+def gauss_to_q_poly(value: GaussValue, r: int) -> LaurentPoly:
+    """A symbol-free value as a Laurent polynomial in q, in the ring of the
+    rank-r identities."""
+    if any(syms for syms, _, _ in value.terms):
+        raise ValueError("value still contains primitive symbols")
+    return LaurentPoly(ring_size(r), {(0,) * (r + 1) + (e,): c
+                                      for _, e, c in value.terms})
 
 
 def test_gauss_to_q_poly_rejects_symbols():

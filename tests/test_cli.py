@@ -504,6 +504,21 @@ def test_cs_fails_on_an_euler_factor_with_the_wrong_sign(capsys,
     assert report["full_residual"]
 
 
+def test_cs_fails_on_a_reduced_table_that_weighs_degenerate_patterns(
+        capsys, monkeypatch):
+    # a mutant class count whose degenerate count reads 0: the patterns with
+    # the degenerate coincidence weigh t^m (1 + t)^g in Htilde, not zero
+    from weylmds import chars
+    class_pair = chars._class_pair
+    monkeypatch.setattr(chars, "_class_pair",
+                        lambda *pair: (*class_pair(*pair)[:-1], 0))
+    code, out, err = run(capsys, "verify", "cs", "--rank", "2", "--l", "0,0")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["ok"] is False
+    assert report["reduced_table_failures"] == [[1, 1], [2, 3]]
+    assert not report["bridge_residual"] and not report["full_residual"]
+
+
 def test_verify_cs_builds_one_table(capsys, monkeypatch):
     from weylmds import chars, coeffs
     calls = []

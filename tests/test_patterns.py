@@ -166,12 +166,13 @@ def test_enumeration_is_descending_lex_and_deterministic():
     assert run1 == run2 == sorted(run1, reverse=True)
 
 
-def test_enumeration_rejects_increasing_top():
+@pytest.mark.parametrize("top", [(1, 2), ()])
+def test_enumeration_rejects_increasing_top(top):
     with pytest.raises(ValueError):
-        list(enumerate_patterns((1, 2)))
+        list(enumerate_patterns(top))
 
 
-@pytest.mark.parametrize("top", [(1, 2), (2, -1)])
+@pytest.mark.parametrize("top", [(1, 2), (2, -1), ()])
 def test_pair_sums_rejects_a_bad_top_row(top):
     with pytest.raises(ValueError):
         pair_sums(top, wgt_slot)
