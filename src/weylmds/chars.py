@@ -14,9 +14,9 @@ from operator import add, mul
 from .coeffs import HTable, h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
-from .patterns import LambdaTwist, pair_classes, pair_sums, pair_weight
-from .roots import (_check_partition, build_root_system, check_pattern_count,
-                    support_vector)
+from .patterns import pair_classes, pair_sums, pair_weight
+from .roots import (LambdaTwist, _check_partition, build_root_system,
+                    check_pattern_count, support_vector)
 from .tableaux import pair_tableau_stats
 
 
@@ -24,21 +24,13 @@ def ring_size(r: int) -> int:
     return r + 2
 
 
-def t_index(r: int) -> int:
-    return r
-
-
-def q_index(r: int) -> int:
-    return r + 1
-
-
-def character_gt(lam, r: int) -> LaurentPoly:
-    """Weight generating function over the pattern basis with top row lam,
-    each pattern's wgt summed from its row pairs (pair_weight)."""
-    lam = _check_partition(lam, r)
+def character_gt(lam) -> LaurentPoly:
+    """Weight generating function over the patterns with top row lam (rank
+    len(lam)), each pattern's wgt summed from its row pairs (pair_weight)."""
+    lam = _check_partition(lam)
     sums = pair_sums(lam, lambda r, i, *rows: _slot(r, i, pair_weight(*rows)))
-    return LaurentPoly(ring_size(r), {wgt + (0, 0): count
-                                      for wgt, count in sums.items()})
+    return LaurentPoly(ring_size(len(lam)), {wgt + (0, 0): count
+                                             for wgt, count in sums.items()})
 
 
 def _slot(r, i, w) -> tuple:
@@ -58,30 +50,30 @@ def deformation_factors(r: int) -> list:
         for alpha in rs.positive_roots]
 
 
-def scale_x_by_t(poly: LaurentPoly, r: int) -> LaurentPoly:
+def scale_x_by_t(poly: LaurentPoly) -> LaurentPoly:
     """Substitute x_i -> t x_i for every x variable: x^e t^j q^k goes to
     x^e t^{j + |e|} q^k, |e| the total x degree.  The map is injective on
     exponent tuples, so no terms collect."""
-    ti = t_index(r)
+    r = poly.nvars - 2  # the t slot; q is the last
     out = {}
     for e, c in poly.terms.items():
         key = list(e)
-        key[ti] += sum(e[:r])
+        key[r] += sum(e[:r])
         out[tuple(key)] = c
     return LaurentPoly._of(poly.nvars, out)
 
 
-def minus_x_over_q(poly: LaurentPoly, r: int) -> LaurentPoly:
+def minus_x_over_q(poly: LaurentPoly) -> LaurentPoly:
     """Substitute x_i -> -x_i/q and t -> -1/q: x^e t^j q^k goes to
     (-1)^{|e| + j} x^e q^{k - |e| - j}, |e| the total x degree.  Terms
     that differ only in t and q can meet, so they collect."""
-    ti, qi = t_index(r), q_index(r)
+    r = poly.nvars - 2  # the t slot; q is the last
     out = {}
     for e, c in poly.terms.items():
-        shift = sum(e[:r]) + e[ti]
+        shift = sum(e[:r]) + e[r]
         key = list(e)
-        key[ti] = 0
-        key[qi] -= shift
+        key[r] = 0
+        key[r + 1] -= shift
         key = tuple(key)
         out[key] = out.get(key, 0) + (-c if shift % 2 else c)
     return LaurentPoly(poly.nvars, out)
@@ -130,8 +122,8 @@ def verify_deformation_identity(twist: LambdaTwist):
     classes = tableau_classes(twist)
     bridging = all(sum(wgt) == fixed - 2 * barred
                    for *wgt, _, barred, _ in classes)
-    lhs = reduce(mul, (scale_x_by_t(f, r) for f in deformation_factors(r)),
-                 character_gt(twist.partition, r))
+    lhs = reduce(mul, (scale_x_by_t(f) for f in deformation_factors(r)),
+                 character_gt(twist.partition))
     diff = lhs - tableau_side(r, classes)
     return (diff.is_zero() and bridging), diff
 
@@ -157,7 +149,7 @@ def h_tilde_table(twist: LambdaTwist) -> dict:
     raw = {}  # k -> {q exponent: coefficient}
     for (*wgt, m, g, degenerate), count in pair_sums(
             twist.top_row, _class_pair, strict=True).items():
-        k = support_vector(twist.rank, tuple(map(add, twist.L, wgt)))
+        k = support_vector(tuple(map(add, twist.L, wgt)))
         terms = raw.setdefault(k, {})
         for j, c in [] if degenerate else class_weight(m, g):  # t = -1/q
             terms[-j] = terms.get(-j, 0) + (-1) ** j * c * count
@@ -201,8 +193,7 @@ def verify_euler_bridge(r: int):
     positive-root Euler product; exact in x and q.  Both sides are folded
     over the factor lists that the two identities read."""
     rho = LaurentPoly.monomial(ring_size(r), build_root_system(r).rho + (0, 0))
-    lhs = reduce(mul, (minus_x_over_q(f, r) for f in deformation_factors(r)),
-                 rho)
+    lhs = reduce(mul, (minus_x_over_q(f) for f in deformation_factors(r)), rho)
     diff = lhs - reduce(mul, euler_factors(r))
     return diff.is_zero(), diff
 
@@ -227,7 +218,7 @@ def verify_euler_factor_identity(table: HTable):
     r = len(lam)
     lhs = h_generating_function(table)
     lead = lam[::-1] + (0, 0)  # L - rho = lambda
-    sp = LaurentPoly.monomial(ring_size(r), lead) * character_gt(lam, r)
+    sp = LaurentPoly.monomial(ring_size(r), lead) * character_gt(lam)
     rhs = reduce(mul, euler_factors(r), sp)
     diff = lhs - rhs
     return diff.is_zero(), diff
@@ -266,6 +257,8 @@ def euler_product_n1(m, bound: int):
     bound ** rank entries, refused above 10^6.  Each block is refused by
     check_pattern_count, built once and checked before this returns."""
     m = tuple(m)
+    if not m:
+        raise ValueError("rank must be a positive integer")
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ValueError("m entries must be positive integers")
     if bound < 1 or bound ** len(m) > 10 ** 6:

@@ -11,7 +11,6 @@ import json
 import signal
 import sys
 from itertools import islice
-from math import factorial
 
 
 def _emit(text):
@@ -44,7 +43,7 @@ def _parse_twist(args) -> "LambdaTwist":
     from .roots import LambdaTwist
     l = _parse_ints(args.l)
     if len(l) != args.rank:
-        raise SystemExit2(f"--l must have {args.rank} entries")
+        raise ValueError(f"--l must have {args.rank} entries")
     return LambdaTwist(l)
 
 
@@ -54,10 +53,6 @@ def _twist(args) -> "LambdaTwist":
     twist = _parse_twist(args)
     check_pattern_count(twist.top_row)
     return twist
-
-
-class SystemExit2(Exception):
-    """Usage error signalled from command handlers."""
 
 
 def cmd_patterns(args):
@@ -101,12 +96,12 @@ def cmd_hcoeff(args):
     twist = _twist(args)
     if args.numeric:
         if args.format == "csv":
-            raise SystemExit2("--numeric has no csv column; use --format json")
+            raise ValueError("--numeric has no csv column; use --format json")
         if args.p is None:
-            raise SystemExit2("--numeric needs --p")
+            raise ValueError("--numeric needs --p")
         ctx = gauss.ArithContext(args.n, args.p)
     elif args.p is not None:
-        raise SystemExit2("--p is only read with --numeric")
+        raise ValueError("--p is only read with --numeric")
     table = coeffs.h_table(twist, args.n)
     entries = table.entries_json()
     if args.format == "csv":
@@ -140,7 +135,7 @@ def cmd_character(args):
     from .roots import check_pattern_count
     twist = _parse_twist(args)
     check_pattern_count(twist.partition)
-    poly = character_gt(twist.partition, args.rank)
+    poly = character_gt(twist.partition)
     if args.format == "csv":
         for e, c in poly.sorted_terms():
             _emit(",".join(str(x) for x in e) + f",{c}")
@@ -153,7 +148,7 @@ def cmd_euler(args):
     from .chars import euler_product_n1
     m = _parse_ints(args.m)
     if len(m) != args.rank:
-        raise SystemExit2(f"--m must have {args.rank} entries")
+        raise ValueError(f"--m must have {args.rank} entries")
     entries = euler_product_n1(m, args.bound)
     if args.format == "csv":
         for c, v in entries:
@@ -171,12 +166,7 @@ def _verdict(ok, report):
 def cmd_verify_stable(args):
     from . import gauss, stable
     twist = _twist(args)
-    ctx = None
-    if args.p is not None:
-        ctx = gauss.ArithContext(args.n, args.p)
-        # at most two values per signed permutation
-        gauss.check_numeric_terms(2 * 2 ** args.rank * factorial(args.rank),
-                                  ctx)
+    ctx = None if args.p is None else gauss.ArithContext(args.n, args.p)
     report = stable.verify_stable_match(twist, args.n, ctx)
     return _verdict(not report["mismatches"], report)
 
@@ -207,10 +197,10 @@ def cmd_verify_gauss(args):
     from . import gauss
     n = args.n
     if n < 1:
-        raise SystemExit2("--n must be positive")
+        raise ValueError("--n must be positive")
     p = args.p if args.p is not None else {1: 5, 3: 7, 5: 11}.get(n)
     if p is None:
-        raise SystemExit2("--p is required for this degree")
+        raise ValueError("--p is required for this degree")
     ctx = gauss.ArithContext(n, p)
     gauss.brute_force_modulus(p, 4)  # refused before summing: v reaches 4
     bad = []
@@ -323,7 +313,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SystemExit2, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -15,9 +15,9 @@ are not standard shifted tableaux).
 from functools import cached_property, lru_cache
 
 from .gauss import GaussValue, gauss_eval
-from .patterns import (EntryRecord, GTPattern, LambdaTwist,
-                       enumerate_patterns, pair_entries)
+from .patterns import EntryRecord, GTPattern, enumerate_patterns, pair_entries
 from .record import Record
+from .roots import LambdaTwist
 
 
 def gamma_b(e: EntryRecord, n: int) -> GaussValue:

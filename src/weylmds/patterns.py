@@ -23,8 +23,7 @@ from itertools import count, product
 from operator import add, gt
 
 from .record import Record
-from .roots import (LambdaTwist, _check_partition, support_from_tails,
-                    support_vector)
+from .roots import _check_partition, support_from_tails, support_vector
 
 
 class GTPattern(Record):
@@ -42,7 +41,7 @@ class GTPattern(Record):
         wgt = tuple(pair_weight(*pair) for pair in self.row_pairs())[::-1]
         shifted = tuple(map(add, reversed(self.a[0]), wgt))  # lambda+rho+wgt
         self.__dict__.update(wgt=wgt,
-                             k_vec=support_vector(self.rank, shifted))
+                             k_vec=support_vector(shifted))
 
     @classmethod
     def _unchecked(cls, rank, a, b, wgt, k_vec):
@@ -208,7 +207,7 @@ def _top_row(top_row, strict):
     decrease, so that no pattern lies below it.  Rank 0 is refused."""
     if not top_row:
         raise ValueError("rank must be positive")
-    top = _check_partition(top_row, len(top_row))
+    top = _check_partition(top_row)
     return top if not strict or _decreasing(top) else None
 
 

@@ -57,7 +57,7 @@ def support_from_tails(c):
     return k
 
 
-def support_vector(r: int, weight):
+def support_vector(weight):
     """The k with weight = sum k_i alpha_i, such as lambda+rho -
     w(lambda+rho): support_from_tails of the weight's tail sums."""
     return support_from_tails(tuple(accumulate(weight[::-1]))[::-1])
@@ -179,22 +179,20 @@ def phi_w(w: WeylElement):
                  if rs.is_negative(w.act(alpha)))
 
 
-def _check_partition(lam, r):
+def _check_partition(lam):
     lam = tuple(lam)
-    if len(lam) != r:
-        raise ValueError("partition length must equal the rank")
     if any((not isinstance(x, int)) or x < 0 for x in lam):
         raise ValueError("partition parts must be nonnegative integers")
-    if any(lam[k] < lam[k + 1] for k in range(r - 1)):
+    if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
         raise ValueError("partition must be weakly decreasing")
     return lam
 
 
-def weyl_dimension(lam, r: int) -> int:
-    """Weyl dimension formula for the highest weight given as a partition,
-    with one exact division of integer products."""
-    lam = _check_partition(lam, r)
-    rs = build_root_system(r)
+def weyl_dimension(lam) -> int:
+    """Weyl dimension formula for the highest weight given as a partition
+    of rank len(lam), with one exact division of integer products."""
+    lam = _check_partition(lam)
+    rs = build_root_system(len(lam))
     shifted = tuple(a + b for a, b in zip(reversed(lam), rs.rho))
     num = den = 1
     for alpha in rs.positive_roots:
@@ -209,7 +207,7 @@ def weyl_dimension(lam, r: int) -> int:
 def check_pattern_count(top_row) -> None:
     """Refuse, before enumerating, a top row with more than 10^7 patterns;
     the Weyl dimension formula counts them exactly."""
-    count = weyl_dimension(top_row, len(top_row))
+    count = weyl_dimension(top_row)
     if count > 10 ** 7:
         raise ValueError(f"top row {','.join(map(str, top_row))} has "
                          f"{count} patterns, more than 10^7")

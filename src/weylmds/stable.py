@@ -3,6 +3,8 @@ of a signed permutation, and the harness checking them against the
 pattern-sum table.
 """
 
+from math import factorial
+
 from .coeffs import h_table
 from .gauss import (ArithContext, GaussValue, check_numeric_terms, gauss_eval,
                     numeric_eval)
@@ -35,7 +37,7 @@ def h_stable(w: WeylElement, twist: LambdaTwist, n: int) -> GaussValue:
 def k_of_weyl(w: WeylElement, twist: LambdaTwist) -> tuple:
     """Solve lambda+rho - w(lambda+rho) = sum k_i alpha_i for k."""
     L = twist.L
-    return support_vector(w.rank, [a - b for a, b in zip(L, w.act(L))])
+    return support_vector([a - b for a, b in zip(L, w.act(L))])
 
 
 def verify_stable_match(twist: LambdaTwist, n: int,
@@ -44,9 +46,12 @@ def verify_stable_match(twist: LambdaTwist, n: int,
     every signed permutation, symbolically, and that the nonzero support is
     exactly the k(w).  With a context, both sides are also evaluated
     numerically, but only after they agree symbolically, so that comparison
-    sees two equal values and does not check the table."""
-    _check_degree(twist, n)
+    sees two equal values and does not check the table.  Too much numeric
+    work is refused before a bad degree, and both before the table."""
     r = twist.rank
+    if ctx is not None:  # at most two values per signed permutation
+        check_numeric_terms(2 * 2 ** r * factorial(r), ctx)
+    _check_degree(twist, n)
     table = h_table(twist, n)
     mismatches = []
     seen = {}

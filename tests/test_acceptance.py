@@ -13,9 +13,8 @@ from weylmds.chars import (verify_deformation_identity, verify_euler_bridge,
 from weylmds.coeffs import h_table, verify_k_sum
 from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                            numeric_eval)
-from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              is_strict)
-from weylmds.roots import weyl_dimension
+from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
+from weylmds.roots import LambdaTwist, weyl_dimension
 from weylmds.stable import REL_TOL, verify_stable_match
 from weylmds.tableaux import (pattern_from_tableau, tableau_from_pattern,
                               verify_tableau_stats)
@@ -119,7 +118,7 @@ def test_criterion_7_census_matches_dimension():
     assert count_patterns((2, 1)) == 16
     for r in (1, 2, 3):
         for top in _tops(6, r):
-            assert count_patterns(top) == weyl_dimension(top, r), top
+            assert count_patterns(top) == weyl_dimension(top), top
     print("PASS criterion 7: pattern census equals the dimension formula")
 
 

@@ -11,20 +11,28 @@ from weylmds import chars
 from weylmds.chars import (character_gt, class_weight, deformation_factors,
                            euler_factors, euler_product_n1,
                            h_generating_function, h_tilde_table,
-                           minus_x_over_q, q_index, ring_size, scale_x_by_t,
-                           t_index, tableau_classes,
+                           minus_x_over_q, ring_size, scale_x_by_t,
+                           tableau_classes,
                            tableau_side, verify_deformation_identity,
                            verify_euler_bridge, verify_euler_factor_identity,
                            verify_h_tilde)
 from weylmds.coeffs import h_table
 from weylmds.gauss import GaussValue
 from weylmds.laurent import LaurentPoly
-from weylmds.patterns import LambdaTwist, enumerate_patterns
-from weylmds.roots import WeylElement, weyl_dimension
+from weylmds.patterns import enumerate_patterns
+from weylmds.roots import LambdaTwist, WeylElement, weyl_dimension
 from weylmds.tableaux import standard_tableaux, tableau_stats
 
 from stable_lemmas import sign
 from test_laurent import eval_at, variable
+
+
+def t_index(r: int) -> int:
+    return r
+
+
+def q_index(r: int) -> int:
+    return r + 1
 
 
 def _mono(r, exps, coeff=1, t=0, q=0):
@@ -47,12 +55,12 @@ def character_weyl_oracle(lam, r):
 
 
 def test_character_rank1_standard():
-    c = character_gt((1,), 1)
+    c = character_gt((1,))
     assert c == _mono(1, (1,)) + _mono(1, (-1,))
 
 
 def test_character_r2_standard_rep():
-    c = character_gt((1, 0), 2)
+    c = character_gt((1, 0))
     expected = (_mono(2, (1, 0)) + _mono(2, (-1, 0))
                 + _mono(2, (0, 1)) + _mono(2, (0, -1)))
     assert c == expected
@@ -68,20 +76,20 @@ def test_character_oracles_agree():
         cases += [(lam, r) for lam in combinations_with_replacement(
             range(4, -1, -1), r)]
     for lam, r in cases:
-        assert character_gt(lam, r) == character_weyl_oracle(lam, r), (lam, r)
+        assert character_gt(lam) == character_weyl_oracle(lam, r), (lam, r)
 
 
 def test_character_dimension_at_one():
     for lam, r in [((2, 1), 2), ((1, 1, 0), 3), ((4, 4, 4), 3)]:
-        c = character_gt(lam, r)
+        c = character_gt(lam)
         ones = {i: Fraction(1) for i in range(ring_size(r))}
-        assert eval_at(c, ones) == weyl_dimension(lam, r)
-    assert weyl_dimension((2, 1), 2) == 16
+        assert eval_at(c, ones) == weyl_dimension(lam)
+    assert weyl_dimension((2, 1)) == 16
 
 
 def test_character_signed_permutation_invariance():
     r = 2
-    c = character_gt((2, 1), r)
+    c = character_gt((2, 1))
     for sigma in permutations(range(r)):
         for signs in product((1, -1), repeat=r):
             moved = {}
@@ -167,9 +175,9 @@ def test_scale_x_by_t():
     x0inv, x1inv = (variable(4, i, -1) for i in range(2))
     tinv = variable(4, t_index(2), -1)
     p = x0 * x0 + x0inv + Fraction(1, 2) * x0 * x1inv * q
-    assert scale_x_by_t(p, 2) == (x0 * x0 * t * t + x0inv * tinv
-                                  + Fraction(1, 2) * x0 * x1inv * q)
-    assert scale_x_by_t(t * q + 3, 2) == t * q + 3
+    assert scale_x_by_t(p) == (x0 * x0 * t * t + x0inv * tinv
+                               + Fraction(1, 2) * x0 * x1inv * q)
+    assert scale_x_by_t(t * q + 3) == t * q + 3
 
 
 def substitute_long(poly, mapping):
@@ -224,7 +232,7 @@ def test_exponent_maps_equal_the_substitution(data):
                        data.draw(st.dictionaries(exps, _coeff, max_size=8)))
     for fast, mapping in ((scale_x_by_t, scale_mapping(r)),
                           (minus_x_over_q, bridge_mapping(r))):
-        image = fast(poly, r)
+        image = fast(poly)
         assert image == substitute_long(poly, mapping)
         assert all(type(c) is int or c.denominator != 1
                    for c in image.terms.values())
@@ -233,12 +241,12 @@ def test_exponent_maps_equal_the_substitution(data):
 @pytest.mark.parametrize("r", range(1, 6))
 def test_exponent_maps_of_the_deformed_denominator(r):
     D, D_long = deformation_D(r), deformation_D_long(r)
-    assert scale_x_by_t(D, r) == scale_x_by_t(D_long, r)
-    assert minus_x_over_q(D, r) == minus_x_over_q(D_long, r)
+    assert scale_x_by_t(D) == scale_x_by_t(D_long)
+    assert minus_x_over_q(D) == minus_x_over_q(D_long)
     if r <= 4:  # the oracle takes 21 s on rank 5's 250,606 terms
-        assert scale_x_by_t(D, r) == substitute_long(D_long, scale_mapping(r))
-        assert minus_x_over_q(D, r) == substitute_long(D_long,
-                                                       bridge_mapping(r))
+        assert scale_x_by_t(D) == substitute_long(D_long, scale_mapping(r))
+        assert minus_x_over_q(D) == substitute_long(D_long,
+                                                    bridge_mapping(r))
 
 
 def hk_rhs(r, stats):
@@ -259,7 +267,7 @@ def test_hk_rhs_rank1_matches_deformation():
                      for S in standard_tableaux(twist.top_row)])
     # the two single-box tableaux give x^{-1} + t x
     assert rhs == _mono(1, (-1,)) + _mono(1, (1,), t=1)
-    assert rhs == scale_x_by_t(deformation_D(1), 1) * character_gt((0,), 1)
+    assert rhs == scale_x_by_t(deformation_D(1)) * character_gt((0,))
 
 
 def test_deformation_identity_small():
@@ -510,3 +518,15 @@ def test_euler_product_checks_every_block_before_any_entry(monkeypatch,
     monkeypatch.setattr(chars, "h_table", corrupted)
     with pytest.raises(AssertionError, match=text):
         euler_product_n1((2,), 3)  # raised by the call: nothing is iterated
+
+
+def test_euler_product_refuses_rank_zero_before_the_sieve(monkeypatch):
+    # bound ** 0 == 1, so the size cap admits any bound at rank 0
+    def no_sieve(bound):
+        pytest.fail("the sieve was built")
+
+    monkeypatch.setattr(chars, "_smallest_prime_factors", no_sieve)
+    for bound in (1, 10):
+        with pytest.raises(ValueError,
+                           match="^rank must be a positive integer$"):
+            euler_product_n1((), bound)

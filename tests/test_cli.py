@@ -1,12 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylmds
 from weylmds.cli import main
@@ -46,7 +49,8 @@ def test_patterns_count_only(capsys):
 
 
 def test_patterns_strict_count_and_csv_match_enumeration(capsys):
-    from weylmds.patterns import LambdaTwist, enumerate_patterns, is_strict
+    from weylmds.patterns import enumerate_patterns, is_strict
+    from weylmds.roots import LambdaTwist
     pats = list(enumerate_patterns(LambdaTwist((1, 0, 1)).top_row))
     strict = sum(1 for P in pats if is_strict(P))
     assert 0 < strict < len(pats)
@@ -90,6 +94,67 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "hcoeff", "--rank", "1", "--l", "0", "--n", "3",
                "--p", "5", "--numeric")[0] == 2  # 5 != 1 mod 3
+
+
+# the command grammar: each command path with the flags it reads, and for
+# each flag values that fit a command of rank r <= 3 with twist entries 0
+# or 1 (so that every call stays near a second), or values that are empty,
+# negative, zero or garbage
+_READS = {
+    "patterns": "--rank --l --format --count-only --strict-only",
+    "tableaux": "--rank --l --format",
+    "hcoeff": "--rank --l --format --n --p --numeric",
+    "character": "--rank --l --format",
+    "euler": "--rank --m --bound --format",
+    "verify stable": "--rank --l --n --p",
+    "verify gauss": "--n --p",
+    **dict.fromkeys(("verify hamel-king", "verify lemma3", "verify lemma4",
+                     "verify cs"), "--rank --l"),
+}
+_FLAGS = sorted({flag for flags in _READS.values() for flag in flags.split()})
+_SWITCHES = ("--count-only", "--strict-only", "--numeric")
+_BAD = st.sampled_from(["", "x", "-1", "0", "1.5", "1,,0", "-2,1"])
+
+
+def _fitting(flag, r):
+    """Values of `flag` for a command of rank r: every --rank, --l and --m
+    fits, while a --p may not be prime or 1 mod n."""
+    def entries(lo, hi):
+        return st.lists(st.integers(lo, hi), min_size=r, max_size=r).map(
+            lambda xs: ",".join(map(str, xs)))
+
+    return {"--rank": st.just(str(r)), "--l": entries(0, 1),
+            "--m": entries(1, 3),
+            "--n": st.sampled_from(["1", "2", "3", "5", "7"]),
+            "--p": st.sampled_from(["2", "5", "7", "8", "11", "29"]),
+            "--bound": st.sampled_from(["1", "3", "10"]),
+            "--format": st.sampled_from(["json", "csv", "text", "xml"])}[flag]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cli_never_raises(data):
+    command = data.draw(st.sampled_from(sorted(_READS)), label="command")
+    r = data.draw(st.integers(1, 3), label="rank")
+    flags = _READS[command].split()
+    if data.draw(st.integers(0, 4), label="foreign flag") == 4:
+        flags.append(data.draw(st.sampled_from(_FLAGS)))
+    argv = command.split()
+    for flag in flags:
+        # 0-2: a fitting value (a switch is given), 3: a bad one, 4: left out
+        kind = data.draw(st.integers(0, 4), label=flag)
+        if flag in _SWITCHES:
+            argv += [flag] if kind < 2 else []
+        elif kind < 4:
+            argv += [flag, data.draw(_fitting(flag, r) if kind < 3 else _BAD)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    err = err.getvalue()
+    if err and not err.startswith("usage:"):
+        assert code == 2 and err.startswith("error: "), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
 
 
 def test_verify_suites_pass(capsys):
@@ -203,7 +268,7 @@ def test_csv_format(capsys):
 
 def test_empty_table_serialization():
     from weylmds.coeffs import HTable
-    from weylmds.patterns import LambdaTwist
+    from weylmds.roots import LambdaTwist
     table = HTable(LambdaTwist((0,)), 1, ())
     assert table.to_json()["entries"] == []
 
@@ -288,7 +353,7 @@ def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
     # 4,202 entries, so the entry list crosses the 4096-entry chunk boundary
     from weylmds import cli, gauss
     from weylmds.coeffs import h_table
-    from weylmds.patterns import LambdaTwist
+    from weylmds.roots import LambdaTwist
     table = h_table(LambdaTwist((4200,)), 3)
     assert len(table.entries) == 4202
     obj = table.to_json()
@@ -361,6 +426,35 @@ def test_verify_stable_float_overflow_refused_before_any_sum(capsys,
                              "--l", l, "--n", n, "--p", p)
         assert (code, out) == (2, "")
         assert err == f"error: p^e = {p}^{l} overflows float\n"
+
+
+def _negated_gauss_eval(*args):
+    from weylmds.gauss import gauss_eval
+    return -gauss_eval(*args)
+
+
+# mutants of the product side: every Gauss sum negated (the products over
+# an odd number of inverted roots change sign), and k(w) = 0 for every w
+# (the first w takes k = 0 and mismatches there, the other seven are
+# duplicates, and the table's seven other nonzero keys lie outside the
+# orbit)
+@pytest.mark.parametrize("name, mutant, checked, reasons", [
+    ("gauss_eval", _negated_gauss_eval, 8, {"symbolic mismatch": 4}),
+    ("k_of_weyl", lambda w, twist: (0,) * w.rank, 1,
+     {"duplicate support vector": 7, "support outside the orbit": 7,
+      "symbolic mismatch": 1}),
+], ids=["negated-gauss-sums", "zero-support-vectors"])
+def test_verify_stable_fails_on_a_wrong_product_side(capsys, monkeypatch,
+                                                     name, mutant, checked,
+                                                     reasons):
+    from collections import Counter
+    from weylmds import stable
+    monkeypatch.setattr(stable, name, mutant)
+    code, out, err = run(capsys, "verify", "stable", "--rank", "2",
+                         "--l", "0,0", "--n", "5")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["checked"] == checked
+    assert Counter(m["reason"] for m in report["mismatches"]) == reasons
 
 
 def test_verify_stable_refuses_a_bad_degree_before_the_table(capsys,
@@ -452,10 +546,10 @@ def test_cs_fails_on_a_bridge_map_without_the_t_sign(capsys, monkeypatch):
     from weylmds.laurent import LaurentPoly
     bridge = chars.minus_x_over_q
 
-    def t_sign_dropped(poly, r):
-        ti = chars.t_index(r)
+    def t_sign_dropped(poly):
+        ti = poly.nvars - 2  # the t slot; q is the last
         flipped = {e: -c if e[ti] % 2 else c for e, c in poly.terms.items()}
-        return bridge(LaurentPoly(poly.nvars, flipped), r)
+        return bridge(LaurentPoly(poly.nvars, flipped))
 
     monkeypatch.setattr(chars, "minus_x_over_q", t_sign_dropped)
     code, out, err = run(capsys, "verify", "cs", "--rank", "2", "--l", "0,0")
@@ -583,7 +677,7 @@ def test_oversized_enumeration_refused_up_front(capsys):
     code, out, _ = run(capsys, "patterns", "--rank", "4", "--l", "0,0,0,0",
                        "--count-only")
     assert code == 0 and out == "65536\n"
-    assert weyl_dimension((4, 3, 2, 1), 4) == 65536
+    assert weyl_dimension((4, 3, 2, 1)) == 65536
 
 
 def test_character_and_euler_refuse_oversized_walks_up_front(capsys):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, pair_G,
                             pattern_G, verify_k_sum)
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
-from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              is_strict, pair_classes)
+from weylmds.patterns import (GTPattern, enumerate_patterns, is_strict,
+                              pair_classes)
+from weylmds.roots import LambdaTwist
 
 from stable_lemmas import record
 from test_patterns import FIG1, bound_flags_long, u_long, v_long

@@ -9,7 +9,7 @@ from weylmds.coeffs import h_table
 from weylmds.gauss import (BRUTE_FORCE_LIMIT, NUMERIC_TERMS_LIMIT,
                            ArithContext, GaussValue, check_numeric_terms,
                            gauss_brute, gauss_eval, numeric_eval)
-from weylmds.patterns import LambdaTwist
+from weylmds.roots import LambdaTwist
 
 
 def test_residue_symbol_identity_and_vanishing():

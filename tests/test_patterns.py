@@ -7,10 +7,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from weylmds.patterns import (GTPattern, LambdaTwist, enumerate_patterns,
-                              interleave_bounds, is_strict, pair_classes,
-                              pair_entries, pair_positions, pair_sums,
-                              pair_weight)
+from weylmds.patterns import (GTPattern, enumerate_patterns, interleave_bounds,
+                              is_strict, pair_classes, pair_entries,
+                              pair_positions, pair_sums, pair_weight)
 from weylmds.roots import WeylElement, support_vector, weyl_dimension
 
 from stable_lemmas import (is_stable, long_element, pair_records, record,
@@ -104,7 +103,7 @@ def wgt_long(P):
 def k_vec_support(P):
     """k as the simple-root coordinates of lambda+rho + wgt."""
     L = reversed(P.a[0])
-    return support_vector(P.rank, [x + y for x, y in zip(L, wgt_long(P))])
+    return support_vector([x + y for x, y in zip(L, wgt_long(P))])
 
 
 def wgt_slot(r, i, above, b, below):
@@ -509,6 +508,6 @@ def test_pair_sums_count_and_weigh_the_enumerated_patterns(data):
     counts = pair_sums(top, lambda *pair: (), strict)
     assert sum(counts.values()) == sum(wgts.values())
     if not strict:
-        assert counts == {(): weyl_dimension(top, r)}
+        assert counts == {(): weyl_dimension(top)}
     assert pair_sums(top, wgt_slot, strict) == wgts
 

@@ -4,9 +4,9 @@ import pytest
 
 from weylmds.coeffs import h_table, pattern_G
 from weylmds.gauss import ArithContext, GaussValue
-from weylmds.patterns import LambdaTwist, enumerate_patterns, is_strict
-from weylmds.roots import (WeylElement, build_root_system, d_lambda, phi_w,
-                           stability_bound)
+from weylmds.patterns import enumerate_patterns, is_strict
+from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
+                           d_lambda, phi_w, stability_bound)
 from weylmds.stable import h_stable, k_of_weyl, verify_stable_match
 
 from stable_lemmas import (d_sets, long_element, maximal_count,
@@ -132,6 +132,20 @@ def test_verify_stable_match_examples():
     assert rep["checked"] == 8 and not rep["mismatches"]
     rep = verify_stable_match(LambdaTwist((1, 0)), 5, ArithContext(5, 11))
     assert rep["checked"] == 8 and not rep["mismatches"]
+
+
+def test_verify_stable_match_refuses_its_numeric_budget_before_the_table(
+        monkeypatch):
+    # two values per signed permutation: 2 * 384 * 6 * 9999991 terms
+    from weylmds import stable
+
+    def never(*args):
+        pytest.fail("h_table called")
+
+    monkeypatch.setattr(stable, "h_table", never)
+    with pytest.raises(OverflowError, match="^numeric evaluation needs "):
+        verify_stable_match(LambdaTwist((0, 0, 0, 0)), 7,
+                            ArithContext(7, 9999991))
 
 
 def test_stability_bound_is_largest_d_lambda_and_suffices():
