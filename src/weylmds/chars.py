@@ -28,7 +28,8 @@ def character_gt(lam) -> LaurentPoly:
     """Weight generating function over the patterns with top row lam (rank
     len(lam)), each pattern's wgt summed from its row pairs (pair_weight)."""
     lam = _check_partition(lam)
-    sums = pair_sums(lam, lambda r, i, *rows: _slot(r, i, pair_weight(*rows)))
+    sums = pair_sums(lam, lambda r, i, *rows: (
+        _slot(r, i, pair_weight(*rows)), 1))
     return LaurentPoly(ring_size(len(lam)), {wgt + (0, 0): count
                                              for wgt, count in sums.items()})
 
@@ -86,12 +87,13 @@ def class_weight(m: int, g: int):
 
 
 def _standard_pair(r, i, above, b, below):
-    """(wgt, str, barred, height) of row pair i of a standard tableau; None
-    at a degenerate entry, whose tableau is not standard (coeffs.gamma_b)."""
+    """((wgt, str, barred, height), 1) of row pair i of a standard tableau;
+    None at a degenerate entry, whose tableau is not standard
+    (coeffs.gamma_b)."""
     if pair_classes(r, i, above, b, below)[2]:
         return None
     w, str_total, barred, height = pair_tableau_stats(r, i, above, b, below)
-    return (*_slot(r, i, w), str_total, barred, height)
+    return (*_slot(r, i, w), str_total, barred, height), 1
 
 
 def tableau_classes(twist: LambdaTwist) -> dict:
@@ -132,29 +134,25 @@ def verify_deformation_identity(twist: LambdaTwist):
 # n = 1 reduction
 
 
-def _class_pair(r, i, above, b, below):
-    """(*wgt, #maximal, #generic, #degenerate) of row pair i."""
-    return (*_slot(r, i, pair_weight(above, b, below)),
-            *pair_classes(r, i, above, b, below))
+def _reduced_factor(m: int, g: int, degenerate: int) -> GaussValue:
+    """t^m (1 + t)^g at t = -1/q, the reduced factor of m maximal and g
+    generic entries, as an n = 1 Gauss value; zero at a degenerate entry
+    (minimal at zero slack, see coeffs.gamma_b)."""
+    return GaussValue._canonical(1, [] if degenerate else [
+        ((), -j, (-1) ** j * c) for j, c in class_weight(m, g)])
 
 
 def h_tilde_table(twist: LambdaTwist) -> dict:
     """Reduced coefficients as n = 1 Gauss values: k -> sum over strict
     patterns of the product of the entry factors 1, 1 - 1/q, -1/q at minimal,
-    generic and maximal entries, t^#maximal (1 + t)^#generic at t = -1/q.  A
-    pattern with the degenerate coincidence (minimal at zero slack, see
-    coeffs.gamma_b) weighs zero but keeps its key k.  The patterns are counted
-    per (wgt, #maximal, #generic, #degenerate) class, summed from their row
-    pairs (pair_classes); lambda+rho + wgt = sum k_i alpha_i."""
-    raw = {}  # k -> {q exponent: coefficient}
-    for (*wgt, m, g, degenerate), count in pair_sums(
-            twist.top_row, _class_pair, strict=True).items():
-        k = support_vector(tuple(map(add, twist.L, wgt)))
-        terms = raw.setdefault(k, {})
-        for j, c in [] if degenerate else class_weight(m, g):  # t = -1/q
-            terms[-j] = terms.get(-j, 0) + (-1) ** j * c * count
-    return {k: GaussValue._canonical(1, [((), e, c) for e, c in terms.items()])
-            for k, terms in raw.items()}
+    generic and maximal entries.  The walk folds each row pair's reduced
+    factor (pair_classes); a pattern with the degenerate coincidence weighs
+    zero but keeps its key k, where lambda+rho + wgt = sum k_i alpha_i."""
+    sums = pair_sums(twist.top_row, lambda r, i, *rows: (
+        _slot(r, i, pair_weight(*rows)),
+        _reduced_factor(*pair_classes(r, i, *rows))), strict=True)
+    return {support_vector(tuple(map(add, twist.L, wgt))): value
+            for wgt, value in sums.items()}
 
 
 def _n1_rank(table: HTable) -> int:

@@ -35,13 +35,16 @@ def _emit_list(items, head="", indent="", end=""):
     _emit((sep + "]" if sep != "," else "\n" + indent + "]") + end)
 
 
-def _parse_ints(text):
-    return tuple(int(x) for x in text.split(","))
+def _parse_ints(text, flag):
+    parts = text.split(",")  # int() also takes "1_0", " 1" and other digits
+    if not all(x.isascii() and x.removeprefix("-").isdigit() for x in parts):
+        raise ValueError(f"{flag} {text!r} is not comma-separated integers")
+    return tuple(map(int, parts))
 
 
 def _parse_twist(args) -> "LambdaTwist":
     from .roots import LambdaTwist
-    l = _parse_ints(args.l)
+    l = _parse_ints(args.l, "--l")
     if len(l) != args.rank:
         raise ValueError(f"--l must have {args.rank} entries")
     return LambdaTwist(l)
@@ -146,7 +149,7 @@ def cmd_character(args):
 
 def cmd_euler(args):
     from .chars import euler_product_n1
-    m = _parse_ints(args.m)
+    m = _parse_ints(args.m, "--m")
     if len(m) != args.rank:
         raise ValueError(f"--m must have {args.rank} entries")
     entries = euler_product_n1(m, args.bound)

@@ -212,13 +212,13 @@ def _top_row(top_row, strict):
 
 
 def pair_sums(top_row, weigh, strict=False) -> dict:
-    """{summed statistic: number of patterns} over the patterns with the
-    given top row (with `strict`, those whose rows all strictly decrease),
-    without visiting a pattern.  `weigh(r, i, above, b, below)` gives the
-    statistic of row pair i as a tuple of ints, summed componentwise over
-    the pairs of a pattern, or None to drop the patterns through that pair.
-    The walk goes one row pair at a time; its state is the a-row that
-    closes the pair, mapped to {statistic so far: number of patterns}."""
+    """{summed statistic: summed value} over the patterns with the given top
+    row (with `strict`, those whose rows all strictly decrease), without
+    visiting a pattern.  `weigh(r, i, above, b, below)` gives row pair i's
+    statistic, a tuple of ints summed componentwise over the pairs, and its
+    factor, multiplied over the pairs (1 counts patterns); None drops the
+    patterns through that pair.  The state is the a-row that closes the
+    pair, mapped to {statistic so far: value}; a zero value keeps its key."""
     top = _top_row(top_row, strict)
     if top is None:
         return {}
@@ -231,10 +231,12 @@ def pair_sums(top_row, weigh, strict=False) -> dict:
                 w = weigh(r, i, above, b, below)
                 if w is None:
                     continue
+                part, factor = w
                 acc = reached.setdefault(below, {})
-                for s, n in sums.items():
-                    key = tuple(map(add, s, w)) if s else w  # pair 1
-                    acc[key] = acc.get(key, 0) + n
+                for s, v in sums.items():
+                    key = tuple(map(add, s, part)) if s else part  # pair 1
+                    v = v * factor if i > 1 else factor
+                    acc[key] = acc[key] + v if key in acc else v
         states = reached
     return states.get((), {})
 

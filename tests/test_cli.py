@@ -96,6 +96,18 @@ def test_usage_errors_exit_two(capsys):
                "--p", "5", "--numeric")[0] == 2  # 5 != 1 mod 3
 
 
+@pytest.mark.parametrize("value", ["x", "1.5", "1_0", "", "1,,0"])
+@pytest.mark.parametrize("argv", [
+    ["patterns", "--rank", "1", "--count-only", "--l"],
+    ["hcoeff", "--rank", "1", "--n", "1", "--l"],
+    ["euler", "--rank", "1", "--bound", "3", "--m"]])
+def test_integer_lists_name_their_flag(capsys, argv, value):
+    # int() would read "1_0" as 10; every other value made int() raise a
+    # message that named no flag
+    want = f"error: {argv[-1]} {value!r} is not comma-separated integers\n"
+    assert run(capsys, *argv, value) == (2, "", want)
+
+
 # the command grammar: each command path with the flags it reads, and for
 # each flag values that fit a command of rank r <= 3 with twist entries 0
 # or 1 (so that every call stays near a second), or values that are empty,
@@ -600,12 +612,12 @@ def test_cs_fails_on_an_euler_factor_with_the_wrong_sign(capsys,
 
 def test_cs_fails_on_a_reduced_table_that_weighs_degenerate_patterns(
         capsys, monkeypatch):
-    # a mutant class count whose degenerate count reads 0: the patterns with
-    # the degenerate coincidence weigh t^m (1 + t)^g in Htilde, not zero
+    # a mutant reduced factor whose degenerate count reads 0: the patterns
+    # with the degenerate coincidence weigh t^m (1 + t)^g in Htilde, not zero
     from weylmds import chars
-    class_pair = chars._class_pair
-    monkeypatch.setattr(chars, "_class_pair",
-                        lambda *pair: (*class_pair(*pair)[:-1], 0))
+    reduced_factor = chars._reduced_factor
+    monkeypatch.setattr(chars, "_reduced_factor",
+                        lambda m, g, degenerate: reduced_factor(m, g, 0))
     code, out, err = run(capsys, "verify", "cs", "--rank", "2", "--l", "0,0")
     report = json.loads(out)
     assert (code, err) == (1, "") and report["ok"] is False

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from operator import add
 
 import pytest
 
@@ -8,11 +9,11 @@ from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, pair_G,
                             pattern_G, verify_k_sum)
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from weylmds.patterns import (GTPattern, enumerate_patterns, is_strict,
-                              pair_classes)
-from weylmds.roots import LambdaTwist
+                              pair_classes, pair_sums)
+from weylmds.roots import LambdaTwist, support_vector
 
 from stable_lemmas import record
-from test_patterns import FIG1, bound_flags_long, u_long, v_long
+from test_patterns import FIG1, bound_flags_long, u_long, v_long, wgt_slot
 
 
 def gamma_b_long(P: GTPattern, i: int, j: int, n: int) -> GaussValue:
@@ -193,6 +194,46 @@ def test_h_table_equals_sum_of_every_product():
         assert h_table(twist, n).to_json() == long.to_json()
         if (l, n) in zero_only:
             assert (len(only_zero), len(long.keys())) == zero_only[l, n]
+
+
+def h_table_fold(twist: LambdaTwist, n: int) -> tuple:
+    """h_table's entries from the row-pair fold: each pair contributes its
+    wgt slot and the factor pair_G, and lambda+rho + wgt = sum k_i alpha_i."""
+    sums = pair_sums(twist.top_row, lambda r, i, *rows: (
+        wgt_slot(r, i, *rows), pair_G(r, i, *rows, n)))
+    return tuple(sorted((support_vector(tuple(map(add, twist.L, wgt))), value)
+                        for wgt, value in sums.items()))
+
+
+# every twist of rank <= 2 with l_i <= 2 and of rank 3 with l_i <= 1
+FOLD_GRID = [l for r in (1, 2) for l in product(range(3), repeat=r)]
+FOLD_GRID += list(product((0, 1), repeat=3))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+@pytest.mark.parametrize("l", FOLD_GRID)
+def test_row_pair_fold_equals_h_table(l, n):
+    twist = LambdaTwist(l)
+    assert h_table_fold(twist, n) == h_table(twist, n).entries
+
+
+def test_row_pair_fold_keeps_the_keys_of_zero_sums():
+    # at (0,0), n = 3, 4 of the 12 keys are reached by zero products only
+    fold = h_table_fold(LambdaTwist((0, 0)), 3)
+    assert (sum(v.is_zero() for _, v in fold), len(fold)) == (4, 12)
+
+
+# l_1 + ... + l_r <= 8, 4, 2 at rank 1, 2, 3: at most 8,316 patterns
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_row_pair_fold_equals_h_table_on_random_tops(data):
+    r = data.draw(st.integers(1, 3), label="rank")
+    most = 8 >> (r - 1)
+    l = data.draw(st.lists(st.integers(0, most), min_size=r, max_size=r)
+                  .filter(lambda l: sum(l) <= most), label="l")
+    n = data.draw(st.sampled_from([1, 3, 5, 7]), label="n")
+    twist = LambdaTwist(tuple(l))
+    assert h_table_fold(twist, n) == h_table(twist, n).entries
 
 
 def test_h_table_rank1_twisted():

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from itertools import (combinations, combinations_with_replacement, islice,
                        permutations, product)
+from math import prod
 
 import pytest
 
@@ -505,9 +506,21 @@ def test_pair_sums_count_and_weigh_the_enumerated_patterns(data):
                        reverse=True))
     strict = data.draw(st.booleans(), label="strict")
     wgts = Counter(P.wgt for P in enumerate_patterns(top, strict))
-    counts = pair_sums(top, lambda *pair: (), strict)
+    counts = pair_sums(top, lambda *pair: ((), 1), strict)
     assert sum(counts.values()) == sum(wgts.values())
     if not strict:
         assert counts == {(): weyl_dimension(top)}
-    assert pair_sums(top, wgt_slot, strict) == wgts
+    assert pair_sums(top, lambda *pair: (wgt_slot(*pair), 1), strict) == wgts
+
+    # a valued fold: each wgt holds the sum of its patterns' products of
+    # per-pair factors in {-1, 0, 1, 2}, zero sums included
+    def factor(r, i, above, b, below):
+        return (3 * sum(b) + sum(below) + i) % 4 - 1
+
+    values = dict.fromkeys(wgts, 0)
+    for P in enumerate_patterns(top, strict):
+        values[P.wgt] += prod(factor(P.rank, i, *pair)
+                              for i, pair in enumerate(P.row_pairs(), 1))
+    assert pair_sums(top, lambda *pair: (wgt_slot(*pair), factor(*pair)),
+                     strict) == values
 
