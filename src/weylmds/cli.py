@@ -35,19 +35,18 @@ def _emit_list(items, head="", indent="", end=""):
     _emit((sep + "]" if sep != "," else "\n" + indent + "]") + end)
 
 
-def _parse_ints(text, flag):
+def _parse_ints(text, flag, rank):
     parts = text.split(",")  # int() also takes "1_0", " 1" and other digits
     if not all(x.isascii() and x.removeprefix("-").isdigit() for x in parts):
         raise ValueError(f"{flag} {text!r} is not comma-separated integers")
+    if len(parts) != rank:
+        raise ValueError(f"{flag} must have {rank} entries")
     return tuple(map(int, parts))
 
 
 def _parse_twist(args) -> "LambdaTwist":
     from .roots import LambdaTwist
-    l = _parse_ints(args.l, "--l")
-    if len(l) != args.rank:
-        raise ValueError(f"--l must have {args.rank} entries")
-    return LambdaTwist(l)
+    return LambdaTwist(_parse_ints(args.l, "--l", args.rank))
 
 
 def _twist(args) -> "LambdaTwist":
@@ -60,8 +59,7 @@ def _twist(args) -> "LambdaTwist":
 
 def cmd_patterns(args):
     from .patterns import enumerate_patterns
-    twist = _twist(args)
-    pats = enumerate_patterns(twist.top_row, strict=args.strict_only)
+    pats = enumerate_patterns(_twist(args).top_row, strict=args.strict_only)
     if args.count_only:
         _emit(str(sum(1 for _ in pats)))
         return 0
@@ -76,8 +74,7 @@ def cmd_patterns(args):
 
 def cmd_tableaux(args):
     from .tableaux import standard_tableaux
-    twist = _twist(args)
-    tableaux = standard_tableaux(twist.top_row)
+    tableaux = standard_tableaux(_twist(args).top_row)
     if args.format == "text":
         for S in tableaux:
             _emit(S.render_text())
@@ -149,10 +146,8 @@ def cmd_character(args):
 
 def cmd_euler(args):
     from .chars import euler_product_n1
-    m = _parse_ints(args.m, "--m")
-    if len(m) != args.rank:
-        raise ValueError(f"--m must have {args.rank} entries")
-    entries = euler_product_n1(m, args.bound)
+    entries = euler_product_n1(_parse_ints(args.m, "--m", args.rank),
+                               args.bound)
     if args.format == "csv":
         for c, v in entries:
             _emit(",".join(map(str, c + (v,))))
@@ -190,8 +185,7 @@ def cmd_verify_lemma3(args):
 
 def cmd_verify_lemma4(args):
     from . import patterns, tableaux
-    twist = _twist(args)
-    strict = patterns.enumerate_patterns(twist.top_row, strict=True)
+    strict = patterns.enumerate_patterns(_twist(args).top_row, strict=True)
     bad = [P.to_json() for P in strict if not tableaux.verify_tableau_stats(P)]
     return _verdict(not bad, {"ok": not bad, "failures": bad})
 

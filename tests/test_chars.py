@@ -330,9 +330,34 @@ def test_h_tilde_table_equals_the_per_entry_product():
                                + reduced_pattern_weight(P))
         degenerate[l] = sum(map(is_degenerate, strict))
         tilde = h_tilde_table(twist)
-        assert tilde == oracle, l  # the same keys, zero values included
-    # the zero weight of the degenerate coincidence is exercised
+        assert tilde == oracle, l  # the same keys and values
+    # the zero weight of the degenerate coincidence is exercised, though no
+    # key of this grid sums to zero (see the test below)
     assert degenerate[(0, 0)] == 2 and degenerate[(0, 0, 0)] == 92
+
+
+# every twist of rank 1 with l <= 8, of rank 2 with l_i <= 3 and of rank 3
+# with l_i <= 1
+N1_KEY_GRID = ([(l,) for l in range(9)] + list(product(range(4), repeat=2))
+               + list(product((0, 1), repeat=3)))
+
+
+def test_n1_tables_have_the_same_keys_and_no_zero_value():
+    # verify_h_tilde compares values on the union of the keys, so it does
+    # not see a key that one table lacks when the other's value there is
+    # zero; at n = 1 no key on this grid has a zero value in either table
+    # (the zero-key rule at n = 3 is pinned by the fold tests of
+    # tests/test_coeffs.py)
+    keys = 0
+    for l in N1_KEY_GRID:
+        twist = LambdaTwist(l)
+        tilde = h_tilde_table(twist)
+        table = h_table(twist, 1)
+        assert set(tilde) == set(table.keys()), l
+        assert not any(v.is_zero() for v in tilde.values()), l
+        assert table.nonzero_keys() == table.keys(), l
+        keys += len(tilde)
+    assert len(N1_KEY_GRID) == 33 and keys == 4390
 
 
 def test_tableau_side_equals_the_per_tableau_sum():

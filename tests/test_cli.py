@@ -96,16 +96,18 @@ def test_usage_errors_exit_two(capsys):
                "--p", "5", "--numeric")[0] == 2  # 5 != 1 mod 3
 
 
-@pytest.mark.parametrize("value", ["x", "1.5", "1_0", "", "1,,0"])
+@pytest.mark.parametrize("value", ["x", "1.5", "1_0", "", "1,,0", "0,0"])
 @pytest.mark.parametrize("argv", [
     ["patterns", "--rank", "1", "--count-only", "--l"],
     ["hcoeff", "--rank", "1", "--n", "1", "--l"],
     ["euler", "--rank", "1", "--bound", "3", "--m"]])
 def test_integer_lists_name_their_flag(capsys, argv, value):
     # int() would read "1_0" as 10; every other value made int() raise a
-    # message that named no flag
-    want = f"error: {argv[-1]} {value!r} is not comma-separated integers\n"
-    assert run(capsys, *argv, value) == (2, "", want)
+    # message that named no flag; "0,0" has two entries at rank 1
+    flag = argv[-1]
+    want = (f"{flag} must have 1 entries" if value == "0,0"
+            else f"{flag} {value!r} is not comma-separated integers")
+    assert run(capsys, *argv, value) == (2, "", f"error: {want}\n")
 
 
 # the command grammar: each command path with the flags it reads, and for
