@@ -15,7 +15,8 @@ are not standard shifted tableaux).
 from functools import cached_property, lru_cache
 
 from .gauss import GaussValue, gauss_eval
-from .patterns import EntryRecord, GTPattern, enumerate_patterns, pair_entries
+from .patterns import (EntryRecord, GTPattern, _decreasing, enumerate_patterns,
+                       pair_entries)
 from .record import Record
 from .roots import LambdaTwist
 
@@ -41,7 +42,7 @@ def pair_G(r: int, i: int, above: tuple, b: tuple, below: tuple,
     """Product of the entry factors of row pair i, in pair_positions order,
     from the rows a_{i-1} (`above`), b_i and a_i (`below`, empty for i = r);
     zero unless all three rows strictly decrease."""
-    if any(x <= y for row in (above, b, below) for x, y in zip(row, row[1:])):
+    if not all(map(_decreasing, (above, b, below))):
         return GaussValue.zero(n)
     out = GaussValue.one(n)
     for e in pair_entries(r, i, above, b, below):

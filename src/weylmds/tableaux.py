@@ -17,9 +17,8 @@ those with letters <= (r-i+1)'.
 
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from operator import le, lt
 
-from .patterns import GTPattern, enumerate_patterns, is_strict
+from .patterns import GTPattern, _decreasing, enumerate_patterns, is_strict
 from .record import Record
 
 
@@ -28,24 +27,6 @@ def letter_key(value: int, barred: bool) -> int:
     The key is 2v - 1 for v' and 2v for v, so it is odd exactly when the
     letter is barred."""
     return 2 * value - (1 if barred else 0)
-
-
-def _first_fault(k, below, top) -> str:
-    """The rule broken at the first box of a row that breaks one, read box
-    by box from the keys k of the row and those of the row below (which
-    starts one column further right); at each box the value, row, column
-    and diagonal rules are checked in that order."""
-    for j, x in enumerate(k):
-        for broken, text in (
-                (not 1 <= x <= top, "letter value out of range"),
-                (j + 1 < len(k) and k[j + 1] < x, "rows must weakly increase"),
-                (0 < j <= len(below) and below[j - 1] < x,
-                 "columns must weakly increase"),
-                (j < len(below) and below[j] <= x,
-                 "diagonals must strictly increase")):
-            if broken:
-                return text
-    raise AssertionError("the row breaks no fill rule")
 
 
 class ShiftedTableau(Record):
@@ -59,21 +40,27 @@ class ShiftedTableau(Record):
         return tuple(len(row) for row in self.rows)
 
     def validate(self) -> None:
-        """Check the fill rules; standardness is is_standard."""
+        """Check the fill rules box by box in reading order, and name the
+        first one broken; standardness is is_standard."""
         mu = self.mu
         if len(mu) != self.rank:
             raise ValueError("tableau must have exactly r rows")
-        if any(mu[k] <= mu[k + 1] for k in range(len(mu) - 1)) or mu[-1] < 1:
+        if not _decreasing(mu) or mu[-1] < 1:
             raise ValueError("row lengths must strictly decrease")
         rows, top = self.rows, 2 * self.rank
         for k, below in zip(rows, rows[1:] + ((),)):
-            # row R + 1 starts one column right of row R; 1 <= key <= 2r
-            # exactly when 1 <= value <= r
-            if not (1 <= min(k) and max(k) <= top
-                    and all(map(le, k, k[1:]))
-                    and all(map(le, k[1:], below))
-                    and all(map(lt, k, below))):
-                raise ValueError(_first_fault(k, below, top))
+            # 1 <= key <= 2r exactly when 1 <= value <= r; row R + 1 starts
+            # one column right of row R, so below[j - 1] lies under k[j] and
+            # below[j] follows it on its diagonal
+            for j, x in enumerate(k):
+                if not 1 <= x <= top:
+                    raise ValueError("letter value out of range")
+                if j + 1 < len(k) and k[j + 1] < x:
+                    raise ValueError("rows must weakly increase")
+                if 0 < j <= len(below) and below[j - 1] < x:
+                    raise ValueError("columns must weakly increase")
+                if j < len(below) and below[j] <= x:
+                    raise ValueError("diagonals must strictly increase")
 
     def is_standard(self) -> bool:
         """Row R starts with R' or R."""

@@ -13,29 +13,16 @@ from weylmds.chars import (verify_deformation_identity, verify_euler_bridge,
 from weylmds.coeffs import h_table, verify_k_sum
 from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                            numeric_eval)
-from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
+from weylmds.patterns import enumerate_patterns, is_strict
 from weylmds.roots import LambdaTwist, weyl_dimension
 from weylmds.stable import REL_TOL, verify_stable_match
 from weylmds.tableaux import (pattern_from_tableau, tableau_from_pattern,
                               verify_tableau_stats)
 
 from stable_lemmas import is_stable
-
-
-FIG1 = GTPattern(
-    5,
-    a=((9, 6, 5, 3, 2), (7, 5, 4, 2), (5, 3, 1), (4, 2), (3,)),
-    b=((7, 6, 5, 3, 2), (5, 4, 3, 1), (4, 2, 1), (3, 2), (1,)))
-
-FIG1_TABLEAU_ROWS = [["1_", "1", "1", "2", "3", "4", "4", "5", "5"],
-                     ["2_", "2_", "3", "4_", "4", "5_"],
-                     ["3_", "4_", "4_", "4", "5_"],
-                     ["4_", "4", "5_"],
-                     ["5_", "5_"]]
-
-
-def count_patterns(top_row):
-    return sum(1 for _ in enumerate_patterns(top_row))
+from test_coeffs import weight_from_support
+from test_patterns import FIG1, count_patterns
+from test_tableaux import FIG1_ROWS
 
 
 def _tops(max_entry, rank):
@@ -101,7 +88,7 @@ def test_criterion_5_support_sum_identity():
 
 def test_criterion_6_tableau_statistics_and_bijection():
     S = tableau_from_pattern(FIG1)
-    assert S.to_json()["rows"] == FIG1_TABLEAU_ROWS
+    assert S.to_json()["rows"] == FIG1_ROWS
     assert pattern_from_tableau(S) == FIG1
     assert verify_tableau_stats(FIG1)
     for r in (1, 2, 3):
@@ -162,14 +149,6 @@ def test_criterion_10_reduced_table_and_support():
             kk_all = table.keys()
             L = twist.L
             for k in kk_all:
-                vec = _weight_from_support(k, L)
+                vec = weight_from_support(k, L)
                 assert tuple(-x for x in vec) in weights, (l, k)
     print("PASS criterion 10: reduced-table relation and support containment")
-
-
-def _weight_from_support(k, L):
-    r = len(L)
-    kk = tuple(k) + (0,)
-    diff = [2 * kk[0] - (kk[1] if r > 1 else 0)]
-    diff += [kk[j] - kk[j + 1] for j in range(1, r)]
-    return tuple(Lj - d for Lj, d in zip(L, diff))

@@ -283,12 +283,11 @@ def test_pattern_G_magnitude_bound():
             assert mag < float(5 ** total)
 
 
-def _weight_from_support(k, L):
+def weight_from_support(k, L):
     """lambda+rho - sum k_i alpha_i in Euclidean coordinates."""
     r = len(L)
     kk = tuple(k) + (0,)
-    diff = [2 * kk[0] - kk[1] if r > 1 else 2 * kk[0]]
-    diff += [kk[j] - kk[j + 1] for j in range(1, r)]
+    diff = [2 * kk[0] - kk[1]] + [kk[j] - kk[j + 1] for j in range(1, r)]
     return tuple(Lj - d for Lj, d in zip(L, diff))
 
 
@@ -298,7 +297,7 @@ def test_h_table_support_inside_weight_multiset():
         weights = {P.wgt for P in enumerate_patterns(twist.top_row)}
         table = h_table(twist, 1)
         for k in table.keys():
-            vec = _weight_from_support(k, twist.L)
+            vec = weight_from_support(k, twist.L)
             # the weight multiset is symmetric under negation
             assert tuple(-x for x in vec) in weights
 

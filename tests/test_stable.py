@@ -1,12 +1,13 @@
 from itertools import product
+from math import factorial
 
 import pytest
 
 from weylmds.coeffs import h_table, pattern_G
-from weylmds.gauss import ArithContext, GaussValue
+from weylmds.gauss import ArithContext, GaussValue, gauss_eval
 from weylmds.patterns import enumerate_patterns, is_strict
 from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
-                           d_lambda, phi_w, stability_bound)
+                           d_lambda, norm_sq, phi_w, stability_bound)
 from weylmds.stable import h_stable, k_of_weyl, verify_stable_match
 
 from stable_lemmas import (d_sets, long_element, maximal_count,
@@ -156,3 +157,35 @@ def test_stability_bound_is_largest_d_lambda_and_suffices():
             d_lambda(twist, alpha) for alpha in rs.positive_roots)
         report = verify_stable_match(twist, stability_min_n(twist))
         assert report["checked"] == 8 and report["mismatches"] == [], l
+
+
+def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
+    # rank 1 with l <= 4, rank 2 with l_i <= 3 and rank 3 with l_i <= 1, at
+    # every odd n up to the first odd n at or above the bound.  Below the
+    # bound h_stable refuses, so the product over Phi(w) is taken here; that
+    # the orbit values match there is observed on these twists, not proved
+    twists = [(l,) for l in range(5)] + [
+        l for r, top in ((2, 3), (3, 1))
+        for l in product(range(top + 1), repeat=r)]
+    assert len(twists) == 29
+    off_orbit = {}
+    for l in twists:
+        twist, r = LambdaTwist(l), len(l)
+        bound = stability_bound(twist)
+        orbit = {k_of_weyl(w, twist): w for w in WeylElement.all_elements(r)}
+        assert len(orbit) == 2 ** r * factorial(r), l
+        for n in range(1, bound + 2, 2):
+            table = h_table(twist, n)
+            for k, w in orbit.items():
+                stable = GaussValue.one(n)
+                for alpha in phi_w(w):
+                    d = d_lambda(twist, alpha)
+                    stable = stable * gauss_eval(norm_sq(alpha), d - 1, d, n)
+                assert table.value(k) == stable, (l, n, w)
+            outside = sum(k not in orbit for k in table.nonzero_keys())
+            assert (outside > 0) == (n < bound), (l, n, outside)
+            off_orbit[l, n] = outside
+    pins = {((1, 1), 3): 6, ((1, 1), 5): 4, ((0, 0, 0), 3): 8,
+            ((1, 1, 1), 3): 228, ((1, 1, 1), 5): 90, ((1, 1, 1), 7): 48,
+            ((1, 1, 1), 9): 24}
+    assert {key: off_orbit[key] for key in pins} == pins

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
-from weylmds.tableaux import (ShiftedTableau, TableauStats, letter_key,
-                              pair_tableau_stats, pattern_from_tableau,
-                              tableau_from_pattern, tableau_stats,
-                              verify_tableau_stats)
+from weylmds.tableaux import (ShiftedTableau, TableauStats, _pattern_rows,
+                              letter_key, pair_tableau_stats,
+                              pattern_from_tableau, tableau_from_pattern,
+                              tableau_stats, verify_tableau_stats)
 
 from test_patterns import FIG1, a_entry, b_entry
 
@@ -198,6 +198,19 @@ def test_tableau_rejects_nonstrict_pattern():
     P = GTPattern(2, ((2, 1), (1,)), ((1, 1), (1,)))
     with pytest.raises(ValueError):
         tableau_from_pattern(P)
+
+
+def test_strictness_check_refuses_a_fill_that_obeys_the_fill_rules():
+    # b_2 = (0, 0) is not strict, yet the pattern's fill obeys every fill
+    # rule and fails only standardness, so validate() cannot stand in for
+    # tableau_from_pattern's strictness check
+    P = GTPattern(3, ((4, 3, 2), (4, 0), (0,)), ((4, 3, 0), (0, 0), (0,)))
+    with pytest.raises(ValueError):
+        tableau_from_pattern(P)
+    S = ShiftedTableau(3, ((4, 4, 4, 4), (5, 5, 5), (6, 6)))
+    S.validate()
+    assert not S.is_standard()
+    assert _pattern_rows(S) == (P.a, P.b)
 
 
 def test_all_minimal_statistics():
