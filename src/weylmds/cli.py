@@ -94,14 +94,11 @@ def _tableau_json(S):
 def cmd_hcoeff(args):
     from . import coeffs, gauss
     twist = _twist(args)
-    if args.numeric:
+    if args.p is not None:
         if args.format == "csv":
-            raise ValueError("--numeric has no csv column; use --format json")
-        if args.p is None:
-            raise ValueError("--numeric needs --p")
+            raise ValueError("--p adds a column that csv does not have; "
+                             "use --format json")
         ctx = gauss.ArithContext(args.n, args.p)
-    elif args.p is not None:
-        raise ValueError("--p is only read with --numeric")
     table = coeffs.h_table(twist, args.n)
     entries = table.entries_json()
     if args.format == "csv":
@@ -110,7 +107,7 @@ def cmd_hcoeff(args):
                            for t in entry["value"]) or "0"
             _emit(",".join(str(x) for x in entry["k"]) + "," + val)
         return 0
-    if args.numeric:
+    if args.p is not None:
         values = [v for _, v in table.entries]
         gauss.check_numeric_terms(len(values), ctx, values)
         entries = _with_numeric(entries, table, ctx)
@@ -256,9 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hcoeff", help="prime-power coefficient table")
     common(p, "csv")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--numeric", action="store_true",
-                   help="add a floating cross-check column (requires --p)")
+    p.add_argument("--p", type=int, help="add a numeric column at p")
     p.set_defaults(func=cmd_hcoeff)
 
     p = sub.add_parser("character", help="symplectic character for a twist")

@@ -140,11 +140,7 @@ class LambdaTwist(Record):
     @property
     def L(self) -> tuple:
         """lambda + rho = (L_1, ..., L_r) in Euclidean coordinates."""
-        out, acc = [], 0
-        for j, lj in enumerate(self.l, start=1):
-            acc += lj
-            out.append(acc + j)
-        return tuple(out)
+        return tuple(s + j for j, s in enumerate(accumulate(self.l), 1))
 
     @property
     def top_row(self) -> tuple:
@@ -154,8 +150,7 @@ class LambdaTwist(Record):
     @property
     def partition(self) -> tuple:
         """lambda itself as a weakly decreasing partition."""
-        return tuple(Lj - j for j, Lj in zip(range(1, self.rank + 1),
-                                             self.L))[::-1]
+        return tuple(accumulate(self.l))[::-1]
 
 
 def d_lambda(twist: LambdaTwist, alpha) -> int:

@@ -54,7 +54,7 @@ def verify_stable_match(twist: LambdaTwist, n: int,
     _check_degree(twist, n)
     table = h_table(twist, n)
     mismatches = []
-    seen = {}
+    seen = set()
     equal = []  # (w, k, table value, product) of each symbolic match
     for w in WeylElement.all_elements(r):
         k = k_of_weyl(w, twist)
@@ -62,7 +62,7 @@ def verify_stable_match(twist: LambdaTwist, n: int,
             mismatches.append({"w": _w_json(w), "k": list(k),
                                "reason": "duplicate support vector"})
             continue
-        seen[k] = w
+        seen.add(k)
         lhs = table.value(k)
         rhs = h_stable(w, twist, n)
         if lhs != rhs:

@@ -78,7 +78,7 @@ def test_output_determinism(capsys):
 
 def test_numeric_column(capsys):
     code, out, _ = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
-                       "--n", "1", "--p", "5", "--numeric")
+                       "--n", "1", "--p", "5")
     assert code == 0
     obj = json.loads(out)
     by_k = {tuple(e["k"]): e["numeric"] for e in obj["entries"]}
@@ -88,12 +88,12 @@ def test_numeric_column(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "hcoeff", "--rank", "1", "--l", "0", "--n", "1",
-               "--numeric")[0] == 2  # --numeric without --p
+               "--numeric")[0] == 2  # unknown flag
     assert run(capsys, "hcoeff", "--rank", "2", "--l", "0",
                "--n", "1")[0] == 2   # wrong l arity
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "hcoeff", "--rank", "1", "--l", "0", "--n", "3",
-               "--p", "5", "--numeric")[0] == 2  # 5 != 1 mod 3
+               "--p", "5")[0] == 2  # 5 != 1 mod 3
 
 
 @pytest.mark.parametrize("value", ["x", "1.5", "1_0", "", "1,,0", "0,0"])
@@ -117,7 +117,7 @@ def test_integer_lists_name_their_flag(capsys, argv, value):
 _READS = {
     "patterns": "--rank --l --format --count-only --strict-only",
     "tableaux": "--rank --l --format",
-    "hcoeff": "--rank --l --format --n --p --numeric",
+    "hcoeff": "--rank --l --format --n --p",
     "character": "--rank --l --format",
     "euler": "--rank --m --bound --format",
     "verify stable": "--rank --l --n --p",
@@ -126,7 +126,7 @@ _READS = {
                      "verify cs"), "--rank --l"),
 }
 _FLAGS = sorted({flag for flags in _READS.values() for flag in flags.split()})
-_SWITCHES = ("--count-only", "--strict-only", "--numeric")
+_SWITCHES = ("--count-only", "--strict-only")
 _BAD = st.sampled_from(["", "x", "-1", "0", "1.5", "1,,0", "-2,1"])
 
 
@@ -317,10 +317,23 @@ def test_verify_targets_refuse_flags_they_do_not_read(capsys):
     assert run(capsys, "verify", "lemma3", "--n", "3")[0] == 2
 
 
-def test_hcoeff_p_without_numeric_exit_two(capsys):
-    code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
-                         "--n", "1", "--p", "5")
-    assert code == 2 and out == "" and "--numeric" in err
+def test_hcoeff_p_adds_the_numeric_column(capsys):
+    # --p alone turns on numeric evaluation: the exact table, with each
+    # entry's value at p appended in order
+    twist = ("hcoeff", "--rank", "2", "--l", "1,0", "--n", "3")
+    code, out, err = run(capsys, *twist)
+    assert (code, err) == (0, "")
+    exact = json.loads(out)
+    code, out, err = run(capsys, *twist, "--p", "7")
+    assert (code, err) == (0, "")
+    numeric = json.loads(out)
+    assert [list(e) for e in numeric["entries"]] == \
+        [list(e) + ["numeric"] for e in exact["entries"]]
+    for e in numeric["entries"]:
+        assert len(e.pop("numeric")) == 2
+    assert numeric == exact
+    code, out, _ = run(capsys, *twist, "--p", "7", "--numeric")
+    assert (code, out) == (2, "")
 
 
 def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
@@ -331,7 +344,7 @@ def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(gauss, "ArithContext",
                         lambda *args: calls.append(args))
     code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
-                         "--n", "1", "--p", "5", "--numeric",
+                         "--n", "1", "--p", "5",
                          "--format", "csv")
     assert (code, out, calls) == (2, "", [])
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -340,8 +353,7 @@ def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
 # each needs more than 10^9 brute-force terms: len(entries) (n - 1) p for
 # hcoeff, up to 2 |W| (n - 1) p for verify stable
 @pytest.mark.parametrize("argv", [
-    ("hcoeff", "--rank", "1", "--l", "0", "--n", "100002", "--p", "100003",
-     "--numeric"),
+    ("hcoeff", "--rank", "1", "--l", "0", "--n", "100002", "--p", "100003"),
     ("verify", "stable", "--rank", "1", "--l", "0", "--n", "100001",
      "--p", "200003"),
     ("verify", "stable", "--rank", "4", "--l", "0,0,0,0", "--n", "7",
@@ -384,7 +396,7 @@ def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
         for entry, (_, val) in zip(obj["entries"], table.entries):
             z = fake(val, None)
             entry["numeric"] = [z.real, z.imag]
-        argv += ["--p", "7", "--numeric"]
+        argv += ["--p", "7"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == cli._dump(obj) + "\n"
@@ -393,7 +405,7 @@ def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
 def test_hcoeff_numeric_failure_in_the_first_chunk_writes_nothing(capsys):
     # 7^e overflows a float at the q exponents of the first 4096 entries
     code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "400",
-                         "--n", "1", "--p", "7", "--numeric")
+                         "--n", "1", "--p", "7")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
@@ -405,7 +417,7 @@ def test_numeric_float_overflow_refused_before_the_first_byte(capsys,
     from weylmds import gauss
     for l, p in (("364", "7"), ("1023", "2")):
         code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", l,
-                             "--n", "1", "--p", p, "--numeric")
+                             "--n", "1", "--p", p)
         assert (code, err) == (0, "")
         assert max(e["k"][0] for e in json.loads(out)["entries"]) == int(l) + 1
 
@@ -415,7 +427,7 @@ def test_numeric_float_overflow_refused_before_the_first_byte(capsys,
     monkeypatch.setattr(gauss, "numeric_eval", never)
     for l, p in (("365", "7"), ("400", "7"), ("1024", "2")):
         code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", l,
-                             "--n", "1", "--p", p, "--numeric")
+                             "--n", "1", "--p", p)
         assert (code, out) == (2, "")
         assert err == f"error: p^e = {p}^{l} overflows float\n"
 
@@ -504,7 +516,7 @@ def test_term_size_overflow_refused_with_the_gauss_sum_factor(capsys,
     monkeypatch.setattr(gauss, "numeric_eval", never)
     monkeypatch.setattr(stable, "numeric_eval", never)
     twist = ("--rank", "1", "--l", "96", "--n", "201", "--p", "1609")
-    for argv in (("hcoeff", *twist, "--numeric"), ("verify", "stable", *twist)):
+    for argv in (("hcoeff", *twist), ("verify", "stable", *twist)):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == ("error: |c| p^(e + j/2) = 1 * 1609^96.5 overflows "
@@ -669,7 +681,7 @@ def test_zero_prime_is_not_absent(capsys):
 
 def test_prime_above_limit_exit_two(capsys):
     code, out, err = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
-                         "--n", "1", "--p", "10000019", "--numeric")
+                         "--n", "1", "--p", "10000019")
     assert code == 2 and out == "" and "10^7" in err
 
 
@@ -714,7 +726,7 @@ def test_numeric_column_at_p_two(capsys):
     from weylmds.gauss import ArithContext
     assert ArithContext(1, 2).root == 1
     code, out, _ = run(capsys, "hcoeff", "--rank", "1", "--l", "0",
-                       "--n", "1", "--p", "2", "--numeric")
+                       "--n", "1", "--p", "2")
     assert code == 0
     by_k = {tuple(e["k"]): e["numeric"] for e in json.loads(out)["entries"]}
     assert by_k == {(0,): [1.0, 0.0], (1,): [-1.0, 0.0]}

@@ -84,17 +84,6 @@ def test_symbol_folding_only_for_conjugate_pairs():
     assert v4.terms == (((2, 2), 0, 1),)
 
 
-def test_oracle_equivalence_grid():
-    for n, p in ((1, 5), (3, 7), (5, 11)):
-        ctx = ArithContext(n, p)
-        for t in (1, 2):
-            for c in range(6):
-                for v in range(5):
-                    sym = numeric_eval(gauss_eval(t, c, v, n), ctx)
-                    brute = gauss_brute(t, c, v, ctx)
-                    assert abs(sym - brute) <= 1e-9 * p ** v, (n, p, t, c, v)
-
-
 def test_primitive_sum_magnitudes():
     for n, p in ((3, 7), (5, 11)):
         ctx = ArithContext(n, p)
@@ -170,7 +159,7 @@ def test_numeric_term_limit_counts_every_primitive_sum_of_every_call():
 
 
 def test_context_builds_no_p_entry_table_for_symbol_free_values():
-    # hcoeff --numeric at n = 1: values without symbols need no character
+    # hcoeff --p at n = 1: values without symbols need no character
     p = 9_999_991
     ctx = ArithContext(1, p)
     assert cached_tables(ctx) == []

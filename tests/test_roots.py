@@ -109,6 +109,19 @@ def test_rho_is_weight_sum():
     assert half == rs.rho
 
 
+def test_twist_rows_are_the_closed_form_of_their_partial_sums():
+    # L_j = l_1 + ... + l_j + j, the top row reverses L, and
+    # lambda_j = l_1 + ... + l_{r+1-j} = L_{r+1-j} - (r+1-j)
+    for r in range(1, 5):
+        for l in product(range(4), repeat=r):
+            twist = LambdaTwist(l)
+            L = tuple(sum(l[:j]) + j for j in range(1, r + 1))
+            assert twist.L == L, l
+            assert twist.top_row == L[::-1], l
+            assert twist.partition == tuple(
+                L[r - j] - (r + 1 - j) for j in range(1, r + 1)), l
+
+
 def test_d_lambda_values_r2():
     twist = LambdaTwist((0, 0))  # L = (1, 2)
     assert d_lambda(twist, (2, 0)) == 1
