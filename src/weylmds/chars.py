@@ -40,43 +40,26 @@ def _slot(r, i, w) -> tuple:
 
 
 def deformation_factors(r: int) -> list:
-    """The factors of Hamel-King's D(x; t): x^{rev rho}, then
-    (1 + t x^{-rev alpha}) per positive root alpha, where rev reads
-    x_1 .. x_r in reverse order: x_1^r x_2^{r-1} ... x_r, then
-    (1 + t x_i^{-2}) and (1 + t x_i^{-1} x_j^{+-1}) for i < j."""
+    """The factors of Hamel-King's D(tx; t): t^{|rho|} x^{rev rho}, then
+    (1 + t^{1 - |alpha|} x^{-rev alpha}) per positive root alpha, where rev
+    reads x_1 .. x_r in reverse order and |.| sums the coordinates:
+    t^{r(r+1)/2} x_1^r x_2^{r-1} ... x_r, then (1 + t^{-1} x_i^{-2}),
+    (1 + t x_i^{-1} x_j) and (1 + t^{-1} x_i^{-1} x_j^{-1}) for i < j."""
     n = ring_size(r)
     rs = build_root_system(r)
-    return [LaurentPoly.monomial(n, rs.rho[::-1] + (0, 0))] + [
-        1 + LaurentPoly.monomial(n, tuple(-c for c in alpha[::-1]) + (1, 0))
+    return [LaurentPoly.monomial(n, rs.rho[::-1] + (sum(rs.rho), 0))] + [
+        1 + LaurentPoly.monomial(
+            n, tuple(-c for c in alpha[::-1]) + (1 - sum(alpha), 0))
         for alpha in rs.positive_roots]
 
 
-def scale_x_by_t(poly: LaurentPoly) -> LaurentPoly:
-    """Substitute x_i -> t x_i for every x variable: x^e t^j q^k goes to
-    x^e t^{j + |e|} q^k, |e| the total x degree.  The map is injective on
-    exponent tuples, so no terms collect."""
-    r = poly.nvars - 2  # the t slot; q is the last
+def t_to_minus_one_over_q(poly: LaurentPoly) -> LaurentPoly:
+    """Substitute t -> -1/q: x^e t^j q^k goes to (-1)^j x^e q^{k - j}.
+    Terms that differ only in t and q can meet, so they collect."""
     out = {}
-    for e, c in poly.terms.items():
-        key = list(e)
-        key[r] += sum(e[:r])
-        out[tuple(key)] = c
-    return LaurentPoly._of(poly.nvars, out)
-
-
-def minus_x_over_q(poly: LaurentPoly) -> LaurentPoly:
-    """Substitute x_i -> -x_i/q and t -> -1/q: x^e t^j q^k goes to
-    (-1)^{|e| + j} x^e q^{k - |e| - j}, |e| the total x degree.  Terms
-    that differ only in t and q can meet, so they collect."""
-    r = poly.nvars - 2  # the t slot; q is the last
-    out = {}
-    for e, c in poly.terms.items():
-        shift = sum(e[:r]) + e[r]
-        key = list(e)
-        key[r] = 0
-        key[r + 1] -= shift
-        key = tuple(key)
-        out[key] = out.get(key, 0) + (-c if shift % 2 else c)
+    for (*e, j, k), c in poly.terms.items():
+        key = (*e, 0, k - j)
+        out[key] = out.get(key, 0) + (-c if j % 2 else c)
     return LaurentPoly(poly.nvars, out)
 
 
@@ -115,7 +98,7 @@ def tableau_side(r: int, classes: dict) -> LaurentPoly:
 
 
 def verify_deformation_identity(twist: LambdaTwist):
-    """D(t x; t) sp_lam(x), with sp_lam times each scaled factor of D in
+    """D(tx; t) sp_lam(x), with sp_lam times each factor of D(tx; t) in
     turn, against the tableau statistic sum, plus the weight-sum bridging
     identity for every tableau class.  Returns (ok, difference polynomial)."""
     r = twist.rank
@@ -124,8 +107,7 @@ def verify_deformation_identity(twist: LambdaTwist):
     classes = tableau_classes(twist)
     bridging = all(sum(wgt) == fixed - 2 * barred
                    for *wgt, _, barred, _ in classes)
-    lhs = reduce(mul, (scale_x_by_t(f) for f in deformation_factors(r)),
-                 character_gt(twist.partition))
+    lhs = reduce(mul, deformation_factors(r), character_gt(twist.partition))
     diff = lhs - tableau_side(r, classes)
     return (diff.is_zero() and bridging), diff
 
@@ -188,10 +170,12 @@ def euler_factors(r: int) -> list:
 
 def verify_euler_bridge(r: int):
     """x^rho D(-x/q; -1/q), where x^rho = x_1 x_2^2 ... x_r^r, equals the
-    positive-root Euler product; exact in x and q.  Both sides are folded
-    over the factor lists that the two identities read."""
+    positive-root Euler product; exact in x and q.  D(-x/q; -1/q) is
+    Hamel-King's D(tx; t) at t = -1/q, so the left side folds the very
+    factors of verify_deformation_identity, each sent through t -> -1/q,
+    and the right side folds euler_factors."""
     rho = LaurentPoly.monomial(ring_size(r), build_root_system(r).rho + (0, 0))
-    lhs = reduce(mul, (minus_x_over_q(f) for f in deformation_factors(r)), rho)
+    lhs = reduce(mul, map(t_to_minus_one_over_q, deformation_factors(r)), rho)
     diff = lhs - reduce(mul, euler_factors(r))
     return diff.is_zero(), diff
 

@@ -210,14 +210,10 @@ class ArithContext(Record):
             raise ValueError("p must be congruent to 1 mod n")
         object.__setattr__(self, "root", _primitive_root(self.p))
 
-    def chi_index(self, d: int):
-        """Exponent s in Z/n with chi(d) = e^{2 pi i s / n}, or None if p | d."""
-        d %= self.p
-        return self.chi_table[d] if d else None
-
     @cached_property
     def chi_table(self) -> list:
-        """chi_index(d) at index d of Z/p, built on first use."""
+        """The exponent s in Z/n with chi(d) = e^{2 pi i s / n} at index d
+        of Z/p; index 0, where chi vanishes, holds 0.  Built on first use."""
         table = [0] * self.p
         x = 1
         for k in range(self.p - 1):

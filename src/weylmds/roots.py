@@ -112,10 +112,6 @@ class WeylElement(Record):
                      for i in range(self.rank))
 
     @staticmethod
-    def identity(r: int) -> "WeylElement":
-        return WeylElement(tuple(range(1, r + 1)), (1,) * r)
-
-    @staticmethod
     def all_elements(r: int):
         """All 2^r r! elements in canonical sorted (sigma, eps) order."""
         for sigma in permutations(range(1, r + 1)):

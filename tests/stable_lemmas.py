@@ -47,6 +47,10 @@ def sign(w: WeylElement) -> int:
     return s
 
 
+def identity_element(r: int) -> WeylElement:
+    return WeylElement(tuple(range(1, r + 1)), (1,) * r)
+
+
 def long_element(r: int) -> WeylElement:
     return WeylElement(tuple(range(1, r + 1)), (-1,) * r)
 

@@ -11,11 +11,10 @@ from weylmds import chars
 from weylmds.chars import (character_gt, class_weight, deformation_factors,
                            euler_factors, euler_product_n1,
                            h_generating_function, h_tilde_table,
-                           minus_x_over_q, ring_size, scale_x_by_t,
-                           tableau_classes,
-                           tableau_side, verify_deformation_identity,
-                           verify_euler_bridge, verify_euler_factor_identity,
-                           verify_h_tilde)
+                           ring_size, t_to_minus_one_over_q,
+                           tableau_classes, tableau_side,
+                           verify_deformation_identity, verify_euler_bridge,
+                           verify_euler_factor_identity, verify_h_tilde)
 from weylmds.coeffs import h_table
 from weylmds.gauss import GaussValue
 from weylmds.laurent import LaurentPoly
@@ -101,35 +100,42 @@ def test_character_signed_permutation_invariance():
             assert LaurentPoly(ring_size(r), moved) == c
 
 
-def deformation_D_long(r):
+def deformation_D_long(r, scaled=False):
     """Hamel-King's deformed denominator written out factor by factor:
-    prod x_i^{r-i+1} prod (1 + t x_i^{-2})
-    prod_{i<j} (1 + t x_i^{-1} x_j)(1 + t x_i^{-1} x_j^{-1})."""
+    D(x; t) = prod x_i^{r-i+1} prod (1 + t x_i^{-2})
+    prod_{i<j} (1 + t x_i^{-1} x_j)(1 + t x_i^{-1} x_j^{-1}); scaled,
+    D(tx; t) = t^{r(r+1)/2} prod x_i^{r-i+1} prod (1 + t^{-1} x_i^{-2})
+    prod_{i<j} (1 + t x_i^{-1} x_j)(1 + t^{-1} x_i^{-1} x_j^{-1})."""
     one = LaurentPoly.const(ring_size(r), 1)
+    long_t = -1 if scaled else 1  # the t power of x^{-2} binomials
 
-    def tfactor(*exp_pairs):
+    def tfactor(t, *exp_pairs):
         mono = [0] * r
         for i, p in exp_pairs:
             mono[i - 1] += p
-        return one + _mono(r, mono, t=1)
+        return one + _mono(r, mono, t=t)
 
-    out = _mono(r, range(r, 0, -1))
+    out = _mono(r, range(r, 0, -1), t=r * (r + 1) // 2 if scaled else 0)
     for i in range(1, r + 1):
-        out = out * tfactor((i, -2))
+        out = out * tfactor(long_t, (i, -2))
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            out = out * tfactor((i, -1), (j, 1)) * tfactor((i, -1), (j, -1))
+            out = (out * tfactor(1, (i, -1), (j, 1))
+                   * tfactor(long_t, (i, -1), (j, -1)))
     return out
 
 
 def deformation_D(r):
-    """Hamel-King's deformed denominator, the fold of its factor list."""
+    """Hamel-King's D(tx; t), the fold of its factor list."""
     return reduce(mul, deformation_factors(r))
 
 
 @pytest.mark.parametrize("r", range(1, 6))
 def test_deformation_D_equals_explicit_product(r):
-    assert deformation_D(r) == deformation_D_long(r)
+    D = deformation_D(r)
+    assert D == deformation_D_long(r, scaled=True)
+    if r <= 4:  # the oracle takes 21 s on rank 5's 250,606 terms
+        assert D == substitute_long(deformation_D_long(r), scale_mapping(r))
 
 
 def euler_factors_long(r):
@@ -161,23 +167,26 @@ def test_euler_factors_fold_to_the_explicit_product(r):
 
 def test_deformation_examples():
     r1 = deformation_D(1)
-    assert r1 == _mono(1, (1,)) + _mono(1, (-1,), t=1)
+    assert r1 == _mono(1, (1,), t=1) + _mono(1, (-1,))
     r2 = deformation_D(2)
-    t0 = LaurentPoly(ring_size(2),
-                     {e: c for e, c in r2.terms.items() if e[t_index(2)] == 0})
-    assert t0 == _mono(2, (2, 1))
+    # x^{rev rho} comes only from the empty choice of binomials
+    lead = LaurentPoly(ring_size(2), {e: c for e, c in r2.terms.items()
+                                      if e[:2] == (2, 1)})
+    assert lead == _mono(2, (2, 1), t=3)
     vals = {0: Fraction(1), 1: Fraction(1), 2: Fraction(-1), 3: Fraction(1)}
-    assert eval_at(r2, vals) == 0  # t = -1, x = 1 kills (1 + t)
+    assert eval_at(r2, vals) == 0  # t = -1, x = 1 kills (1 + t x_1^{-1} x_2)
 
 
 def test_scale_x_by_t():
-    x0, x1, t, q = (variable(4, i) for i in range(4))
-    x0inv, x1inv = (variable(4, i, -1) for i in range(2))
-    tinv = variable(4, t_index(2), -1)
-    p = x0 * x0 + x0inv + Fraction(1, 2) * x0 * x1inv * q
-    assert scale_x_by_t(p) == (x0 * x0 * t * t + x0inv * tinv
-                               + Fraction(1, 2) * x0 * x1inv * q)
-    assert scale_x_by_t(t * q + 3) == t * q + 3
+    # the factors of D(x; t) with x_i -> t x_i, written out at ranks 1, 2
+    x2, t = variable(4, 1), variable(4, 2)
+    x1inv, x2inv, tinv = (variable(4, i, -1) for i in range(3))
+    assert deformation_factors(1) == [_mono(1, (1,), t=1),
+                                      1 + _mono(1, (-2,), t=-1)]
+    assert deformation_factors(2) == [
+        _mono(2, (2, 1), t=3), 1 + t * x1inv * x2,
+        1 + tinv * x1inv * x1inv, 1 + tinv * x1inv * x2inv,
+        1 + tinv * x2inv * x2inv]
 
 
 def substitute_long(poly, mapping):
@@ -210,13 +219,17 @@ def scale_mapping(r):
             for i in range(r)}
 
 
+def t_mapping(r):
+    """t -> -1/q."""
+    n, qi = ring_size(r), q_index(r)
+    return {t_index(r): (-1, tuple(-(k == qi) for k in range(n)))}
+
+
 def bridge_mapping(r):
     """x_i -> -x_i / q and t -> -1/q."""
     n, qi = ring_size(r), q_index(r)
-    mapping = {i: (-1, tuple(int(k == i) - (k == qi) for k in range(n)))
-               for i in range(r)}
-    mapping[t_index(r)] = (-1, tuple(-(k == qi) for k in range(n)))
-    return mapping
+    return {i: (-1, tuple(int(k == i) - (k == qi) for k in range(n)))
+            for i in range(r)} | t_mapping(r)
 
 
 _coeff = st.one_of(st.integers(-5, 5),
@@ -230,23 +243,21 @@ def test_exponent_maps_equal_the_substitution(data):
     exps = st.tuples(*[st.integers(-3, 3)] * ring_size(r))
     poly = LaurentPoly(ring_size(r),
                        data.draw(st.dictionaries(exps, _coeff, max_size=8)))
-    for fast, mapping in ((scale_x_by_t, scale_mapping(r)),
-                          (minus_x_over_q, bridge_mapping(r))):
-        image = fast(poly)
-        assert image == substitute_long(poly, mapping)
-        assert all(type(c) is int or c.denominator != 1
-                   for c in image.terms.values())
+    image = t_to_minus_one_over_q(poly)
+    assert image == substitute_long(poly, t_mapping(r))
+    assert all(type(c) is int or c.denominator != 1
+               for c in image.terms.values())
 
 
 @pytest.mark.parametrize("r", range(1, 6))
 def test_exponent_maps_of_the_deformed_denominator(r):
-    D, D_long = deformation_D(r), deformation_D_long(r)
-    assert scale_x_by_t(D) == scale_x_by_t(D_long)
-    assert minus_x_over_q(D) == minus_x_over_q(D_long)
+    # D(tx; t) at t = -1/q, folded factor by factor as the bridge does, is
+    # the map of the whole product, and is D(-x/q; -1/q)
+    bridged = reduce(mul, map(t_to_minus_one_over_q, deformation_factors(r)))
+    assert bridged == t_to_minus_one_over_q(deformation_D_long(r, scaled=True))
     if r <= 4:  # the oracle takes 21 s on rank 5's 250,606 terms
-        assert scale_x_by_t(D) == substitute_long(D_long, scale_mapping(r))
-        assert minus_x_over_q(D) == substitute_long(D_long,
-                                                    bridge_mapping(r))
+        assert bridged == substitute_long(deformation_D_long(r),
+                                          bridge_mapping(r))
 
 
 def hk_rhs(r, stats):
@@ -265,9 +276,9 @@ def test_hk_rhs_rank1_matches_deformation():
     twist = LambdaTwist((0,))
     rhs = hk_rhs(1, [tableau_stats(S)
                      for S in standard_tableaux(twist.top_row)])
-    # the two single-box tableaux give x^{-1} + t x
+    # the two single-box tableaux give x^{-1} + t x, which is D(tx; t)
     assert rhs == _mono(1, (-1,)) + _mono(1, (1,), t=1)
-    assert rhs == scale_x_by_t(deformation_D(1)) * character_gt((0,))
+    assert rhs == deformation_D(1) * character_gt((0,))
 
 
 def test_deformation_identity_small():

@@ -13,8 +13,9 @@ from weylmds.patterns import (GTPattern, enumerate_patterns, interleave_bounds,
                               pair_positions, pair_sums, pair_weight)
 from weylmds.roots import WeylElement, support_vector, weyl_dimension
 
-from stable_lemmas import (is_stable, long_element, pair_records, record,
-                           stable_pattern_for, weyl_from_stable)
+from stable_lemmas import (identity_element, is_stable, long_element,
+                           pair_records, record, stable_pattern_for,
+                           weyl_from_stable)
 
 
 FIG1 = GTPattern(
@@ -363,7 +364,7 @@ def test_all_minimal_pattern_is_stable_and_identity():
     # b-rows copy the a-row above, a-rows copy the b-row above
     P = GTPattern(2, ((2, 1), (1,)), ((2, 1), (1,)))
     assert is_stable(P)
-    assert weyl_from_stable(P) == WeylElement.identity(2)
+    assert weyl_from_stable(P) == identity_element(2)
     assert P.k_vec == (0, 0)
 
 

@@ -78,7 +78,7 @@ def test_cached_properties_still_cache():
 
 def test_context_compares_on_degree_prime_and_root():
     used, fresh = ArithContext(3, 7), ArithContext(3, 7)
-    used.chi_index(3)
+    used.chi_table
     used.additive_table(1)
     assert used == fresh and hash(used) == hash(fresh)
     assert used != ArithContext(3, 13)

@@ -10,14 +10,14 @@ from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
                            d_lambda, norm_sq, phi_w, stability_bound)
 from weylmds.stable import h_stable, k_of_weyl, verify_stable_match
 
-from stable_lemmas import (d_sets, long_element, maximal_count,
-                           maximal_count_formula, phi_w_typed,
+from stable_lemmas import (d_sets, identity_element, long_element,
+                           maximal_count, maximal_count_formula, phi_w_typed,
                            stability_min_n, stable_pattern_for,
                            weyl_from_stable)
 
 
 def test_h_stable_identity_is_empty_product():
-    assert h_stable(WeylElement.identity(2), LambdaTwist((0, 0)), 3) \
+    assert h_stable(identity_element(2), LambdaTwist((0, 0)), 3) \
         == GaussValue.one(3)
 
 
@@ -36,7 +36,7 @@ def test_h_stable_r2_long_element():
 
 def test_h_stable_rejects_below_bound():
     with pytest.raises(ValueError):
-        h_stable(WeylElement.identity(2), LambdaTwist((0, 0)), 1)
+        h_stable(identity_element(2), LambdaTwist((0, 0)), 1)
 
 
 def test_phi_w_typed_partitions_phi_w():
@@ -49,7 +49,7 @@ def test_phi_w_typed_partitions_phi_w():
 
 
 def test_typed_identity_empty_and_long_type_root():
-    parts = phi_w_typed(WeylElement.identity(3))
+    parts = phi_w_typed(identity_element(3))
     assert all(not part for part in parts.values())
     w = WeylElement((1, 2, 3), (-1, 1, 1))
     assert sum(1 for tr in phi_w_typed(w)[1] if tr.kind == "L") == 1
