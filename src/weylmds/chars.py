@@ -120,8 +120,8 @@ def _reduced_factor(m: int, g: int, degenerate: int) -> GaussValue:
     """t^m (1 + t)^g at t = -1/q, the reduced factor of m maximal and g
     generic entries, as an n = 1 Gauss value; zero at a degenerate entry
     (minimal at zero slack, see coeffs.gamma_b)."""
-    return GaussValue._canonical(1, [] if degenerate else [
-        ((), -j, (-1) ** j * c) for j, c in class_weight(m, g)])
+    return GaussValue._canonical(1, {} if degenerate else {
+        ((), -j): (-1) ** j * c for j, c in class_weight(m, g)})
 
 
 def h_tilde_table(twist: LambdaTwist) -> dict:

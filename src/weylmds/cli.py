@@ -36,6 +36,8 @@ def _emit_list(items, head="", indent="", end=""):
 
 
 def _parse_ints(text, flag, rank):
+    if rank <= 0:  # before the list, whose length would name the wrong flag
+        raise ValueError("--rank must be positive")
     parts = text.split(",")  # int() also takes "1_0", " 1" and other digits
     if not all(x.isascii() and x.removeprefix("-").isdigit() for x in parts):
         raise ValueError(f"{flag} {text!r} is not comma-separated integers")

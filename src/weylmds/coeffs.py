@@ -14,7 +14,7 @@ are not standard shifted tableaux).
 
 from functools import cached_property, lru_cache
 
-from .gauss import GaussValue, gauss_eval
+from .gauss import GaussValue, add_terms, gauss_eval
 from .patterns import (EntryRecord, GTPattern, _decreasing, enumerate_patterns,
                        pair_entries)
 from .record import Record
@@ -107,7 +107,9 @@ class HTable(Record):
 
 
 def h_table(twist: LambdaTwist, n: int) -> HTable:
-    """Group pattern products over GT(lambda+rho) by support vector."""
+    """Group pattern products over GT(lambda+rho) by support vector.  A
+    key holds its first nonzero product as it is, and from the second on
+    a {(syms, q_exp): coeff} map, canonicalized once at the end."""
     if n < 1:
         raise ValueError("degree must be positive")
     zero = GaussValue.zero(n)
@@ -115,7 +117,16 @@ def h_table(twist: LambdaTwist, n: int) -> HTable:
     for P in enumerate_patterns(twist.top_row):
         k = P.k_vec
         g = pattern_G(P, n)
-        acc.setdefault(k, zero)
-        if not g.is_zero():  # a zero G(P) only keeps its k as a key
-            acc[k] = acc[k] + g
-    return HTable(twist, n, tuple(sorted(acc.items())))
+        if g.is_zero():  # a zero G(P) only keeps its k as a key
+            acc.setdefault(k, zero)
+            continue
+        held = acc.get(k, zero)
+        if held is zero:
+            acc[k] = g
+        elif type(held) is dict:
+            add_terms(held, g.terms)
+        else:
+            acc[k] = add_terms(add_terms({}, held.terms), g.terms)
+    return HTable(twist, n, tuple(
+        (k, GaussValue._canonical(n, v) if type(v) is dict else v)
+        for k, v in sorted(acc.items())))

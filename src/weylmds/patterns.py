@@ -19,7 +19,7 @@ of a b-row acts as the lower bound 0).
 
 from collections import namedtuple
 from functools import cache, lru_cache
-from itertools import count, product
+from itertools import product
 from operator import add, gt
 
 from .record import Record
@@ -47,7 +47,8 @@ class GTPattern(Record):
     def _unchecked(cls, rank, a, b, wgt, k_vec):
         """Internal constructor for rows already valid by construction."""
         P = object.__new__(cls)
-        P.__dict__.update(rank=rank, a=a, b=b, wgt=wgt, k_vec=k_vec)
+        P.__dict__.update({"rank": rank, "a": a, "b": b, "wgt": wgt,
+                           "k_vec": k_vec})
         return P
 
     @property
@@ -245,29 +246,59 @@ def enumerate_patterns(top_row, strict=False):
     """Yield every pattern with the given weakly decreasing top row, exactly
     once, in canonical order (row-major, larger entries first); with
     `strict`, only those whose rows all strictly decrease, in that order.
-    A depth-first walk takes one row pair per level from pair_rows and
-    carries wgt and the tail sums c_i = sum_{j>=i} (lambda+rho + wgt)_j, so
-    each pattern arrives with wgt and k_vec = support_from_tails(c) set."""
+    A depth-first walk (_partial_patterns) sets row pairs 1..r-1 and
+    carries wgt and the tail sums c_i = sum_{j>=i} (lambda+rho + wgt)_j;
+    here b_r closes pair r, so each pattern arrives with wgt and k_vec set."""
     top = _top_row(top_row, strict)
     if top is None:
         return
     r, new = len(top), GTPattern._unchecked
+    for a, b, wgt, c in _partial_patterns(top, strict):
+        # b_r = (x,) below a_{r-1} = (y,); from x = y down, the weight of
+        # pair r (pair_weight at b_r = a_{r-1}) rises by 2 and so k_1 by 1.
+        # support_from_tails checks the first k: the later ones keep the
+        # parity of c_1 and have a larger k_1
+        above, tail = a[-1], top[-1] + (c[0] if c else 0)
+        w = pair_weight(above, above, ())
+        k = support_from_tails((tail + w, *c))
+        k_1, k_rest = k[0], k[1:]
+        for x in range(above[0], -1, -1):
+            yield new(r, a, b + ((x,),), (w,) + wgt, (k_1,) + k_rest)
+            w += 2
+            k_1 += 1
 
-    def walk(a, b, wgt, c):
-        # pairs 1..m are set, and wgt and c hold their slots r+1-m..r
-        m, above = len(b), a[-1]
-        tail = top[m] + (c[0] if c else 0)  # c_{r-m} less wgt_{r-m}
-        if m < r - 1:
-            for b_i, a_i in pair_rows(above, strict):
-                w = pair_weight(above, b_i, a_i)
-                yield from walk((*a, a_i), (*b, b_i), (w, *wgt),
-                                (tail + w, *c))
-            return
-        # b_r = (x,) closes pair r; from x = a_{r-1,r} down, its weight
-        # (pair_weight at b_r = a_{r-1}) rises by 2 as x falls by 1
-        for x, w in zip(range(above[0], -1, -1),
-                        count(pair_weight(above, above, ()), 2)):
-            yield new(r, a, (*b, (x,)), (w, *wgt),
-                      support_from_tails((tail + w, *c)))
 
-    yield from walk((top,), (), (), ())
+def _partial_patterns(top, strict):
+    """(a, b, wgt, c) for every choice of row pairs 1..r-1 below `top`, in
+    canonical order: a = (a_0, .., a_{r-1}), b = (b_1, .., b_{r-1}), and
+    wgt and c hold the slots 2..r.  The open levels stay on a stack, and
+    the row pairs below an a-row, with their weights, are listed on the
+    a-row's first visit and kept for the walk."""
+    r = len(top)
+    listed = {}  # a_{i-1} -> [(b_i, a_i, pair_weight), ...]
+
+    def level(a, b, wgt, c):  # the open level below a_m, m = len(b)
+        above = a[-1]
+        pairs = listed.get(above)
+        if pairs is None:
+            pairs = listed[above] = [(b_i, a_i, pair_weight(above, b_i, a_i))
+                                     for b_i, a_i in pair_rows(above, strict)]
+        tail = top[len(b)] + (c[0] if c else 0)  # c_{r-m} less wgt_{r-m}
+        return a, b, wgt, c, tail, iter(pairs)
+
+    if r == 1:
+        yield (top,), (), (), ()
+        return
+    stack = [level((top,), (), (), ())]
+    while stack:
+        a, b, wgt, c, tail, pairs = stack[-1]
+        pair = next(pairs, None)
+        if pair is None:
+            stack.pop()
+            continue
+        b_i, a_i, w = pair
+        rows = (*a, a_i), (*b, b_i), (w, *wgt), (tail + w, *c)
+        if len(stack) == r - 1:
+            yield rows
+        else:
+            stack.append(level(*rows))

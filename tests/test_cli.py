@@ -112,6 +112,16 @@ def test_integer_lists_name_their_flag(capsys, argv, value):
     assert run(capsys, *argv, value) == (2, "", f"error: {want}\n")
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["hcoeff", "--l", "0", "--n", "1", "--rank"],
+    ["euler", "--m", "1", "--bound", "5", "--rank"]])
+def test_nonpositive_rank_names_the_rank_flag(capsys, argv, rank):
+    # the entry count of --l or --m was checked first, and named that flag
+    assert run(capsys, *argv, rank) == (
+        2, "", "error: --rank must be positive\n")
+
+
 # the command grammar: each command path with the flags it reads, and for
 # each flag values that fit a command of rank r <= 3 with twist entries 0
 # or 1 (so that every call stays near a second), or values that are empty,

@@ -263,6 +263,51 @@ def test_ring_operations_match_expand_then_fold(n, data):
     assert GaussValue.from_json(n, x.to_json()) == x
 
 
+# the shapes that pick a path of GaussValue.__mul__: c q^e with no symbol
+# (shift and scale), a q-polynomial of several terms (collect by q
+# exponent), and every other value, a single symbol term among them
+_coeff = st.integers(-3, 3).filter(bool)
+
+
+def shaped(n, shape):
+    if shape == "zero":
+        return st.just(GaussValue.zero(n))
+    if shape == "monomial":
+        return st.builds(GaussValue.q_power, st.just(n), st.integers(-3, 3),
+                         _coeff)
+    if shape == "q-polynomial":
+        return st.dictionaries(st.integers(-3, 3), _coeff, min_size=2,
+                               max_size=4).map(lambda terms: GaussValue(
+                                   n, tuple(((), e, c) for e, c
+                                            in sorted(terms.items()))))
+    if shape == "symbol term":  # a nonempty symbol list left after folding
+        syms = st.lists(st.integers(1, n - 1), min_size=1, max_size=4)
+        return st.tuples(syms.map(tuple), st.integers(-3, 3), _coeff).map(
+            lambda term: GaussValue(n, fold_long(n, [term]))).filter(
+            lambda v: v.terms[0][0])
+    return values(n)
+
+
+_SHAPES = ("zero", "monomial", "q-polynomial", "symbol term")
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("left", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_product_paths_match_expand_then_fold(shape, left, data):
+    n = data.draw(st.sampled_from((3, 5, 7) if shape == "symbol term"
+                                  else (1, 3, 5, 7)), label="n")
+    x = data.draw(shaped(n, shape), label="forced")
+    y = data.draw(st.sampled_from(_SHAPES + ("any",)).flatmap(
+        lambda other: shaped(n, other) if n > 1 or other != "symbol term"
+        else values(n)), label="other")
+    if not left:
+        x, y = y, x
+    assert (x * y).terms == mul_long(x, y)
+    assert is_canonical(x * y)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=_degree, data=st.data())
 def test_ring_axioms(n, data):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import (GTPattern, enumerate_patterns, interleave_bounds,
                               is_strict, pair_classes, pair_entries,
-                              pair_positions, pair_sums, pair_weight)
+                              pair_positions, pair_rows, pair_sums,
+                              pair_weight)
 from weylmds.roots import WeylElement, support_vector, weyl_dimension
 
 from stable_lemmas import (identity_element, is_stable, long_element,
@@ -485,6 +486,34 @@ def test_enumeration_matches_recursive_oracle_random(parts, strict):
         slow = list(filter(is_strict, slow))
     fast = list(islice(enumerate_patterns(top, strict), len(slow) + ended))
     _assert_same_patterns(fast, slow)
+
+
+def _count_pair_rows(monkeypatch):
+    from weylmds import patterns
+    calls = []
+
+    def counted(above, strict=False):
+        calls.append(above)
+        return pair_rows(above, strict)
+
+    monkeypatch.setattr(patterns, "pair_rows", counted)
+    return calls
+
+
+def test_walk_lists_no_level_ahead_of_the_first_pattern(monkeypatch):
+    calls = _count_pair_rows(monkeypatch)
+    top = (6, 5, 4, 3, 2, 1)
+    assert next(enumerate_patterns(top)).a[0] == top
+    assert len(calls) <= len(top) - 1
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_walk_lists_each_a_row_once(monkeypatch, strict):
+    # each a-row a_0 .. a_{r-2} that the walk reaches, once; the last
+    # a-row, a_{r-1}, closes pair r without a listing
+    calls = _count_pair_rows(monkeypatch)
+    pats = list(enumerate_patterns((4, 2, 1, 0), strict))
+    assert sorted(calls) == sorted({row for P in pats for row in P.a[:-1]})
 
 
 def test_constructed_pattern_folds_the_same_weight_and_support():
