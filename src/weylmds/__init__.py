@@ -17,8 +17,8 @@ _EXPORTS = {
     "roots": "LambdaTwist RootSystemC WeylElement build_root_system d_lambda"
              " phi_w stability_bound weyl_dimension",
     "stable": "h_stable k_of_weyl verify_stable_match",
-    "tableaux": "ShiftedTableau TableauStats pattern_from_tableau"
-                " tableau_from_pattern tableau_stats verify_tableau_stats",
+    "tableaux": "ShiftedTableau TableauStats tableau_from_pattern"
+                " tableau_stats verify_tableau_stats",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}

@@ -7,7 +7,6 @@ fixed command line.  Each command imports only the modules it runs.
 """
 
 import argparse
-import json
 import signal
 import sys
 from itertools import islice
@@ -18,6 +17,7 @@ def _emit(text):
 
 
 def _dump(obj):
+    import json
     return json.dumps(obj, separators=(",", ": "), indent=1, sort_keys=False)
 
 

@@ -53,8 +53,8 @@ class GaussValue(Record):
     """Canonical sum of terms coeff * q^e * G[s_1]...G[s_k] for a fixed n,
     where e may be negative, as in the reduced n = 1 table Htilde.
 
-    Canonical by construction: only `symbol` and `from_json` read raw symbol
-    indices, and they check them; every operation keeps the form."""
+    Canonical by construction: only `symbol` reads a raw symbol index, and
+    it checks it; every operation keeps the form."""
 
     n: int
     # ((syms, q_exp, coeff), ...) sorted, each (syms, q_exp) once, coeff != 0,
@@ -151,17 +151,6 @@ class GaussValue(Record):
     def to_json(self):
         """Terms in canonical order, big integers as decimal strings."""
         return [{"c": str(c), "q": e, "g": list(s)} for s, e, c in self.terms]
-
-    @staticmethod
-    def from_json(n, obj) -> "GaussValue":
-        """Inverse of to_json; a term's symbols may be unsorted or unfolded."""
-        out = GaussValue.zero(n)
-        for t in obj:
-            term = GaussValue.q_power(n, int(t["q"]), int(t["c"]))
-            for s in t["g"]:
-                term = term * GaussValue.symbol(n, s)
-            out = out + term
-        return out
 
 
 def gauss_eval(t: int, c_exp: int, v_exp: int, n: int) -> GaussValue:

@@ -1,23 +1,11 @@
-"""Exact multivariate Laurent polynomials with rational coefficients.
+"""Exact multivariate Laurent polynomials with integer coefficients.
 
 Terms are a map from integer exponent tuples (negative exponents allowed)
-to coefficients.  An integral coefficient is stored as an `int`; a
-`Fraction` appears only for a value that is not integral, such as an
-`exact_div` quotient.  Zero coefficients are dropped, so equality is
-structural, and `1` and `Fraction(1)` build the same polynomial.
+to nonzero `int` coefficients, so equality is structural.  The constructor
+refuses any other coefficient type, and `exact_div` divides over Z.
 """
 
-from fractions import Fraction
 from operator import add
-
-
-def _exact(c):
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class LaurentPoly:
@@ -31,11 +19,12 @@ class LaurentPoly:
         self.terms = {}
         if terms:
             for exps, coeff in terms.items():
-                c = _exact(coeff)
-                if c:
+                if not isinstance(coeff, int):
+                    raise TypeError(f"coefficient {coeff!r} is not an int")
+                if coeff:
                     if len(exps) != nvars:
                         raise ValueError("exponent arity mismatch")
-                    self.terms[tuple(exps)] = c
+                    self.terms[tuple(exps)] = coeff
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -72,7 +61,7 @@ class LaurentPoly:
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s if type(s) is int else _exact(s)
+                out[e] = s
             else:
                 del out[e]
         return LaurentPoly._of(self.nvars, out)
@@ -97,7 +86,7 @@ class LaurentPoly:
                 e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
-                    out[e] = s if type(s) is int else _exact(s)
+                    out[e] = s
                 else:
                     del out[e]
         return LaurentPoly._of(self.nvars, out)
@@ -105,7 +94,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.const(self.nvars, other)
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -117,8 +106,8 @@ class LaurentPoly:
 
     # -- exact division -------------------------------------------------
     def exact_div(self, divisor):
-        """Exact quotient; raises ValueError if the division leaves a
-        remainder."""
+        """Exact quotient over Z; raises ValueError if the division leaves
+        a remainder or a quotient coefficient is not an integer."""
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -134,7 +123,9 @@ class LaurentPoly:
                 raise ValueError("division does not terminate; not exact")
             lead = max(rem)
             qe = tuple(a - b for a, b in zip(lead, div_lead))
-            qc = _exact(Fraction(rem.pop(lead), div_lead_c))
+            qc, frac = divmod(rem.pop(lead), div_lead_c)
+            if frac:
+                raise ValueError("quotient coefficient is not an integer")
             quot[qe] = quot.get(qe, 0) + qc
             for e, c in div_rest:
                 te = tuple(map(add, qe, e))
@@ -150,7 +141,7 @@ class LaurentPoly:
         return sorted(self.terms.items())
 
     def to_json(self):
-        return [{"exp": list(e), "coeff": f"{c.numerator}/{c.denominator}"}
+        return [{"exp": list(e), "coeff": f"{c}/1"}
                 for e, c in self.sorted_terms()]
 
     def __repr__(self):

@@ -76,12 +76,6 @@ class GTPattern(Record):
                 "a": [list(row) for row in self.a],
                 "b": [list(row) for row in self.b]}
 
-    @staticmethod
-    def from_json(obj) -> "GTPattern":
-        return GTPattern(int(obj["rank"]),
-                         tuple(tuple(int(x) for x in row) for row in obj["a"]),
-                         tuple(tuple(int(x) for x in row) for row in obj["b"]))
-
 
 def validate_pattern(P: GTPattern) -> None:
     """Check shapes, nonnegativity, interleaving and weak row decrease."""

@@ -8,7 +8,9 @@ northwest-southeast diagonals.  Standardness additionally requires the
 diagonal entry of row R to be R' or R; fillings read off strict patterns
 always satisfy every other condition.  Each box holds the position of its
 letter in that order (letter_key); the letters themselves appear only in
-the JSON and text forms (render_letter, parse_letter).
+the JSON and text forms (render_letter).  The readers of those forms, the
+standardness predicate and the inverse bijection pattern_from_tableau are
+test oracles in tests/test_tableaux.py.
 
 The correspondence with strict patterns: the pattern entry a_{i-1,j} counts
 the boxes in tableau row j-i+1 with letters <= r-i+1, and b_{i,j} counts
@@ -41,7 +43,7 @@ class ShiftedTableau(Record):
 
     def validate(self) -> None:
         """Check the fill rules box by box in reading order, and name the
-        first one broken; standardness is is_standard."""
+        first one broken."""
         mu = self.mu
         if len(mu) != self.rank:
             raise ValueError("tableau must have exactly r rows")
@@ -62,22 +64,11 @@ class ShiftedTableau(Record):
                 if j < len(below) and below[j] <= x:
                     raise ValueError("diagonals must strictly increase")
 
-    def is_standard(self) -> bool:
-        """Row R starts with R' or R."""
-        return all(row[0] <= 2 * R
-                   for R, row in enumerate(self.rows, start=1))
-
     def to_json(self) -> dict:
         return {"rank": self.rank,
                 "shape": list(self.mu),
                 "rows": [[render_letter(x) for x in row]
                          for row in self.rows]}
-
-    @staticmethod
-    def from_json(obj) -> "ShiftedTableau":
-        rows = tuple(tuple(parse_letter(s) for s in row)
-                     for row in obj["rows"])
-        return ShiftedTableau(int(obj["rank"]), rows)
 
     def render_text(self) -> str:
         lines = []
@@ -91,12 +82,6 @@ class ShiftedTableau(Record):
 def render_letter(key: int) -> str:
     value = (key + 1) // 2
     return f"{value}_" if key % 2 else str(value)
-
-
-def parse_letter(s: str) -> int:
-    if s.endswith("_"):
-        return letter_key(int(s[:-1]), True)
-    return letter_key(int(s), False)
 
 
 def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
@@ -140,15 +125,6 @@ def _pattern_rows(S: ShiftedTableau) -> tuple:
                         repeat(letter_key(r - i + 1, True))))
               for i in range(1, r + 1))
     return a, b
-
-
-def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
-    """Read the counting rules backwards; inverse of tableau_from_pattern."""
-    S.validate()
-    P = GTPattern(S.rank, *_pattern_rows(S))
-    if not is_strict(P):
-        raise ValueError("tableau does not encode a strict pattern")
-    return P
 
 
 class TableauStats(Record):

@@ -16,13 +16,12 @@ from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
 from weylmds.patterns import enumerate_patterns, is_strict
 from weylmds.roots import LambdaTwist, weyl_dimension
 from weylmds.stable import REL_TOL, verify_stable_match
-from weylmds.tableaux import (pattern_from_tableau, tableau_from_pattern,
-                              verify_tableau_stats)
+from weylmds.tableaux import tableau_from_pattern, verify_tableau_stats
 
 from stable_lemmas import is_stable
 from test_coeffs import weight_from_support
 from test_patterns import FIG1, count_patterns
-from test_tableaux import FIG1_ROWS
+from test_tableaux import FIG1_ROWS, pattern_from_tableau
 
 
 def _tops(max_entry, rank):

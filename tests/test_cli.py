@@ -64,10 +64,10 @@ def test_patterns_strict_count_and_csv_match_enumeration(capsys):
 
 
 def test_patterns_json_roundtrip(capsys):
-    from weylmds.patterns import GTPattern
+    from test_patterns import pattern_from_json
     code, out, _ = run(capsys, "patterns", "--rank", "1", "--l", "0")
     assert code == 0
-    pats = [GTPattern.from_json(obj) for obj in json.loads(out)]
+    pats = [pattern_from_json(obj) for obj in json.loads(out)]
     assert len(pats) == 2
 
 
@@ -197,7 +197,8 @@ def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(capsys,
                                                           monkeypatch):
     # a mutant fill: the first two different letters of a row trade places
     from weylmds import tableaux
-    from weylmds.patterns import GTPattern, enumerate_patterns
+    from weylmds.patterns import enumerate_patterns
+    from test_patterns import pattern_from_json
     fill = tableaux.tableau_from_pattern
 
     def swapped(P):
@@ -218,7 +219,7 @@ def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(capsys,
     strict = list(enumerate_patterns((2, 1), strict=True))
     broken = [P for P in strict if swapped(P) != fill(P)]
     assert report["ok"] is False and (len(broken), len(strict)) == (9, 14)
-    assert [GTPattern.from_json(p) for p in report["failures"]] == broken
+    assert [pattern_from_json(p) for p in report["failures"]] == broken
 
 
 def test_lemma3_fails_on_a_carried_support_vector_off_by_one(capsys,

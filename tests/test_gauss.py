@@ -12,6 +12,18 @@ from weylmds.gauss import (BRUTE_FORCE_LIMIT, NUMERIC_TERMS_LIMIT,
 from weylmds.roots import LambdaTwist
 
 
+def gauss_from_json(n, obj) -> GaussValue:
+    """Inverse of GaussValue.to_json; a term's symbols may be unsorted or
+    unfolded, and GaussValue.symbol checks each."""
+    out = GaussValue.zero(n)
+    for t in obj:
+        term = GaussValue.q_power(n, int(t["q"]), int(t["c"]))
+        for s in t["g"]:
+            term = term * GaussValue.symbol(n, s)
+        out = out + term
+    return out
+
+
 def chi_index(ctx, d: int):
     """Exponent s in Z/n with chi(d) = e^{2 pi i s / n}, or None if p | d."""
     d %= ctx.p
@@ -109,11 +121,11 @@ def test_json_canonical_form():
     assert GaussValue.one(3).to_json() == [{"c": "1", "q": 0, "g": []}]
     v = GaussValue.symbol(3, 2, q_exp=1, coeff=-4) + GaussValue.q_power(3, 0)
     blob = v.to_json()
-    assert GaussValue.from_json(3, blob) == v
+    assert gauss_from_json(3, blob) == v
     # raw input is folded: G[1]G[2] = q at n = 3, in either order
     q = GaussValue.q_power(3, 1)
-    assert GaussValue.from_json(3, [{"c": "1", "q": 0, "g": [1, 2]}]) == q
-    assert GaussValue.from_json(3, [{"c": "1", "q": 0, "g": [2, 1]}]) == q
+    assert gauss_from_json(3, [{"c": "1", "q": 0, "g": [1, 2]}]) == q
+    assert gauss_from_json(3, [{"c": "1", "q": 0, "g": [2, 1]}]) == q
 
 
 # g_t(p^c, p^v) with c in {v - 1, v, v + 1}: every evaluation rule except
@@ -192,7 +204,7 @@ def test_symbol_and_from_json_refuse_out_of_range_indices():
             with pytest.raises(ValueError):
                 GaussValue.symbol(n, s)
             with pytest.raises(ValueError):
-                GaussValue.from_json(n, [{"c": "1", "q": 0, "g": [s]}])
+                gauss_from_json(n, [{"c": "1", "q": 0, "g": [s]}])
 
 
 # -- the ring against an expand-then-fold oracle --------------------------
@@ -253,14 +265,14 @@ def test_ring_operations_match_expand_then_fold(n, data):
     x, y = data.draw(values(n)), data.draw(values(n))
     raw = data.draw(raw_terms(n))
     blob = [{"c": str(c), "q": e, "g": list(s)} for s, e, c in raw]
-    assert GaussValue.from_json(n, blob).terms == fold_long(n, raw)
+    assert gauss_from_json(n, blob).terms == fold_long(n, raw)
     assert (x * y).terms == mul_long(x, y)
     assert (x + y).terms == fold_long(n, x.terms + y.terms)
     assert (x - y).terms == fold_long(
         n, x.terms + tuple((s, e, -c) for s, e, c in y.terms))
-    for v in (x * y, x + y, x - y, GaussValue.from_json(n, blob)):
+    for v in (x * y, x + y, x - y, gauss_from_json(n, blob)):
         assert is_canonical(v)
-    assert GaussValue.from_json(n, x.to_json()) == x
+    assert gauss_from_json(n, x.to_json()) == x
 
 
 # the shapes that pick a path of GaussValue.__mul__: c q^e with no symbol

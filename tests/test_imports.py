@@ -1,6 +1,7 @@
 """What a CLI process imports: each command loads only the package modules
-it runs, and none loads dataclasses, inspect or fractions; patterns does not
-load typing; the package exports its names lazily."""
+it runs, none loads dataclasses, inspect, fractions or decimal, and
+`patterns --count-only` loads no json; patterns does not load typing; the
+package exports its names lazily."""
 
 import importlib
 import os
@@ -22,7 +23,10 @@ code = main(sys.argv[1:])
 print(code, *sorted(sys.modules), file=sys.stderr)
 """
 
-# the package modules each command runs, besides cli and record
+# the package modules each command runs, besides cli and record; the chars
+# commands load all of chars' imports
+CHARS = {"chars", "coeffs", "gauss", "laurent", "patterns", "roots",
+         "tableaux"}
 COMMANDS = {
     "patterns --rank 2 --l 0,0 --count-only": {"patterns", "roots"},
     "hcoeff --rank 1 --l 0 --n 3": {"coeffs", "gauss", "patterns", "roots"},
@@ -30,6 +34,10 @@ COMMANDS = {
         {"coeffs", "gauss", "patterns", "roots", "stable"},
     "verify gauss": {"gauss"},
     "verify lemma4": {"patterns", "roots", "tableaux"},
+    "character --rank 2 --l 1,0": CHARS,
+    "euler --rank 1 --m 1 --bound 20": CHARS,
+    "verify hamel-king --rank 1 --l 0": CHARS,
+    "verify cs --rank 1 --l 0": CHARS,
 }
 
 
@@ -41,7 +49,9 @@ def test_command_loads_only_the_modules_it_runs(command):
         env=dict(os.environ, PYTHONPATH=SRC))
     code, *loaded = proc.stderr.splitlines()[-1].split()
     assert code == "0"
-    assert not {"dataclasses", "inspect", "fractions"} & set(loaded)
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(loaded)
+    if "--count-only" in command:
+        assert "json" not in loaded
     package = {name.split(".", 1)[1] for name in loaded
                if name.startswith("weylmds.")}
     assert package == COMMANDS[command] | {"cli", "record"}
@@ -59,7 +69,7 @@ def test_patterns_loads_no_typing():
 def test_exports_resolve_lazily_to_their_module_objects():
     modules = ["chars", "coeffs", "gauss", "laurent", "patterns", "roots",
                "stable", "tableaux"]
-    assert len(weylmds.__all__) == 52 and set(modules) <= set(weylmds.__all__)
+    assert len(weylmds.__all__) == 51 and set(modules) <= set(weylmds.__all__)
     for name in modules:  # importing a submodule binds it in the package
         importlib.import_module(f"weylmds.{name}")
     before = dict(vars(weylmds))

@@ -8,10 +8,37 @@ from hypothesis import given, settings, strategies as st
 from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
 from weylmds.tableaux import (ShiftedTableau, TableauStats, _pattern_rows,
                               letter_key, pair_tableau_stats,
-                              pattern_from_tableau, tableau_from_pattern,
-                              tableau_stats, verify_tableau_stats)
+                              tableau_from_pattern, tableau_stats,
+                              verify_tableau_stats)
 
 from test_patterns import FIG1, a_entry, b_entry
+
+
+def parse_letter(s: str) -> int:
+    """Inverse of render_letter: "v_" is v', "v" is v."""
+    if s.endswith("_"):
+        return letter_key(int(s[:-1]), True)
+    return letter_key(int(s), False)
+
+
+def tableau_from_json(obj) -> ShiftedTableau:
+    """Inverse of ShiftedTableau.to_json."""
+    rows = tuple(tuple(parse_letter(s) for s in row) for row in obj["rows"])
+    return ShiftedTableau(int(obj["rank"]), rows)
+
+
+def is_standard(S: ShiftedTableau) -> bool:
+    """Row R starts with R' or R."""
+    return all(row[0] <= 2 * R for R, row in enumerate(S.rows, start=1))
+
+
+def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
+    """Read the counting rules backwards; inverse of tableau_from_pattern."""
+    S.validate()
+    P = GTPattern(S.rank, *_pattern_rows(S))
+    if not is_strict(P):
+        raise ValueError("tableau does not encode a strict pattern")
+    return P
 
 
 def tableau_from_pattern_long(P):
@@ -189,7 +216,7 @@ def test_fill_matches_per_box_oracle():
                     tableau_stats(tableau_from_pattern(P))
                 # standard_tableaux keeps the patterns with no degenerate entry
                 assert (P.classes()[2] == 0) == \
-                    tableau_from_pattern(P).is_standard()
+                    is_standard(tableau_from_pattern(P))
                 checked += 1
     assert checked == 33955
 
@@ -209,7 +236,7 @@ def test_strictness_check_refuses_a_fill_that_obeys_the_fill_rules():
         tableau_from_pattern(P)
     S = ShiftedTableau(3, ((4, 4, 4, 4), (5, 5, 5), (6, 6)))
     S.validate()
-    assert not S.is_standard()
+    assert not is_standard(S)
     assert _pattern_rows(S) == (P.a, P.b)
 
 
@@ -244,15 +271,15 @@ def test_standardness_excludes_degenerate_patterns():
     # a_{1,2} = b_{2,2} = 0 forces the second diagonal entry above 2
     P = GTPattern(2, ((2, 1), (0,)), ((1, 0), (0,)))
     S = tableau_from_pattern(P)
-    assert not S.is_standard()
+    assert not is_standard(S)
     ok = GTPattern(2, ((2, 1), (2,)), ((2, 0), (1,)))
-    assert tableau_from_pattern(ok).is_standard()
+    assert is_standard(tableau_from_pattern(ok))
 
 
 def test_validation_catches_bad_fillings():
     bad = ShiftedTableau(2, keyed((((2, True), (2, False)), ((2, False),))))
     bad.validate()  # fill rules hold
-    assert not bad.is_standard()  # row 1 must start with 1' or 1
+    assert not is_standard(bad)  # row 1 must start with 1' or 1
     unordered = ShiftedTableau(2, keyed((((1, False), (1, True)),
                                          ((2, False),))))
     with pytest.raises(ValueError):
@@ -345,4 +372,4 @@ def test_text_rendering():
 def test_json_roundtrip():
     S = tableau_from_pattern(FIG1)
     blob = json.dumps(S.to_json())
-    assert ShiftedTableau.from_json(json.loads(blob)) == S
+    assert tableau_from_json(json.loads(blob)) == S
