@@ -43,6 +43,10 @@ def _parse_ints(text, flag, rank):
         raise ValueError(f"{flag} {text!r} is not comma-separated integers")
     if len(parts) != rank:
         raise ValueError(f"{flag} must have {rank} entries")
+    # int() refuses more than 4,300 digits with a text that names no flag;
+    # 4,000 leaves room for the sums of the top row that a refusal writes
+    if max(map(len, parts)) > 4000:
+        raise ValueError(f"{flag} has an entry of more than 4000 digits")
     return tuple(map(int, parts))
 
 

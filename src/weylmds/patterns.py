@@ -240,14 +240,34 @@ def enumerate_patterns(top_row, strict=False):
     """Yield every pattern with the given weakly decreasing top row, exactly
     once, in canonical order (row-major, larger entries first); with
     `strict`, only those whose rows all strictly decrease, in that order.
-    A depth-first walk (_partial_patterns) sets row pairs 1..r-1 and
+    A depth-first recursion sets row pairs 1..r-1, one per level, and
     carries wgt and the tail sums c_i = sum_{j>=i} (lambda+rho + wgt)_j;
-    here b_r closes pair r, so each pattern arrives with wgt and k_vec set."""
+    a flat loop sets b_r to close pair r, so each pattern arrives with wgt
+    and k_vec set and none passes through the recursion.  A command's walk
+    recurses at most 3 deep: check_pattern_count refuses its top row
+    lambda+rho from rank 5 on ((5,4,3,2,1) already has 2^25 patterns)."""
     top = _top_row(top_row, strict)
     if top is None:
         return
     r, new = len(top), GTPattern._unchecked
-    for a, b, wgt, c in _partial_patterns(top, strict):
+    listed = {}  # a_{i-1} -> [(b_i, a_i, pair_weight), ...], on first visit
+
+    def prefixes(a, b, wgt, c):
+        # every extension by row pairs m+1..r-1 (m = len(b)) to a = (a_0, ..,
+        # a_{r-1}), b = (b_1, .., b_{r-1}), and wgt and c in slots 2..r
+        if len(b) == r - 1:
+            yield a, b, wgt, c
+            return
+        above = a[-1]
+        pairs = listed.get(above)
+        if pairs is None:
+            pairs = listed[above] = [(b_i, a_i, pair_weight(above, b_i, a_i))
+                                     for b_i, a_i in pair_rows(above, strict)]
+        tail = top[len(b)] + (c[0] if c else 0)  # c_{r-m} less wgt_{r-m}
+        for b_i, a_i, w in pairs:
+            yield from prefixes((*a, a_i), (*b, b_i), (w, *wgt), (tail + w, *c))
+
+    for a, b, wgt, c in prefixes((top,), (), (), ()):
         # b_r = (x,) below a_{r-1} = (y,); from x = y down, the weight of
         # pair r (pair_weight at b_r = a_{r-1}) rises by 2 and so k_1 by 1.
         # support_from_tails checks the first k: the later ones keep the
@@ -260,39 +280,3 @@ def enumerate_patterns(top_row, strict=False):
             yield new(r, a, b + ((x,),), (w,) + wgt, (k_1,) + k_rest)
             w += 2
             k_1 += 1
-
-
-def _partial_patterns(top, strict):
-    """(a, b, wgt, c) for every choice of row pairs 1..r-1 below `top`, in
-    canonical order: a = (a_0, .., a_{r-1}), b = (b_1, .., b_{r-1}), and
-    wgt and c hold the slots 2..r.  The open levels stay on a stack, and
-    the row pairs below an a-row, with their weights, are listed on the
-    a-row's first visit and kept for the walk."""
-    r = len(top)
-    listed = {}  # a_{i-1} -> [(b_i, a_i, pair_weight), ...]
-
-    def level(a, b, wgt, c):  # the open level below a_m, m = len(b)
-        above = a[-1]
-        pairs = listed.get(above)
-        if pairs is None:
-            pairs = listed[above] = [(b_i, a_i, pair_weight(above, b_i, a_i))
-                                     for b_i, a_i in pair_rows(above, strict)]
-        tail = top[len(b)] + (c[0] if c else 0)  # c_{r-m} less wgt_{r-m}
-        return a, b, wgt, c, tail, iter(pairs)
-
-    if r == 1:
-        yield (top,), (), (), ()
-        return
-    stack = [level((top,), (), (), ())]
-    while stack:
-        a, b, wgt, c, tail, pairs = stack[-1]
-        pair = next(pairs, None)
-        if pair is None:
-            stack.pop()
-            continue
-        b_i, a_i, w = pair
-        rows = (*a, a_i), (*b, b_i), (w, *wgt), (tail + w, *c)
-        if len(stack) == r - 1:
-            yield rows
-        else:
-            stack.append(level(*rows))

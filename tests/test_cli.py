@@ -737,6 +737,29 @@ def test_character_and_euler_refuse_oversized_walks_up_front(capsys):
                       "more than 10^7\n"
 
 
+def test_refusal_leaves_out_a_count_too_long_to_write(capsys):
+    # l_1 = 10^2200 - 1 at rank 2: the count has about 8,800 digits, past
+    # the 4,300 that str() writes
+    big = 10 ** 2200
+    code, out, err = run(capsys, "patterns", "--rank", "2",
+                         "--l", f"{big - 1},0", "--count-only")
+    assert code == 2 and out == ""
+    assert err == f"error: top row {big + 1},{big} has more than 10^7 " \
+                  "patterns\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["patterns", "--rank", "1", "--count-only", "--l"],
+    ["euler", "--rank", "1", "--bound", "3", "--m"]])
+def test_overlong_entries_name_their_flag(capsys, argv):
+    # int() refuses 4,400 digits, where the interpreter caps its string
+    # conversions, with a text that names no flag; 4,000 digits are read
+    flag = argv[-1]
+    assert run(capsys, *argv, "9" * 4400) == (
+        2, "", f"error: {flag} has an entry of more than 4000 digits\n")
+    assert "digits" not in run(capsys, *argv, "9" * 4000)[2]
+
+
 def test_numeric_column_at_p_two(capsys):
     from weylmds.gauss import ArithContext
     assert ArithContext(1, 2).root == 1

@@ -5,11 +5,13 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from weylmds.chars import _reduced_factor
 from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, pair_G,
                             pattern_G, verify_k_sum)
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from weylmds.patterns import (GTPattern, enumerate_patterns, is_strict,
-                              pair_classes, pair_sums)
+                              pair_classes, pair_entries, pair_rows,
+                              pair_sums)
 from weylmds.roots import LambdaTwist, support_vector
 
 from stable_lemmas import record
@@ -234,6 +236,26 @@ def test_row_pair_fold_equals_h_table_on_random_tops(data):
     n = data.draw(st.sampled_from([1, 3, 5, 7]), label="n")
     twist = LambdaTwist(tuple(l))
     assert h_table_fold(twist, n) == h_table(twist, n).entries
+
+
+def test_n1_pair_factor_is_a_q_power_times_the_reduced_factor():
+    # H = q^{|k|} Htilde row pair by row pair: at n = 1, pair_G of every
+    # strictly decreasing row triple of ranks 1-4 with entries <= 7 is q^e
+    # (e the sum of the pair's entry exponents, which sum to |k| over a
+    # pattern) times t^m (1+t)^g at t = -1/q of its entry classes, zero
+    # at a degenerate entry.  So a fold by either factor gives the other
+    # table, and verify_h_tilde's whole-table check follows pair by pair
+    triples = 0
+    for r in range(1, 5):
+        for i in range(1, r + 1):
+            for above in combinations(range(7, -1, -1), r - i + 1):
+                for b, below in pair_rows(above, strict=True):
+                    rows = (r, i, above, b, below)
+                    e = sum(x.exp for x in pair_entries(*rows))
+                    assert pair_G(*rows, 1) == GaussValue.q_power(1, e) \
+                        * _reduced_factor(*pair_classes(*rows)), rows
+                    triples += 1
+    assert triples == 35037
 
 
 def test_h_table_rank1_twisted():
