@@ -106,13 +106,13 @@ def cmd_hcoeff(args):
                              "use --format json")
         ctx = gauss.ArithContext(args.n, args.p)
     table = coeffs.h_table(twist, args.n)
-    entries = table.entries_json()
     if args.format == "csv":
-        for entry in entries:
-            val = ";".join(f"{t['c']}q^{t['q']}g{t['g']}"
-                           for t in entry["value"]) or "0"
-            _emit(",".join(str(x) for x in entry["k"]) + "," + val)
+        for k, value in table.entries:
+            val = ";".join(f"{c}q^{e}g{list(syms)}"
+                           for syms, e, c in value.terms) or "0"
+            _emit(",".join(map(str, k)) + "," + val)
         return 0
+    entries = table.entries_json()
     if args.p is not None:
         values = [v for _, v in table.entries]
         gauss.check_numeric_terms(len(values), ctx, values)

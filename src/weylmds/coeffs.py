@@ -21,19 +21,19 @@ from .record import Record
 from .roots import LambdaTwist
 
 
-def gamma_b(e: EntryRecord, n: int) -> GaussValue:
-    """Factor attached to the b-entry with record e; zero at the degenerate
-    coincidence, where the entry is minimal at zero slack."""
-    if e.is_min:
-        return GaussValue.q_power(n, e.exp) if e.slack else GaussValue.zero(n)
-    return gauss_eval(e.t, e.exp + e.slack - 1, e.exp, n)
-
-
 def gamma_a(e: EntryRecord, n: int) -> GaussValue:
-    """Factor attached to the a-entry with record e."""
+    """Factor attached to the entry with record e."""
     if e.is_min:
         return GaussValue.q_power(n, e.exp)
     return gauss_eval(e.t, e.exp + e.slack - 1, e.exp, n)
+
+
+def gamma_b(e: EntryRecord, n: int) -> GaussValue:
+    """gamma_a, except zero at the degenerate coincidence, where the
+    b-entry is minimal at zero slack."""
+    if e.is_min and not e.slack:
+        return GaussValue.zero(n)
+    return gamma_a(e, n)
 
 
 @lru_cache(maxsize=2 ** 14)

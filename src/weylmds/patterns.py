@@ -200,8 +200,6 @@ def pair_rows(above, strict=False):
 def _top_row(top_row, strict):
     """The checked top row; None when `strict` and it does not strictly
     decrease, so that no pattern lies below it.  Rank 0 is refused."""
-    if not top_row:
-        raise ValueError("rank must be positive")
     top = _check_partition(top_row)
     return top if not strict or _decreasing(top) else None
 

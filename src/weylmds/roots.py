@@ -9,6 +9,7 @@ under which short roots have squared length 1 and long roots 2.
 
 from functools import cache, cached_property
 from itertools import accumulate, permutations, product
+from math import prod
 from operator import sub
 
 from .record import Record
@@ -172,6 +173,8 @@ def phi_w(w: WeylElement):
 
 def _check_partition(lam):
     lam = tuple(lam)
+    if not lam:
+        raise ValueError("rank must be positive")
     if any((not isinstance(x, int)) or x < 0 for x in lam):
         raise ValueError("partition parts must be nonnegative integers")
     if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
@@ -180,18 +183,17 @@ def _check_partition(lam):
 
 
 def weyl_dimension(lam) -> int:
-    """Weyl dimension formula for the highest weight given as a partition
-    of rank len(lam), with one exact division of integer products."""
-    lam = _check_partition(lam)
-    rs = build_root_system(len(lam))
-    shifted = tuple(a + b for a, b in zip(reversed(lam), rs.rho))
-    num = den = 1
-    for alpha in rs.positive_roots:
-        num *= inner(shifted, alpha)
-        den *= inner(rs.rho, alpha)
-    dim, rem = divmod(num, den)
-    if rem:
-        raise AssertionError("dimension formula must be integral")
+    """Weyl dimension of the partition lam (rank len(lam)) off lam + rho,
+    L_i = lam_{r+1-i} + i: step j takes the roots 2e_j and e_j -+ e_i, i < j,
+    and divides exactly, as its product is the count for the last j parts."""
+    L = [a + i for i, a in enumerate(reversed(_check_partition(lam)), 1)]
+    dim = 1
+    for j, Lj in enumerate(L, 1):
+        num = Lj * prod((Lj - Li) * (Lj + Li) for Li in L[:j - 1])
+        den = j * prod((j - i) * (j + i) for i in range(1, j))
+        dim, rem = divmod(dim * num, den)
+        if rem:
+            raise AssertionError("dimension formula must be integral")
     return dim
 
 

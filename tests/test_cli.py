@@ -721,6 +721,32 @@ def test_oversized_enumeration_refused_up_front(capsys):
     assert weyl_dimension((4, 3, 2, 1)) == 65536
 
 
+def test_rank_300_walks_refused_up_front(capsys):
+    # the count, 2^90000 patterns, is read off lambda + rho: no root is built
+    l, top = ",".join(["0"] * 300), ",".join(map(str, range(300, 0, -1)))
+    for argv in (("patterns", "--count-only"), ("hcoeff", "--n", "3"),
+                 ("tableaux",), ("verify", "lemma3")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--rank", "300", "--l", l)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == f"error: top row {top} has more than 10^7 patterns\n"
+
+
+def test_walking_commands_build_no_root_system(capsys):
+    from weylmds.roots import build_root_system
+    build_root_system.cache_clear()
+    for argv in (("patterns", "--rank", "3", "--l", "1,0,0"),
+                 ("tableaux", "--rank", "2", "--l", "1,0"),
+                 ("hcoeff", "--rank", "3", "--l", "0,0,0", "--n", "3"),
+                 ("hcoeff", "--rank", "2", "--l", "1,0", "--n", "1"),
+                 ("euler", "--rank", "2", "--m", "4,2", "--bound", "6"),
+                 ("verify", "lemma3", "--rank", "3", "--l", "1,0,0"),
+                 ("verify", "lemma4", "--rank", "3", "--l", "1,0,0")):
+        assert run(capsys, *argv)[0] == 0, argv
+        assert build_root_system.cache_info().currsize == 0, argv
+
+
 def test_character_and_euler_refuse_oversized_walks_up_front(capsys):
     # the partition 15,12,9,6,3 of character, and the block l = (20,20,20)
     # that euler builds at p = 2

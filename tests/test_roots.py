@@ -2,10 +2,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
                            d_lambda, inner, norm_sq, phi_w, stability_bound,
-                           support_vector)
+                           support_vector, weyl_dimension)
 
 from stable_lemmas import (compose, d_lambda_fraction, fundamental_weights,
                            identity_element, inv_pr_counts, inverse,
@@ -23,6 +24,21 @@ def simple_coords(r: int, alpha):
         raise ValueError(f"{alpha} is not in the root lattice of C_{r}")
     c[0] = t // 2
     return tuple(c)
+
+
+def weyl_dimension_by_roots(lam):
+    """Oracle: the Weyl dimension formula as a product over the positive
+    root vectors, prod <lam + rho, alpha> / prod <rho, alpha>, with lam
+    read in increasing order."""
+    rs = build_root_system(len(lam))
+    shifted = tuple(a + b for a, b in zip(reversed(lam), rs.rho))
+    num = den = 1
+    for alpha in rs.positive_roots:
+        num *= inner(shifted, alpha)
+        den *= inner(rs.rho, alpha)
+    dim, rem = divmod(num, den)
+    assert not rem
+    return dim
 
 
 def simple_reflection(alpha_i, beta):
@@ -89,6 +105,36 @@ def test_root_system_is_built_once_per_rank():
 def test_rejects_rank_zero():
     with pytest.raises(ValueError):
         build_root_system(0)
+
+
+def partitions(parts, size):
+    """Every weakly decreasing tuple of `parts` entries in 0..size."""
+    if not parts:
+        yield ()
+        return
+    for head in range(size + 1):
+        for tail in partitions(parts - 1, head):
+            yield (head, *tail)
+
+
+def test_weyl_dimension_equals_the_root_product_exhaustively():
+    # every partition with at most 5 parts, each at most 4
+    for r in range(1, 6):
+        for lam in partitions(r, 4):
+            assert weyl_dimension(lam) == weyl_dimension_by_roots(lam), lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=8))
+def test_weyl_dimension_equals_the_root_product_random(parts):
+    lam = tuple(sorted(parts, reverse=True))
+    assert weyl_dimension(lam) == weyl_dimension_by_roots(lam)
+
+
+def test_weyl_dimension_refuses_rank_zero_and_non_partitions():
+    for lam in ((), (1, 2), (-1,)):
+        with pytest.raises(ValueError):
+            weyl_dimension(lam)
 
 
 def test_fundamental_weights_kronecker():
