@@ -28,9 +28,8 @@ from .roots import _check_partition, support_from_tails, support_vector
 
 class GTPattern(Record):
     """Immutable pattern; `a` holds rows a_0..a_{r-1}, `b` holds b_1..b_r.
-    With the rows come the weight `wgt`, wgt_{r+1-i} the pair_weight of row
-    pair i, and the support vector `k_vec`, lambda+rho + wgt =
-    sum k_i alpha_i."""
+    With the rows comes the support vector `k_vec`, lambda+rho + wgt =
+    sum k_i alpha_i; the weight `wgt` is read off the row pairs."""
 
     rank: int
     a: tuple
@@ -38,18 +37,20 @@ class GTPattern(Record):
 
     def __post_init__(self):
         validate_pattern(self)
-        wgt = tuple(pair_weight(*pair) for pair in self.row_pairs())[::-1]
-        shifted = tuple(map(add, reversed(self.a[0]), wgt))  # lambda+rho+wgt
-        self.__dict__.update(wgt=wgt,
-                             k_vec=support_vector(shifted))
+        shifted = tuple(map(add, reversed(self.a[0]), self.wgt))
+        self.__dict__["k_vec"] = support_vector(shifted)  # of lambda+rho+wgt
 
     @classmethod
-    def _unchecked(cls, rank, a, b, wgt, k_vec):
+    def _unchecked(cls, rank, a, b, k_vec):
         """Internal constructor for rows already valid by construction."""
         P = object.__new__(cls)
-        P.__dict__.update({"rank": rank, "a": a, "b": b, "wgt": wgt,
-                           "k_vec": k_vec})
+        P.__dict__.update({"rank": rank, "a": a, "b": b, "k_vec": k_vec})
         return P
+
+    @property
+    def wgt(self) -> tuple:
+        """wgt_{r+1-i}, the pair_weight of row pair i, for i = r..1."""
+        return tuple(pair_weight(*pair) for pair in self.row_pairs())[::-1]
 
     @property
     def top_row(self):
@@ -239,9 +240,9 @@ def enumerate_patterns(top_row, strict=False):
     once, in canonical order (row-major, larger entries first); with
     `strict`, only those whose rows all strictly decrease, in that order.
     A depth-first recursion sets row pairs 1..r-1, one per level, and
-    carries wgt and the tail sums c_i = sum_{j>=i} (lambda+rho + wgt)_j;
-    a flat loop sets b_r to close pair r, so each pattern arrives with wgt
-    and k_vec set and none passes through the recursion.  A command's walk
+    carries the tail sums c_i = sum_{j>=i} (lambda+rho + wgt)_j that give
+    k; a flat loop sets b_r to close pair r, so each pattern arrives with
+    k_vec set and none passes through the recursion.  A command's walk
     recurses at most 3 deep: check_pattern_count refuses its top row
     lambda+rho from rank 5 on ((5,4,3,2,1) already has 2^25 patterns)."""
     top = _top_row(top_row, strict)
@@ -250,11 +251,11 @@ def enumerate_patterns(top_row, strict=False):
     r, new = len(top), GTPattern._unchecked
     listed = {}  # a_{i-1} -> [(b_i, a_i, pair_weight), ...], on first visit
 
-    def prefixes(a, b, wgt, c):
+    def prefixes(a, b, c):
         # every extension by row pairs m+1..r-1 (m = len(b)) to a = (a_0, ..,
-        # a_{r-1}), b = (b_1, .., b_{r-1}), and wgt and c in slots 2..r
+        # a_{r-1}), b = (b_1, .., b_{r-1}), and c in slots 2..r
         if len(b) == r - 1:
-            yield a, b, wgt, c
+            yield a, b, c
             return
         above = a[-1]
         pairs = listed.get(above)
@@ -263,18 +264,16 @@ def enumerate_patterns(top_row, strict=False):
                                      for b_i, a_i in pair_rows(above, strict)]
         tail = top[len(b)] + (c[0] if c else 0)  # c_{r-m} less wgt_{r-m}
         for b_i, a_i, w in pairs:
-            yield from prefixes((*a, a_i), (*b, b_i), (w, *wgt), (tail + w, *c))
+            yield from prefixes((*a, a_i), (*b, b_i), (tail + w, *c))
 
-    for a, b, wgt, c in prefixes((top,), (), (), ()):
+    for a, b, c in prefixes((top,), (), ()):
         # b_r = (x,) below a_{r-1} = (y,); from x = y down, the weight of
         # pair r (pair_weight at b_r = a_{r-1}) rises by 2 and so k_1 by 1.
         # support_from_tails checks the first k: the later ones keep the
         # parity of c_1 and have a larger k_1
         above, tail = a[-1], top[-1] + (c[0] if c else 0)
-        w = pair_weight(above, above, ())
-        k = support_from_tails((tail + w, *c))
+        k = support_from_tails((tail + pair_weight(above, above, ()), *c))
         k_1, k_rest = k[0], k[1:]
         for x in range(above[0], -1, -1):
-            yield new(r, a, b + ((x,),), (w,) + wgt, (k_1,) + k_rest)
-            w += 2
+            yield new(r, a, b + ((x,),), (k_1,) + k_rest)
             k_1 += 1

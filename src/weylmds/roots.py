@@ -182,10 +182,11 @@ def _check_partition(lam):
     return lam
 
 
-def weyl_dimension(lam) -> int:
-    """Weyl dimension of the partition lam (rank len(lam)) off lam + rho,
-    L_i = lam_{r+1-i} + i: step j takes the roots 2e_j and e_j -+ e_i, i < j,
-    and divides exactly, as its product is the count for the last j parts."""
+def _partial_counts(lam):
+    """Yield, for j = 1..r, the Weyl dimension of the last j parts of the
+    partition lam off lam + rho, L_i = lam_{r+1-i} + i: step j takes the
+    roots 2e_j and e_j -+ e_i, i < j, and divides exactly.  No factor is
+    below 1 (L_j -+ L_i >= j -+ i), so the counts never decrease."""
     L = [a + i for i, a in enumerate(reversed(_check_partition(lam)), 1)]
     dim = 1
     for j, Lj in enumerate(L, 1):
@@ -194,15 +195,26 @@ def weyl_dimension(lam) -> int:
         dim, rem = divmod(dim * num, den)
         if rem:
             raise AssertionError("dimension formula must be integral")
+        yield dim
+
+
+def weyl_dimension(lam) -> int:
+    """Weyl dimension of the partition lam: its last _partial_counts."""
+    for dim in _partial_counts(lam):
+        pass
     return dim
 
 
 def check_pattern_count(top_row) -> None:
     """Refuse, before enumerating, a top row with more than 10^7 patterns;
     the Weyl dimension formula counts them exactly.  A count of more than
-    4,300 digits, which str() refuses to write, is left out."""
-    count = weyl_dimension(top_row)
+    4,300 digits, which str() refuses to write, is left out, and is not
+    multiplied out past its first partial count of that size."""
+    unprintable = 10 ** 4300
+    for count in _partial_counts(top_row):
+        if count >= unprintable:
+            break
     if count > 10 ** 7:
-        has = (f"{count} patterns, more than 10^7" if count < 10 ** 4300
+        has = (f"{count} patterns, more than 10^7" if count < unprintable
                else "more than 10^7 patterns")
         raise ValueError(f"top row {','.join(map(str, top_row))} has {has}")

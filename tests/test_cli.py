@@ -721,13 +721,15 @@ def test_oversized_enumeration_refused_up_front(capsys):
     assert weyl_dimension((4, 3, 2, 1)) == 65536
 
 
-def test_rank_300_walks_refused_up_front(capsys):
-    # the count, 2^90000 patterns, is read off lambda + rho: no root is built
-    l, top = ",".join(["0"] * 300), ",".join(map(str, range(300, 0, -1)))
+@pytest.mark.parametrize("r", [300, 1000])
+def test_high_rank_walks_refused_up_front(capsys, r):
+    # the count, 2^(r^2) patterns, is read off lambda + rho: no root is
+    # built, and it is multiplied out only until it passes 4,300 digits
+    l, top = ",".join(["0"] * r), ",".join(map(str, range(r, 0, -1)))
     for argv in (("patterns", "--count-only"), ("hcoeff", "--n", "3"),
                  ("tableaux",), ("verify", "lemma3")):
         start = time.perf_counter()
-        code, out, err = run(capsys, *argv, "--rank", "300", "--l", l)
+        code, out, err = run(capsys, *argv, "--rank", str(r), "--l", l)
         assert time.perf_counter() - start < 5
         assert code == 2 and out == ""
         assert err == f"error: top row {top} has more than 10^7 patterns\n"

@@ -459,7 +459,7 @@ def _small_tops():
 
 
 def _assert_same_patterns(fast, slow):
-    """The same rows in the same order, with the carried wgt and k equal to
+    """The same rows in the same order, with wgt and the carried k equal to
     both oracles."""
     assert [(P.a, P.b) for P in fast] == [(P.a, P.b) for P in slow]
     for P in fast:
@@ -529,6 +529,14 @@ def test_constructed_pattern_folds_the_same_weight_and_support():
             Q = GTPattern(P.rank, P.a, P.b)
             assert (Q.wgt, Q.k_vec) == (P.wgt, P.k_vec)
             assert vars(pattern_from_json(P.to_json())) == vars(P)
+
+
+def test_walked_patterns_hold_only_their_rows_and_k():
+    # wgt is read off the row pairs when asked; the walk carries only k
+    for top in [(3,), (2, 1), (3, 1, 0), (2, 1, 1, 0), (3, 2, 1, 0)]:
+        for strict in (False, True):
+            for P in enumerate_patterns(top, strict):
+                assert set(vars(P)) == {"rank", "a", "b", "k_vec"}
 
 
 # rank 4 stays at entries <= 3 (at most 13,728 patterns): the oracle

@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
-                           d_lambda, inner, norm_sq, phi_w, stability_bound,
+from weylmds.roots import (LambdaTwist, WeylElement, _partial_counts,
+                           build_root_system, check_pattern_count, d_lambda,
+                           inner, norm_sq, phi_w, stability_bound,
                            support_vector, weyl_dimension)
 
 from stable_lemmas import (compose, d_lambda_fraction, fundamental_weights,
@@ -129,6 +130,32 @@ def test_weyl_dimension_equals_the_root_product_exhaustively():
 def test_weyl_dimension_equals_the_root_product_random(parts):
     lam = tuple(sorted(parts, reverse=True))
     assert weyl_dimension(lam) == weyl_dimension_by_roots(lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=8))
+def test_partial_counts_rise_to_the_weyl_dimension(parts):
+    # the count of the last j parts for each j, so never decreasing: what
+    # lets check_pattern_count stop at the first count past 4,300 digits
+    lam = tuple(sorted(parts, reverse=True))
+    counts = list(_partial_counts(lam))
+    assert counts == sorted(counts)
+    assert counts == [weyl_dimension_by_roots(lam[-j:])
+                      for j in range(1, len(lam) + 1)]
+
+
+@pytest.mark.parametrize("r", [119, 120])
+def test_pattern_count_refusal_either_side_of_4300_digits(r):
+    # (r, .., 1) has 2^(r^2) patterns: 4,263 digits at rank 119, written
+    # out, and 4,335 at rank 120, left out
+    top = tuple(range(r, 0, -1))
+    count = 2 ** (r * r)
+    assert weyl_dimension(top) == count
+    has = (f"{count} patterns, more than 10^7" if r == 119
+           else "more than 10^7 patterns")
+    with pytest.raises(ValueError) as refused:
+        check_pattern_count(top)
+    assert str(refused.value) == f"top row {','.join(map(str, top))} has {has}"
 
 
 def test_weyl_dimension_refuses_rank_zero_and_non_partitions():
