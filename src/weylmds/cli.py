@@ -3,7 +3,9 @@
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success (and
 verification pass), 1 verification failure, 2 usage error, refused oversized
 work or a failed internal check.  Output is deterministic byte-for-byte for a
-fixed command line.  Each command imports only the modules it runs.
+fixed command line.  Each command imports only the modules it runs, except
+that the chars commands (character, euler, verify cs and verify hamel-king)
+load all of chars' imports.
 """
 
 import argparse
@@ -21,11 +23,15 @@ def _dump(obj):
     return json.dumps(obj, separators=(",", ": "), indent=1, sort_keys=False)
 
 
-def _emit_list(items, head="", indent="", end=""):
-    """Write head + _dump(list(items)) + end and a newline, every line of
-    the list after its first indented by `indent`, a few thousand items at
-    a time, without holding the whole list or its text.  Nothing is written
-    before the first chunk is built."""
+def _emit_list(items, within=None):
+    """Write _dump(list(items)) and a newline, or with `within`, a dict
+    whose last value is [], _dump(within) with that [] holding the items.
+    The list goes out a few thousand items at a time, without holding the
+    whole list or its text, and nothing is written before the first chunk
+    is built."""
+    head, _, end = _dump(within).rpartition("[]") if within else ("", "", "")
+    key = head.rpartition("\n")[2]  # ' "entries": ', as deep as the items
+    indent = key[:len(key) - len(key.lstrip())]
     items = iter(items)
     sep = head + "["
     while chunk := list(islice(items, 4096)):
@@ -112,25 +118,20 @@ def cmd_hcoeff(args):
                            for syms, e, c in value.terms) or "0"
             _emit(",".join(map(str, k)) + "," + val)
         return 0
-    entries = table.entries_json()
+
+    def entries():  # each entry built as it is written
+        for k, value in table.entries:
+            entry = {"k": list(k), "value": value.to_json()}
+            if args.p is not None:
+                z = gauss.numeric_eval(value, ctx)
+                entry["numeric"] = [z.real, z.imag]
+            yield entry
+
     if args.p is not None:
         values = [v for _, v in table.entries]
         gauss.check_numeric_terms(len(values), ctx, values)
-        entries = _with_numeric(entries, table, ctx)
-    # the entry list goes one level deeper, between the head and the tail
-    head, _, tail = _dump(table.to_json(entries=[])).rpartition("[]")
-    _emit_list(entries, head, indent=" ", end=tail)
+    _emit_list(entries(), {"l": list(twist.l), "n": args.n, "entries": []})
     return 0
-
-
-def _with_numeric(entries, table, ctx):
-    """Each entry with the numeric value of its GaussValue, evaluated as
-    the entry is written."""
-    from .gauss import numeric_eval
-    for entry, (_, val) in zip(entries, table.entries):
-        z = numeric_eval(val, ctx)
-        entry["numeric"] = [z.real, z.imag]
-        yield entry
 
 
 def cmd_character(args):

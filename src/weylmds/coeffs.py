@@ -94,17 +94,6 @@ class HTable(Record):
     def nonzero_keys(self):
         return [k for k, v in self.entries if not v.is_zero()]
 
-    def entries_json(self):
-        """The JSON object of each entry, lazily."""
-        return ({"k": list(k), "value": v.to_json()} for k, v in self.entries)
-
-    def to_json(self, entries=None) -> dict:
-        """The table as JSON; `entries`, when given, stands in for the list
-        of entries_json() (the CLI writes that list as it goes)."""
-        if entries is None:
-            entries = list(self.entries_json())
-        return {"l": list(self.twist.l), "n": self.n, "entries": entries}
-
 
 def h_table(twist: LambdaTwist, n: int) -> HTable:
     """Group pattern products over GT(lambda+rho) by support vector.  A

@@ -293,13 +293,6 @@ def test_csv_format(capsys):
     assert lines[0].startswith("0,")
 
 
-def test_empty_table_serialization():
-    from weylmds.coeffs import HTable
-    from weylmds.roots import LambdaTwist
-    table = HTable(LambdaTwist((0,)), 1, ())
-    assert table.to_json()["entries"] == []
-
-
 def test_format_values_a_command_does_not_render_exit_two(capsys):
     assert run(capsys, "verify", "gauss", "--n", "3", "--p", "7",
                "--format", "csv")[0] == 2
@@ -395,7 +388,8 @@ def test_hcoeff_json_streams_the_dump_of_the_table(capsys, monkeypatch,
     from weylmds.roots import LambdaTwist
     table = h_table(LambdaTwist((4200,)), 3)
     assert len(table.entries) == 4202
-    obj = table.to_json()
+    obj = {"l": [4200], "n": 3, "entries": [
+        {"k": list(k), "value": val.to_json()} for k, val in table.entries]}
     argv = ["hcoeff", "--rank", "1", "--l", "4200", "--n", "3"]
     if numeric:
         # p^e overflows a float at these exponents, so a stand-in value
@@ -865,5 +859,5 @@ def test_emit_list_writes_the_dump_of_the_list(capsys, n):
     _emit_list(iter(items))
     assert capsys.readouterr().out == _dump(items) + "\n"
     # one level deeper, as the value of the last key of an object
-    _emit_list(iter(items), '{\n "x": ', indent=" ", end="\n}")
+    _emit_list(iter(items), {"x": []})
     assert capsys.readouterr().out == _dump({"x": items}) + "\n"

@@ -11,7 +11,11 @@ Z[zeta_n] (x) Z[zeta_{p^w}], so equal values have equal forms.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylmds.coeffs import h_table
 from weylmds.gauss import ArithContext, gauss_eval
+from weylmds.roots import (LambdaTwist, WeylElement, d_lambda, norm_sq, phi_w,
+                           stability_bound)
+from weylmds.stable import k_of_weyl
 
 from test_gauss import _SHAPES, shaped
 
@@ -109,18 +113,49 @@ def symbolic_sum(value, ctx: ArithContext, w: int, shift: int = 0) -> dict:
     return out
 
 
-# the verify gauss default p of each n; (7, 29) is left out, as its 12
-# sums of up to 29^4 = 707,281 terms would add tens of seconds to the suite
-@pytest.mark.parametrize("n, p", [(1, 5), (3, 7), (5, 11)])
-def test_gauss_eval_equals_the_literal_sums_exactly_on_verify_gauss_grid(n, p):
-    ctx = ArithContext(n, p)
+def check_gauss_grid(n: int, p: int) -> list:
+    """The (t, c, v) of the verify gauss grid where gauss_eval and the
+    literal sum differ."""
+    ctx, bad = ArithContext(n, p), []
     for t in (1, 2):
         for c in range(6):
             for v in range(5):
                 w = max(v, 1)  # v = 0 still has a zeta_p to hold G[s]
                 exact = canonical(n, p, w, literal_sum(t, c, v, ctx))
                 value = symbolic_sum(gauss_eval(t, c, v, n), ctx, w)
-                assert canonical(n, p, w, value) == exact, (t, c, v)
+                if canonical(n, p, w, value) != exact:
+                    bad.append((t, c, v))
+    return bad
+
+
+# the verify gauss default p of each n, and (9, 19); (7, 29), whose 12 sums
+# of up to 29^4 = 707,281 terms take several seconds, runs in CI instead
+@pytest.mark.parametrize("n, p", [(1, 5), (3, 7), (5, 11), (9, 19)])
+def test_gauss_eval_equals_the_literal_sums_exactly_on_verify_gauss_grid(n, p):
+    assert check_gauss_grid(n, p) == []
+
+
+# the stable theorem: at n at or above the stability bound, the table value
+# at k(w) is the product over Phi(w) of g_{|alpha|^2}(p^{d-1}, p^d), here
+# each a literal sum over the units mod p^d.  A factor's zeta_{p^d} is lifted
+# to zeta_{p^W}, W the largest d, by b -> b p^(W-d)
+@pytest.mark.parametrize("l, n, p", [((0,), 3, 7), ((1,), 3, 7), ((2,), 3, 7),
+                                     ((0, 0), 3, 7), ((0, 1), 5, 11)])
+def test_stable_table_equals_the_product_of_literal_sums_exactly(l, n, p):
+    twist, ctx = LambdaTwist(l), ArithContext(n, p)
+    assert n >= stability_bound(twist)
+    table = h_table(twist, n)
+    for w in WeylElement.all_elements(twist.rank):
+        W = max([d_lambda(twist, alpha) for alpha in phi_w(w)] + [1])
+        exact = {(0, 0): 1}
+        for alpha in phi_w(w):
+            d = d_lambda(twist, alpha)
+            factor = literal_sum(norm_sq(alpha), d - 1, d, ctx)
+            exact = canonical(n, p, W, times(exact, {
+                (a, b * p ** (W - d)): c for (a, b), c in factor.items()}))
+        value = table.value(k_of_weyl(w, twist))
+        assert canonical(n, p, W, symbolic_sum(value, ctx, W)) == \
+            canonical(n, p, W, exact), (w.sigma, w.eps)
 
 
 # n = 1 has no symbol, and so no fold to check

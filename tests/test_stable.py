@@ -1,13 +1,17 @@
+from collections import Counter
 from itertools import product
 from math import factorial
+from operator import add
 
 import pytest
 
+from weylmds.chars import character_gt
 from weylmds.coeffs import h_table, pattern_G
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval
 from weylmds.patterns import enumerate_patterns, is_strict
 from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
-                           d_lambda, norm_sq, phi_w, stability_bound)
+                           d_lambda, norm_sq, phi_w, stability_bound,
+                           support_vector)
 from weylmds.stable import h_stable, k_of_weyl, verify_stable_match
 
 from stable_lemmas import (d_sets, identity_element, long_element,
@@ -159,17 +163,18 @@ def test_stability_bound_is_largest_d_lambda_and_suffices():
         assert report["checked"] == 8 and report["mismatches"] == [], l
 
 
+SHARP_TWISTS = [(l,) for l in range(5)] + [
+    l for r, top in ((2, 3), (3, 1)) for l in product(range(top + 1), repeat=r)]
+
+
 def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
     # rank 1 with l <= 4, rank 2 with l_i <= 3 and rank 3 with l_i <= 1, at
     # every odd n up to the first odd n at or above the bound.  Below the
     # bound h_stable refuses, so the product over Phi(w) is taken here; that
     # the orbit values match there is observed on these twists, not proved
-    twists = [(l,) for l in range(5)] + [
-        l for r, top in ((2, 3), (3, 1))
-        for l in product(range(top + 1), repeat=r)]
-    assert len(twists) == 29
+    assert len(SHARP_TWISTS) == 29
     off_orbit = {}
-    for l in twists:
+    for l in SHARP_TWISTS:
         twist, r = LambdaTwist(l), len(l)
         bound = stability_bound(twist)
         orbit = {k_of_weyl(w, twist): w for w in WeylElement.all_elements(r)}
@@ -189,3 +194,26 @@ def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
             ((1, 1, 1), 3): 228, ((1, 1, 1), 5): 90, ((1, 1, 1), 7): 48,
             ((1, 1, 1), 9): 24}
     assert {key: off_orbit[key] for key in pins} == pins
+
+
+def test_each_orbit_key_has_exactly_one_pattern():
+    # the first step of the stable case: k(w) is reached by one pattern only,
+    # the stable pattern of w, whose maximal entries are the roots of Phi(w)
+    # and whose other entries are minimal with exponent 0.  Uniqueness is
+    # checked on each of these twists, not proved
+    for l in SHARP_TWISTS + [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0, 0)]:
+        twist, r = LambdaTwist(l), len(l)
+        count = Counter()  # patterns per k: lambda+rho+wgt = sum k_i alpha_i
+        for e, c in character_gt(twist.top_row).terms.items():
+            count[support_vector(tuple(map(add, twist.L, e[:r])))] += c
+        for w in WeylElement.all_elements(r):
+            k = k_of_weyl(w, twist)
+            assert count[k] == 1, (l, w)
+            P = stable_pattern_for(w, twist.top_row)
+            assert P.k_vec == k, (l, w)
+            records = list(P.records())
+            assert sorted((e.t, e.exp) for e in records if not e.slack) == \
+                sorted((norm_sq(a), d_lambda(twist, a)) for a in phi_w(w)), \
+                (l, w)
+            assert all(e.is_min and not e.exp for e in records if e.slack), \
+                (l, w)
