@@ -21,7 +21,9 @@ from .record import Record
 
 # Largest modulus p^v a brute-force sum runs over, and so the largest prime
 BRUTE_FORCE_LIMIT = 10 ** 7
-# Most terms the numeric_eval calls of one command may sum (about 150 s)
+# Most terms the numeric_eval calls of one command may request (about 150 s
+# if all were summed): n - 1 primitive sums per call, repeats included, so
+# an upper bound on the work, as a context sums each distinct one once
 NUMERIC_TERMS_LIMIT = 10 ** 9
 
 
@@ -205,14 +207,16 @@ class ArithContext(Record):
     chi on the p residues of Z/p (one int each), and e(x / p^v) on the p^v
     residues of Z/p^v, once for each v a brute-force sum asks for (about
     40 B per residue, so about 400 MB at v = 1 and p near 10^7).  A value
-    without symbols needs neither."""
+    without symbols needs neither.  Each brute-force sum is kept too, in
+    `sums` by (t, c, v), so a repeated request is summed once."""
 
     n: int
     p: int
     root: int  # found by __post_init__
 
-    def __init__(self, n: int, p: int):  # additive_tables: v -> table
-        self.__dict__.update(n=n, p=p, additive_tables={})
+    def __init__(self, n: int, p: int):
+        # additive_tables: v -> table; sums: (t, c, v) -> gauss_brute's sum
+        self.__dict__.update(n=n, p=p, additive_tables={}, sums={})
         self.__post_init__()
 
     def __post_init__(self):
@@ -259,11 +263,15 @@ def brute_force_modulus(p: int, v_exp: int) -> int:
 
 def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
     """Literal exponential sum over the units d mod p^v, the numeric oracle:
-    the terms chi^{t v}(d) e(d p^c / p^v), added in increasing d."""
+    the terms chi^{t v}(d) e(d p^c / p^v), added in increasing d.  Summed
+    once per context: ctx.sums holds each (t, c, v) for its lifetime."""
     if v_exp < 0 or c_exp < 0:
         raise ValueError("negative exponent")
     if v_exp == 0:
         return complex(1.0)
+    key = (t, c_exp, v_exp)
+    if key in ctx.sums:
+        return ctx.sums[key]
     n, p = ctx.n, ctx.p
     e = ctx.additive_table(v_exp)
     modulus = len(e)
@@ -279,13 +287,15 @@ def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
         next(entries)  # d = kp is no unit; weights: chi^{tv}(d mod p)
         weights = map(chi_tv.__getitem__, islice(ctx.chi_table, 1, None))
         total = reduce(add, map(mul, weights, islice(entries, p - 1)), total)
+    ctx.sums[key] = total
     return total
 
 
 def check_numeric_terms(calls: int, ctx: ArithContext, values=()) -> None:
-    """Refuse `calls` numeric_eval calls at ctx, before any sum, when their
-    brute-force sums (n - 1 primitive sums of p terms each, per call) add
-    more than NUMERIC_TERMS_LIMIT terms, or when a term c q^e G[s_1]..G[s_j]
+    """Refuse `calls` numeric_eval calls at ctx, before any sum, when the
+    brute-force sums they request (n - 1 primitive sums of p terms each, per
+    call, though ctx sums each distinct one once) add more than
+    NUMERIC_TERMS_LIMIT terms, or when a term c q^e G[s_1]..G[s_j]
     of `values` overflows a float: p^e, or its size |c| p^(e + j/2), as
     each primitive sum has absolute value sqrt(p)."""
     terms = calls * (ctx.n - 1) * ctx.p

@@ -5,11 +5,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylmds import gauss
 from weylmds.coeffs import h_table
 from weylmds.gauss import (BRUTE_FORCE_LIMIT, NUMERIC_TERMS_LIMIT,
                            ArithContext, GaussValue, check_numeric_terms,
                            gauss_brute, gauss_eval, numeric_eval)
 from weylmds.roots import LambdaTwist
+from weylmds.stable import verify_stable_match
 
 
 def gauss_from_json(n, obj) -> GaussValue:
@@ -156,7 +158,9 @@ def test_context_refuses_prime_above_limit():
 
 
 def cached_tables(ctx):
-    """Every table ctx holds, the ones inside a dict of tables included."""
+    """Every table and held sum ctx holds: chi_table, each additive table
+    and each brute-force sum of `sums`, the last two read out of their
+    dicts."""
     out = []
     for v in vars(ctx).values():
         if isinstance(v, dict):
@@ -193,6 +197,7 @@ def test_context_builds_one_additive_table_for_symbol_values():
     value = GaussValue.symbol(3, 1, q_exp=1)
     first = numeric_eval(value, ctx)
     assert [len(t) for t in ctx.additive_tables.values()] == [p]
+    assert sorted(ctx.sums) == [(1, 0, 1), (2, 0, 1)]
     tables = cached_tables(ctx)
     assert numeric_eval(value, ctx) == first
     assert [id(t) for t in cached_tables(ctx)] == [id(t) for t in tables]
@@ -420,3 +425,59 @@ def test_brute_refuses_negative_exponents():
     for c, v in ((0, -1), (-1, 1)):
         with pytest.raises(ValueError):
             gauss_brute(1, c, v, ctx)
+
+
+# -- each brute-force sum summed once per context --------------------------
+
+def count_blocks(monkeypatch):
+    """Count the blocks gauss_brute sums, one reduce over p - 1 units each,
+    so p^(v-1) per sum over Z/p^v."""
+    blocks, reduce = Counter(), gauss.reduce
+
+    def counted(*args):
+        blocks["reduce"] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(gauss, "reduce", counted)
+    return blocks
+
+
+def test_repeated_brute_requests_are_summed_once_with_the_same_bits(
+        monkeypatch):
+    blocks = count_blocks(monkeypatch)
+    p = 101
+    ctx = ArithContext(5, p)
+    grid = [(t, c, v) for t in (1, 2, 3, 4) for c in range(3)
+            for v in (1, 2)]
+    once = sum(p ** (v - 1) for *_, v in grid)  # blocks of one pass
+    first = {key: gauss_brute_long(*key, ctx) for key in grid}
+    for _ in range(3):
+        for key in grid:
+            assert gauss_brute(*key, ctx) == first[key], key
+    assert sorted(ctx.sums) == sorted(grid)
+    assert blocks["reduce"] == once
+    # an equal context holds none of them and sums again
+    fresh = ArithContext(5, p)
+    assert fresh == ctx and not fresh.sums
+    for key in grid:
+        assert gauss_brute(*key, fresh) == first[key], key
+    assert blocks["reduce"] == 2 * once
+
+
+def test_stable_match_sums_each_primitive_sum_once(monkeypatch):
+    # 48 signed permutations, two values each, 4 primitive sums per value
+    blocks = count_blocks(monkeypatch)
+    requests, brute = Counter(), gauss.gauss_brute
+
+    def counted(t, c, v, ctx):
+        requests[t, c, v] += 1
+        return brute(t, c, v, ctx)
+
+    monkeypatch.setattr(gauss, "gauss_brute", counted)
+    ctx = ArithContext(5, 3001)
+    report = verify_stable_match(LambdaTwist((0, 0, 0)), 5, ctx)
+    assert report == {"checked": 48, "mismatches": []}
+    assert requests == {(s, 0, 1): 96 for s in range(1, 5)}
+    assert blocks["reduce"] == 4
+    for s in range(1, 5):
+        assert ctx.sums[s, 0, 1] == gauss_brute_long(s, 0, 1, ctx)

@@ -5,7 +5,7 @@ fields, and still able to cache a property."""
 import pytest
 
 from weylmds.coeffs import HTable
-from weylmds.gauss import ArithContext, GaussValue
+from weylmds.gauss import ArithContext, GaussValue, gauss_brute
 from weylmds.patterns import GTPattern
 from weylmds.record import Record
 from weylmds.roots import LambdaTwist, RootSystemC, WeylElement
@@ -80,5 +80,7 @@ def test_context_compares_on_degree_prime_and_root():
     used, fresh = ArithContext(3, 7), ArithContext(3, 7)
     used.chi_table
     used.additive_table(1)
+    gauss_brute(1, 0, 1, used)  # held sums are no field either
+    assert used.sums and not fresh.sums
     assert used == fresh and hash(used) == hash(fresh)
     assert used != ArithContext(3, 13)
