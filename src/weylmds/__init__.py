@@ -9,7 +9,7 @@ _EXPORTS = {
     "chars": "character_gt deformation_factors euler_product_n1 h_tilde_table"
              " verify_deformation_identity verify_euler_bridge"
              " verify_euler_factor_identity verify_h_tilde",
-    "coeffs": "HTable gamma_a gamma_b h_table pattern_G verify_k_sum",
+    "coeffs": "HTable gamma_a gamma_b h_table k_sum_classes pattern_G",
     "gauss": "ArithContext GaussValue gauss_brute gauss_eval numeric_eval",
     "laurent": "LaurentPoly",
     "patterns": "EntryRecord GTPattern enumerate_patterns interleave_bounds"

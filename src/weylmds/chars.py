@@ -14,7 +14,7 @@ from operator import add, mul
 from .coeffs import HTable, h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
-from .patterns import pair_classes, pair_sums, pair_weight
+from .patterns import _slot, pair_classes, pair_sums, pair_weight
 from .roots import (LambdaTwist, _check_partition, build_root_system,
                     check_pattern_count, support_vector)
 from .tableaux import pair_tableau_stats
@@ -32,11 +32,6 @@ def character_gt(lam) -> LaurentPoly:
         _slot(r, i, pair_weight(*rows)), 1))
     return LaurentPoly(ring_size(len(lam)), {wgt + (0, 0): count
                                              for wgt, count in sums.items()})
-
-
-def _slot(r, i, w) -> tuple:
-    """wgt with only the slot of row pair i, wgt_{r+1-i} = w, set."""
-    return (*[0] * (r - i), w, *[0] * (i - 1))
 
 
 def deformation_factors(r: int) -> list:

@@ -13,12 +13,14 @@ are not standard shifted tableaux).
 """
 
 from functools import cached_property, lru_cache
+from operator import add
 
 from .gauss import GaussValue, add_terms, gauss_eval
-from .patterns import (EntryRecord, GTPattern, _decreasing, enumerate_patterns,
-                       pair_entries)
+from .patterns import (EntryRecord, GTPattern, _decreasing, _slot,
+                       enumerate_patterns, pair_entries, pair_sums,
+                       pair_weight)
 from .record import Record
-from .roots import LambdaTwist
+from .roots import LambdaTwist, support_vector
 
 
 def gamma_a(e: EntryRecord, n: int) -> GaussValue:
@@ -66,9 +68,16 @@ def pattern_G(P: GTPattern, n: int) -> GaussValue:
     return out
 
 
-def verify_k_sum(P: GTPattern) -> bool:
-    """sum k_i = sum v_{i,j} + sum u_{i,j}, exactly."""
-    return sum(P.k_vec) == sum(e.exp for e in P.records())
+def k_sum_classes(twist: LambdaTwist) -> list:
+    """Lemma 3's two sides folded over the row pairs: sorted (k, exponent
+    sum, number of patterns) over GT(lambda+rho), where lambda+rho + wgt =
+    sum k_i alpha_i and the exponent sum is sum v_{i,j} + sum u_{i,j}.
+    The lemma says sum(k) equals the exponent sum in every class."""
+    sums = pair_sums(twist.top_row, lambda r, i, *rows: ((
+        *_slot(r, i, pair_weight(*rows)),
+        sum(e.exp for e in pair_entries(r, i, *rows))), 1))
+    return sorted((support_vector(tuple(map(add, twist.L, wgt))), exp, count)
+                  for (*wgt, exp), count in sums.items())
 
 
 class HTable(Record):

@@ -21,9 +21,9 @@ from .record import Record
 
 # Largest modulus p^v a brute-force sum runs over, and so the largest prime
 BRUTE_FORCE_LIMIT = 10 ** 7
-# Most terms the numeric_eval calls of one command may request (about 150 s
-# if all were summed): n - 1 primitive sums per call, repeats included, so
-# an upper bound on the work, as a context sums each distinct one once
+# Most brute-force terms the numeric_eval calls at one context may sum
+# (about 150 s): a context sums each of its n - 1 primitive sums of p terms
+# once, however many values it evaluates
 NUMERIC_TERMS_LIMIT = 10 ** 9
 
 
@@ -208,7 +208,9 @@ class ArithContext(Record):
     residues of Z/p^v, once for each v a brute-force sum asks for (about
     40 B per residue, so about 400 MB at v = 1 and p near 10^7).  A value
     without symbols needs neither.  Each brute-force sum is kept too, in
-    `sums` by (t, c, v), so a repeated request is summed once."""
+    `sums` by (t, c, v), so a repeated request is summed once, and a context
+    whose n - 1 primitive sums would add more than NUMERIC_TERMS_LIMIT terms
+    is refused when it is built."""
 
     n: int
     p: int
@@ -228,6 +230,10 @@ class ArithContext(Record):
             raise ValueError(f"{self.p} is not prime")
         if (self.p - 1) % self.n:
             raise ValueError("p must be congruent to 1 mod n")
+        terms = (self.n - 1) * self.p
+        if terms > NUMERIC_TERMS_LIMIT:
+            raise OverflowError(f"numeric evaluation needs {terms} "
+                                f"brute-force terms, above the limit 10^9")
         object.__setattr__(self, "root", _primitive_root(self.p))
 
     @cached_property
@@ -291,17 +297,10 @@ def gauss_brute(t: int, c_exp: int, v_exp: int, ctx: ArithContext) -> complex:
     return total
 
 
-def check_numeric_terms(calls: int, ctx: ArithContext, values=()) -> None:
-    """Refuse `calls` numeric_eval calls at ctx, before any sum, when the
-    brute-force sums they request (n - 1 primitive sums of p terms each, per
-    call, though ctx sums each distinct one once) add more than
-    NUMERIC_TERMS_LIMIT terms, or when a term c q^e G[s_1]..G[s_j]
-    of `values` overflows a float: p^e, or its size |c| p^(e + j/2), as
-    each primitive sum has absolute value sqrt(p)."""
-    terms = calls * (ctx.n - 1) * ctx.p
-    if terms > NUMERIC_TERMS_LIMIT:
-        raise OverflowError(f"numeric evaluation needs {terms} brute-force "
-                            f"terms, above the limit 10^9")
+def check_numeric_terms(ctx: ArithContext, values) -> None:
+    """Refuse the numeric_eval of `values` at ctx, before any sum, when a
+    term c q^e G[s_1]..G[s_j] overflows a float: p^e, or its size
+    |c| p^(e + j/2), as each primitive sum has absolute value sqrt(p)."""
     raw = [t for v in values for t in v.terms]
     q_exp = max((e for _, e, _ in raw), default=0)
     p = float(ctx.p)

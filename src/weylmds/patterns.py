@@ -60,11 +60,6 @@ class GTPattern(Record):
         """(a_{i-1}, b_i, a_i) for each row pair i = 1..r, with a_r = ()."""
         return zip(self.a, self.b, (*self.a[1:], ()))
 
-    def records(self):
-        """Every EntryRecord, pair by pair, lazily."""
-        for i, pair in enumerate(self.row_pairs(), 1):
-            yield from pair_entries(self.rank, i, *pair)
-
     def classes(self) -> tuple:
         """(#maximal, #generic, #degenerate) over every entry, summed from
         pair_classes."""
@@ -182,6 +177,11 @@ def pair_weight(above, b, below) -> int:
     """wgt_{r+1-i} = s(a_{i-1}) - 2 s(b_i) + s(a_i) (s the row sum) of row
     pair i, from the rows `above`, b and `below`."""
     return sum(above) - 2 * sum(b) + sum(below)
+
+
+def _slot(r, i, w) -> tuple:
+    """wgt with only the slot of row pair i, wgt_{r+1-i} = w, set."""
+    return (*[0] * (r - i), w, *[0] * (i - 1))
 
 
 def pair_rows(above, strict=False):

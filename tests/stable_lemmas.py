@@ -105,6 +105,12 @@ def pair_records(P: GTPattern, i: int):
     return pair_entries(P.rank, i, *list(P.row_pairs())[i - 1])
 
 
+def records(P: GTPattern):
+    """Every EntryRecord of P, pair by pair, lazily."""
+    for i, pair in enumerate(P.row_pairs(), 1):
+        yield from pair_entries(P.rank, i, *pair)
+
+
 def record(P: GTPattern, pos):
     """The EntryRecord of P at position (kind, i, j)."""
     for e in pair_records(P, pos[1]):

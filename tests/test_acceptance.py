@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 from weylmds.chars import (verify_deformation_identity, verify_euler_bridge,
                            verify_euler_factor_identity, verify_h_tilde)
-from weylmds.coeffs import h_table, verify_k_sum
+from weylmds.coeffs import h_table, k_sum_classes
 from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
                            numeric_eval)
 from weylmds.patterns import enumerate_patterns, is_strict
@@ -19,7 +19,7 @@ from weylmds.stable import REL_TOL, verify_stable_match
 from weylmds.tableaux import tableau_from_pattern, verify_tableau_stats
 
 from stable_lemmas import is_stable
-from test_coeffs import weight_from_support
+from test_coeffs import k_sum_classes_long, weight_from_support
 from test_patterns import FIG1, count_patterns
 from test_tableaux import FIG1_ROWS, pattern_from_tableau
 
@@ -78,10 +78,16 @@ def test_criterion_4_euler_factor_identity():
 
 
 def test_criterion_5_support_sum_identity():
+    # lemma 3 on every pattern, through its class of (k, exponent sum), and
+    # the classes of the walk against the row-pair fold
     for r in (1, 2, 3):
         for top in _tops(6, r):
-            for P in enumerate_patterns(top):
-                assert verify_k_sum(P), (top, P.to_json())
+            L = top[::-1]
+            twist = LambdaTwist(tuple(b - a - 1 for a, b in zip((0, *L), L)))
+            assert twist.top_row == top
+            classes = k_sum_classes_long(twist)
+            assert all(sum(k) == exp for k, exp, _ in classes), top
+            assert classes == k_sum_classes(twist), top
     print("PASS criterion 5: support-sum identity, exhaustive to rank 3")
 
 

@@ -22,7 +22,7 @@ from weylmds.patterns import enumerate_patterns
 from weylmds.roots import LambdaTwist, WeylElement, weyl_dimension
 from weylmds.tableaux import standard_tableaux, tableau_stats
 
-from stable_lemmas import sign
+from stable_lemmas import records, sign
 from test_laurent import eval_at, variable
 
 
@@ -311,7 +311,7 @@ def reduced_pattern_weight(P):
     qinv = GaussValue.q_power(1, -1)
     factors = {"minimal": one, "generic": one - qinv, "maximal": -qinv}
     out = one
-    for e in P.records():
+    for e in records(P):
         if e.is_min and not e.slack:
             return GaussValue.zero(1)
         out = out * factors[e.tag]
@@ -319,7 +319,7 @@ def reduced_pattern_weight(P):
 
 
 def is_degenerate(P):
-    return any(e.is_min and not e.slack for e in P.records())
+    return any(e.is_min and not e.slack for e in records(P))
 
 
 # every twist with entries <= 1 at ranks 1-3, and rank 4 at l = 0

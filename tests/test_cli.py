@@ -222,18 +222,41 @@ def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(capsys,
     assert [pattern_from_json(p) for p in report["failures"]] == broken
 
 
-def test_lemma3_fails_on_a_carried_support_vector_off_by_one(capsys,
-                                                             monkeypatch):
-    # a mutant change of basis in the enumeration: k_r one too large
-    from weylmds import patterns
-    tails = patterns.support_from_tails
-    monkeypatch.setattr(patterns, "support_from_tails",
-                        lambda c: (*tails(c)[:-1], tails(c)[-1] + 1))
+def _lemma3_failures(capsys, shift):
+    """The failures of verify lemma3 at rank 3, l = (1,0,0), checked to be
+    every class, each off by `shift` in sum(k), over all 2,240 patterns."""
     code, out, err = run(capsys, "verify", "lemma3", "--rank", "3",
                          "--l", "1,0,0")
     assert (code, err) == (1, "")
     report = json.loads(out)
-    assert report["ok"] is False and report["failures"]
+    assert report["ok"] is False
+    bad = report["failures"]
+    assert all(set(f) == {"k", "exponent_sum", "patterns"} for f in bad)
+    assert all(sum(f["k"]) == f["exponent_sum"] + shift for f in bad)
+    assert sum(f["patterns"] for f in bad) == 2240
+
+
+def test_lemma3_fails_on_a_support_vector_off_by_one(capsys, monkeypatch):
+    # a mutant change of basis in the fold: k_r one too large
+    from weylmds import roots
+    tails = roots.support_from_tails
+    monkeypatch.setattr(roots, "support_from_tails",
+                        lambda c: (*tails(c)[:-1], tails(c)[-1] + 1))
+    _lemma3_failures(capsys, 1)
+
+
+def test_lemma3_fails_on_an_entry_exponent_off_by_one(capsys, monkeypatch):
+    # a mutant v_{1,1}, one too large, in every pattern
+    from weylmds import coeffs
+    entries = coeffs.pair_entries
+
+    def shifted(r, i, *rows):
+        for e in entries(r, i, *rows):
+            yield e._replace(exp=e.exp + 1) if e.pos == ("b", 1, 1) else e
+
+    monkeypatch.setattr(coeffs, "pair_entries", shifted)
+    _lemma3_failures(capsys, -1)
+
 
 def test_character_output(capsys):
     code, out, _ = run(capsys, "character", "--rank", "1", "--l", "1")
@@ -356,13 +379,13 @@ def test_hcoeff_numeric_csv_refused_before_any_work(capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-# each needs more than 10^9 brute-force terms: len(entries) (n - 1) p for
-# hcoeff, up to 2 |W| (n - 1) p for verify stable
+# each context needs more than 10^9 brute-force terms, (n - 1) p; the last
+# is at its twist's stability bound or above, so only the limit refuses it
 @pytest.mark.parametrize("argv", [
     ("hcoeff", "--rank", "1", "--l", "0", "--n", "100002", "--p", "100003"),
     ("verify", "stable", "--rank", "1", "--l", "0", "--n", "100001",
      "--p", "200003"),
-    ("verify", "stable", "--rank", "4", "--l", "0,0,0,0", "--n", "7",
+    ("verify", "stable", "--rank", "4", "--l", "0,0,0,0", "--n", "105",
      "--p", "9999991"),
 ], ids=" ".join)
 def test_numeric_work_above_the_term_limit_refused_before_any_sum(

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, product
 from operator import add
 
@@ -6,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds.chars import _reduced_factor
-from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, pair_G,
-                            pattern_G, verify_k_sum)
+from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, k_sum_classes,
+                            pair_G, pattern_G)
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
 from weylmds.patterns import (GTPattern, enumerate_patterns, is_strict,
                               pair_classes, pair_entries, pair_rows,
                               pair_sums)
 from weylmds.roots import LambdaTwist, support_vector
 
-from stable_lemmas import record
+from stable_lemmas import record, records
 from test_patterns import FIG1, bound_flags_long, u_long, v_long, wgt_slot
 
 
@@ -54,7 +55,7 @@ def pattern_G_long(P: GTPattern, n: int) -> GaussValue:
     if not is_strict(P):
         return GaussValue.zero(n)
     out = GaussValue.one(n)
-    for e in P.records():
+    for e in records(P):
         gamma = gamma_b if e.pos[0] == "b" else gamma_a
         out = out * gamma(e, n)
         if out.is_zero():
@@ -280,6 +281,20 @@ def test_h_table_r2_long_element_value():
     assert table.value((3, 4)) == expected
 
 
+def verify_k_sum(P: GTPattern) -> bool:
+    """Oracle, lemma 3 on one pattern: sum k_i = sum v_{i,j} + sum u_{i,j},
+    exactly."""
+    return sum(P.k_vec) == sum(e.exp for e in records(P))
+
+
+def k_sum_classes_long(twist: LambdaTwist) -> list:
+    """Oracle: k_sum_classes pattern by pattern, from the k each pattern
+    carries out of the enumeration and the exponents of its records."""
+    classes = Counter((P.k_vec, sum(e.exp for e in records(P)))
+                      for P in enumerate_patterns(twist.top_row))
+    return sorted((k, exp, count) for (k, exp), count in classes.items())
+
+
 def test_verify_k_sum_examples():
     P = GTPattern(1, ((1,),), ((0,),))
     assert P.k_vec == (1,) and v_long(P, 1, 1) == 1
@@ -291,6 +306,16 @@ def test_verify_k_sum_exhaustive_small():
     for top in [(2, 1), (4, 2), (3, 2, 1), (5, 3, 1)]:
         for P in enumerate_patterns(top):
             assert verify_k_sum(P)
+
+
+def test_k_sum_classes_match_the_per_pattern_oracle_at_rank_4():
+    # all 65,536 patterns of (4,3,2,1), each in the class of its k and
+    # exponent sum, and lemma 3 in every class
+    twist = LambdaTwist((0, 0, 0, 0))
+    classes = k_sum_classes(twist)
+    assert classes == k_sum_classes_long(twist)
+    assert sum(count for *_, count in classes) == 65536
+    assert all(sum(k) == exp for k, exp, _ in classes)
 
 
 def test_pattern_G_magnitude_bound():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from weylmds import gauss
 from weylmds.coeffs import h_table
 from weylmds.gauss import (BRUTE_FORCE_LIMIT, NUMERIC_TERMS_LIMIT,
-                           ArithContext, GaussValue, check_numeric_terms,
-                           gauss_brute, gauss_eval, numeric_eval)
+                           ArithContext, GaussValue, gauss_brute, gauss_eval,
+                           numeric_eval)
 from weylmds.roots import LambdaTwist
 from weylmds.stable import verify_stable_match
 
@@ -170,14 +170,19 @@ def cached_tables(ctx):
     return out
 
 
-def test_numeric_term_limit_counts_every_primitive_sum_of_every_call():
-    ctx = ArithContext(5, 101)  # 4 primitive sums of 101 terms per call
+def test_numeric_term_limit_is_checked_when_the_context_is_built(
+        monkeypatch):
+    # (5, 101): 4 primitive sums of 101 terms, each summed once per context
+    # however many values it evaluates
+    from weylmds import gauss
     assert NUMERIC_TERMS_LIMIT == 10 ** 9
-    at_limit = NUMERIC_TERMS_LIMIT // (4 * 101)
-    check_numeric_terms(at_limit, ctx)
-    with pytest.raises(OverflowError, match="brute-force terms"):
-        check_numeric_terms(at_limit + 1, ctx)
-    check_numeric_terms(10 ** 12, ArithContext(1, 101))  # no symbols at n = 1
+    monkeypatch.setattr(gauss, "NUMERIC_TERMS_LIMIT", 4 * 101)
+    ArithContext(5, 101)
+    monkeypatch.setattr(gauss, "NUMERIC_TERMS_LIMIT", 4 * 101 - 1)
+    with pytest.raises(OverflowError, match="^numeric evaluation needs 404 "
+                       "brute-force terms, above the limit 10\\^9$"):
+        ArithContext(5, 101)
+    ArithContext(1, 101)  # no symbols at n = 1, so no terms
 
 
 def test_context_builds_no_p_entry_table_for_symbol_free_values():

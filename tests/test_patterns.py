@@ -15,7 +15,7 @@ from weylmds.patterns import (GTPattern, enumerate_patterns, interleave_bounds,
 from weylmds.roots import WeylElement, support_vector, weyl_dimension
 
 from stable_lemmas import (identity_element, is_stable, long_element,
-                           pair_records, record, stable_pattern_for,
+                           pair_records, record, records, stable_pattern_for,
                            weyl_from_stable)
 
 
@@ -250,12 +250,12 @@ def test_classify_entries():
 
 
 def test_entry_records_bundle_everything():
-    records = {e.pos: e for e in FIG1.records()}
-    assert all(e.exp >= 0 for e in records.values())
-    assert sum(FIG1.k_vec) == sum(e.exp for e in records.values())
-    assert records[("b", 1, 1)].tag == "generic"
-    assert records[("b", 1, 2)].tag == "minimal"
-    assert records[("b", 2, 2)].tag == "maximal"
+    by_pos = {e.pos: e for e in records(FIG1)}
+    assert all(e.exp >= 0 for e in by_pos.values())
+    assert sum(FIG1.k_vec) == sum(e.exp for e in by_pos.values())
+    assert by_pos[("b", 1, 1)].tag == "generic"
+    assert by_pos[("b", 1, 2)].tag == "minimal"
+    assert by_pos[("b", 2, 2)].tag == "maximal"
 
 
 def test_entry_records_match_the_definitions():
@@ -302,7 +302,7 @@ def test_pair_classes_equal_the_per_record_tag_count():
                                      below[i - 1])
                         == classes_long(pair_records(P, i)))
             counts = P.classes()
-            assert counts == classes_long(P.records())
+            assert counts == classes_long(records(P))
             seen |= {(is_strict(P), c) for c, x in enumerate(counts) if x}
     assert len(seen) == 6
 
@@ -399,7 +399,7 @@ def test_weyl_from_stable_rejects_unstable():
 
 def test_stable_entries_all_minimal_or_maximal():
     for P in stable_patterns((3, 2, 1)):
-        assert all(e.tag != "generic" for e in P.records())
+        assert all(e.tag != "generic" for e in records(P))
 
 
 def test_support_recursion_links_weight_and_k():
@@ -439,7 +439,7 @@ def test_entry_positions_list_every_entry_in_pair_order():
 
     for r in range(1, 6):
         P = next(enumerate_patterns(tuple(range(r, 0, -1))))
-        positions = [e.pos for e in P.records()]
+        positions = [e.pos for e in records(P)]
         assert len(set(positions)) == len(positions) == r * r
         assert set(positions) == (
             {("b", i, j) for i in range(1, r + 1) for j in range(i, r + 1)}
