@@ -186,10 +186,14 @@ def cmd_verify_lemma3(args):
 
 
 def cmd_verify_lemma4(args):
-    from . import patterns, tableaux
-    strict = patterns.enumerate_patterns(_twist(args).top_row, strict=True)
-    bad = [P.to_json() for P in strict if not tableaux.verify_tableau_stats(P)]
-    return _verdict(not bad, {"ok": not bad, "failures": bad})
+    from .tableaux import lemma4_class, verify_tableau_stats
+    twist = _twist(args)
+    ok, classes = verify_tableau_stats(twist)
+    bad = [{"wgt_offset": wgt, "maximal_minus_height": m,
+            "generic_minus_str": g, "patterns": count}
+           for (*wgt, m, g), count in sorted(classes.items())
+           if (*wgt, m, g) != lemma4_class(twist.rank)]
+    return _verdict(ok, {"ok": ok, "failures": bad})
 
 
 def cmd_verify_gauss(args):

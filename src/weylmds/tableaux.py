@@ -9,8 +9,9 @@ diagonal entry of row R to be R' or R; fillings read off strict patterns
 always satisfy every other condition.  Each box holds the position of its
 letter in that order (letter_key); the letters themselves appear only in
 the JSON and text forms (render_letter).  The readers of those forms, the
-standardness predicate and the inverse bijection pattern_from_tableau are
-test oracles in tests/test_tableaux.py.
+standardness predicate, the inverse bijection pattern_from_tableau and
+lemma 4 checked one tableau at a time are test oracles in
+tests/test_tableaux.py.
 
 The correspondence with strict patterns: the pattern entry a_{i-1,j} counts
 the boxes in tableau row j-i+1 with letters <= r-i+1, and b_{i,j} counts
@@ -18,10 +19,11 @@ those with letters <= (r-i+1)'.
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import repeat
 
-from .patterns import GTPattern, _decreasing, enumerate_patterns, is_strict
+from .patterns import (GTPattern, _decreasing, _slot, enumerate_patterns,
+                       is_strict, pair_classes, pair_sums, pair_weight)
 from .record import Record
+from .roots import LambdaTwist
 
 
 def letter_key(value: int, barred: bool) -> int:
@@ -113,20 +115,6 @@ def standard_tableaux(top_row):
             if not P.classes()[2])
 
 
-def _pattern_rows(S: ShiftedTableau) -> tuple:
-    """The rows (a, b) the counting rules read off a tableau that obeys the
-    fill rules: a_0 is the shape, a_{i,j} counts the letters <= r-i of row
-    j-i and b_{i,j} the letters <= (r-i+1)' of row j-i+1."""
-    r, rows = S.rank, S.rows
-    a = (S.mu,) + tuple(tuple(map(bisect_right, rows[:r - i],
-                                  repeat(letter_key(r - i, False))))
-                        for i in range(1, r))
-    b = tuple(tuple(map(bisect_right, rows[:r - i + 1],
-                        repeat(letter_key(r - i + 1, True))))
-              for i in range(1, r + 1))
-    return a, b
-
-
 class TableauStats(Record):
     """The statistics of a tableau that the n = 1 identities read."""
 
@@ -191,20 +179,27 @@ def pair_tableau_stats(r: int, i: int, above, b, below) -> tuple:
     return wgt[v - 1], str_total, barred, height
 
 
-def verify_tableau_stats(P: GTPattern) -> bool:
-    """Entry-classification counts against the statistics of P's tableau:
-    #generic = str - r and #maximal = height + r(r+1)/2.  The tableau must
-    also obey the fill rules and read back to the rows of P; P is a valid
-    strict pattern, so equal rows are P."""
-    S = tableau_from_pattern(P)
-    try:
-        S.validate()
-    except ValueError:
-        return False
-    stats = tableau_stats(S)
-    mx, gen, _ = P.classes()
-    r = P.rank
-    return (gen == stats.str_total - r
-            and mx == stats.height + r * (r + 1) // 2
-            and stats.wgt == P.wgt
-            and _pattern_rows(S) == (P.a, P.b))
+def _lemma4_pair(r, i, above, b, below):
+    """((*wgt offset, #maximal - height, #generic - str), 1) of row pair i,
+    from pair_classes, pair_tableau_stats and pair_weight."""
+    maximal, generic, _ = pair_classes(r, i, above, b, below)
+    w, str_total, _, height = pair_tableau_stats(r, i, above, b, below)
+    return (*_slot(r, i, w - pair_weight(above, b, below)),
+            maximal - height, generic - str_total), 1
+
+
+def lemma4_class(r: int) -> tuple:
+    """The class every strict pattern falls in by lemma 4: equal wgt,
+    #maximal = height + r(r+1)/2 and #generic = str - r."""
+    return (*[0] * r, r * (r + 1) // 2, -r)
+
+
+def verify_tableau_stats(twist: LambdaTwist) -> tuple:
+    """Lemma 4 folded over the row pairs: (ok, classes), classes being
+    {summed _lemma4_pair: number of patterns} over the strict patterns of
+    GT(lambda+rho), degenerate ones included.  Both sides of the lemma sum
+    over the pairs, so a pattern obeys it exactly when its class is
+    lemma4_class(r).  No tableau is built: tests/test_tableaux.py checks
+    the fill rules and read-back."""
+    classes = pair_sums(twist.top_row, _lemma4_pair, strict=True)
+    return set(classes) <= {lemma4_class(twist.rank)}, classes

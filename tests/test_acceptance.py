@@ -16,12 +16,13 @@ from weylmds.gauss import (ArithContext, GaussValue, gauss_brute, gauss_eval,
 from weylmds.patterns import enumerate_patterns, is_strict
 from weylmds.roots import LambdaTwist, weyl_dimension
 from weylmds.stable import REL_TOL, verify_stable_match
-from weylmds.tableaux import tableau_from_pattern, verify_tableau_stats
+from weylmds.tableaux import tableau_from_pattern
 
 from stable_lemmas import is_stable
 from test_coeffs import k_sum_classes_long, weight_from_support
 from test_patterns import FIG1, count_patterns
-from test_tableaux import FIG1_ROWS, pattern_from_tableau
+from test_tableaux import (FIG1_ROWS, pattern_from_tableau, twist_of,
+                           verify_tableau_stats_long)
 
 
 def _tops(max_entry, rank):
@@ -82,8 +83,7 @@ def test_criterion_5_support_sum_identity():
     # the classes of the walk against the row-pair fold
     for r in (1, 2, 3):
         for top in _tops(6, r):
-            L = top[::-1]
-            twist = LambdaTwist(tuple(b - a - 1 for a, b in zip((0, *L), L)))
+            twist = twist_of(top)
             assert twist.top_row == top
             classes = k_sum_classes_long(twist)
             assert all(sum(k) == exp for k, exp, _ in classes), top
@@ -95,13 +95,13 @@ def test_criterion_6_tableau_statistics_and_bijection():
     S = tableau_from_pattern(FIG1)
     assert S.to_json()["rows"] == FIG1_ROWS
     assert pattern_from_tableau(S) == FIG1
-    assert verify_tableau_stats(FIG1)
+    assert verify_tableau_stats_long(FIG1)
     for r in (1, 2, 3):
         for top in _tops(5, r):
             for P in enumerate_patterns(top):
                 if not is_strict(P):
                     continue
-                assert verify_tableau_stats(P), (top, P.to_json())
+                assert verify_tableau_stats_long(P), (top, P.to_json())
                 assert pattern_from_tableau(tableau_from_pattern(P)) == P
     print("PASS criterion 6: tableau statistics and bijection, exhaustive")
 

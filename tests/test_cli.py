@@ -193,12 +193,13 @@ def test_verify_suites_pass(capsys):
 
 
 
-def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(capsys,
-                                                          monkeypatch):
-    # a mutant fill: the first two different letters of a row trade places
+def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(monkeypatch):
+    # a mutant fill: the first two different letters of a row trade places.
+    # verify lemma4 reads the lemma off the row pairs and fills no tableau;
+    # the per-pattern oracle fills, validates and reads back each one
+    import test_tableaux
     from weylmds import tableaux
     from weylmds.patterns import enumerate_patterns
-    from test_patterns import pattern_from_json
     fill = tableaux.tableau_from_pattern
 
     def swapped(P):
@@ -211,15 +212,40 @@ def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(capsys,
                 break
         return tableaux.ShiftedTableau(P.rank, tuple(rows))
 
-    monkeypatch.setattr(tableaux, "tableau_from_pattern", swapped)
-    code, out, err = run(capsys, "verify", "lemma4", "--rank", "2",
-                         "--l", "0,0")
-    assert (code, err) == (1, "")
-    report = json.loads(out)
+    monkeypatch.setattr(test_tableaux, "tableau_from_pattern", swapped)
     strict = list(enumerate_patterns((2, 1), strict=True))
     broken = [P for P in strict if swapped(P) != fill(P)]
-    assert report["ok"] is False and (len(broken), len(strict)) == (9, 14)
-    assert [pattern_from_json(p) for p in report["failures"]] == broken
+    assert (len(broken), len(strict)) == (9, 14)
+    assert [P for P in strict
+            if not test_tableaux.verify_tableau_stats_long(P)] == broken
+
+
+def test_lemma4_reports_the_classes_of_a_miscounted_pair(capsys,
+                                                         monkeypatch):
+    # a mutant entry count: a degenerate entry is left out of its pair's
+    # maximal count, so #maximal - height is one low per degenerate entry;
+    # the report holds the classes of the degenerate patterns, and the
+    # non-degenerate ones pass
+    from collections import Counter
+    from weylmds import tableaux
+    from weylmds.patterns import enumerate_patterns
+    classes = tableaux.pair_classes
+
+    def degenerate_not_maximal(*rows):
+        maximal, generic, degenerate = classes(*rows)
+        return maximal - degenerate, generic, degenerate
+
+    monkeypatch.setattr(tableaux, "pair_classes", degenerate_not_maximal)
+    code, out, err = run(capsys, "verify", "lemma4", "--rank", "3",
+                         "--l", "0,0,0")
+    assert (code, err) == (1, "")
+    degenerate = Counter(P.classes()[2]
+                         for P in enumerate_patterns((3, 2, 1), strict=True))
+    assert degenerate == {0: 208, 1: 78, 2: 14}
+    assert json.loads(out) == {"ok": False, "failures": [
+        {"wgt_offset": [0, 0, 0], "maximal_minus_height": 6 - d,
+         "generic_minus_str": -3, "patterns": degenerate[d]}
+        for d in (2, 1)]}
 
 
 def _lemma3_failures(capsys, shift):

@@ -1,12 +1,16 @@
 import json
-from itertools import combinations
+from bisect import bisect_right
+from collections import Counter
+from itertools import combinations, repeat
+from operator import sub
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
-from weylmds.tableaux import (ShiftedTableau, TableauStats, _pattern_rows,
+from weylmds.roots import LambdaTwist
+from weylmds.tableaux import (ShiftedTableau, TableauStats, lemma4_class,
                               letter_key, pair_tableau_stats,
                               tableau_from_pattern, tableau_stats,
                               verify_tableau_stats)
@@ -30,6 +34,20 @@ def tableau_from_json(obj) -> ShiftedTableau:
 def is_standard(S: ShiftedTableau) -> bool:
     """Row R starts with R' or R."""
     return all(row[0] <= 2 * R for R, row in enumerate(S.rows, start=1))
+
+
+def _pattern_rows(S: ShiftedTableau) -> tuple:
+    """The rows (a, b) the counting rules read off a tableau that obeys the
+    fill rules: a_0 is the shape, a_{i,j} counts the letters <= r-i of row
+    j-i and b_{i,j} the letters <= (r-i+1)' of row j-i+1."""
+    r, rows = S.rank, S.rows
+    a = (S.mu,) + tuple(tuple(map(bisect_right, rows[:r - i],
+                                  repeat(letter_key(r - i, False))))
+                        for i in range(1, r))
+    b = tuple(tuple(map(bisect_right, rows[:r - i + 1],
+                        repeat(letter_key(r - i + 1, True))))
+              for i in range(1, r + 1))
+    return a, b
 
 
 def pattern_from_tableau(S: ShiftedTableau) -> GTPattern:
@@ -155,6 +173,45 @@ def summed_pair_stats(P):
     return TableauStats(tuple(wgt), str_total, barred, height)
 
 
+def verify_tableau_stats_long(P: GTPattern) -> bool:
+    """Oracle, lemma 4 on one strict pattern: entry-classification counts
+    against the statistics of P's tableau, #generic = str - r,
+    #maximal = height + r(r+1)/2 and equal wgt.  The tableau must also obey
+    the fill rules and read back to the rows of P; P is a valid strict
+    pattern, so equal rows are P."""
+    S = tableau_from_pattern(P)
+    try:
+        S.validate()
+    except ValueError:
+        return False
+    stats = tableau_stats(S)
+    mx, gen, _ = P.classes()
+    r = P.rank
+    return (gen == stats.str_total - r
+            and mx == stats.height + r * (r + 1) // 2
+            and stats.wgt == P.wgt
+            and _pattern_rows(S) == (P.a, P.b))
+
+
+def lemma4_classes_long(twist: LambdaTwist) -> dict:
+    """Oracle: verify_tableau_stats' classes pattern by pattern, from the
+    statistics of each tableau, its pattern's entry classes and wgt."""
+    classes = Counter()
+    for P in enumerate_patterns(twist.top_row, strict=True):
+        stats = tableau_stats(tableau_from_pattern(P))
+        mx, gen, _ = P.classes()
+        classes[(*map(sub, stats.wgt, P.wgt), mx - stats.height,
+                 gen - stats.str_total)] += 1
+    return dict(classes)
+
+
+def twist_of(top) -> LambdaTwist:
+    """The twist whose lambda+rho is the strictly decreasing positive
+    `top`."""
+    L = top[::-1]
+    return LambdaTwist(tuple(b - a - 1 for a, b in zip((0, *L), L)))
+
+
 def fault(check, S):
     """The text of the ValueError check(S) raises, or None."""
     try:
@@ -244,7 +301,7 @@ def test_all_minimal_statistics():
     P = GTPattern(2, ((2, 1), (1,)), ((2, 1), (1,)))
     st = tableau_stats(tableau_from_pattern(P))
     assert st.str_total == 2  # str = r, so no generic entries
-    assert verify_tableau_stats(P)
+    assert verify_tableau_stats_long(P)
 
 
 def test_statistics_identities_exhaustive_small():
@@ -252,9 +309,42 @@ def test_statistics_identities_exhaustive_small():
         for P in enumerate_patterns(top):
             if not is_strict(P):
                 continue
-            assert verify_tableau_stats(P)
+            assert verify_tableau_stats_long(P)
             S = tableau_from_pattern(P)
             assert pattern_from_tableau(S) == P
+
+
+def assert_fold_matches_oracle(twist):
+    ok, classes = verify_tableau_stats(twist)
+    assert classes == lemma4_classes_long(twist), twist
+    assert ok and set(classes) == {lemma4_class(twist.rank)}, twist
+
+
+def test_lemma4_fold_equals_the_per_pattern_classes():
+    # every top row of positive entries <= 5 at ranks 1-3 (criterion 6's
+    # grid), then rank 4 at l = 0; degenerate patterns are included
+    for r in range(1, 4):
+        for top in combinations(range(5, 0, -1), r):
+            assert_fold_matches_oracle(twist_of(top))
+    assert_fold_matches_oracle(LambdaTwist((0, 0, 0, 0)))
+
+
+# l_1 + ... + l_r <= 6, 3, 2, 0 at rank 1, 2, 3, 4
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lemma4_fold_equals_the_per_pattern_classes_on_random_twists(data):
+    r = data.draw(st.integers(1, 4), label="rank")
+    most = (6, 3, 2, 0)[r - 1]
+    l = data.draw(st.lists(st.integers(0, most), min_size=r, max_size=r)
+                  .filter(lambda l: sum(l) <= most), label="l")
+    assert_fold_matches_oracle(LambdaTwist(tuple(l)))
+
+
+def test_lemma4_fold_at_rank_5():
+    # 3,516,240 strict patterns; the command refuses this twist, as
+    # (5,4,3,2,1) has more than 10^7 patterns
+    ok, classes = verify_tableau_stats(LambdaTwist((0,) * 5))
+    assert ok and classes == {lemma4_class(5): 3516240}
 
 
 def test_stats_bounds():
