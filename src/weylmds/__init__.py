@@ -14,9 +14,9 @@ _EXPORTS = {
     "laurent": "LaurentPoly",
     "patterns": "EntryRecord GTPattern enumerate_patterns interleave_bounds"
                 " is_strict pair_entries pair_sums",
-    "roots": "LambdaTwist RootSystemC WeylElement build_root_system d_lambda"
-             " phi_w stability_bound weyl_dimension",
-    "stable": "h_stable k_of_weyl verify_stable_match",
+    "roots": "LambdaTwist RootSystemC build_root_system d_lambda"
+             " stability_bound weyl_dimension",
+    "stable": "h_stable verify_stable_match",
     "tableaux": "ShiftedTableau TableauStats tableau_from_pattern"
                 " tableau_stats verify_tableau_stats",
 }

@@ -1,5 +1,5 @@
-"""Root system C_r in Euclidean coordinates, with its Weyl group of signed
-permutations.
+"""Root system C_r in Euclidean coordinates, the twist lambda+rho and the
+change of basis from weights to support vectors.
 
 Coordinates follow the convention alpha_1 = 2e_1 (the long simple root) and
 alpha_i = e_i - e_{i-1} for i >= 2.  The pairing is the ordinary dot product,
@@ -8,7 +8,7 @@ under which short roots have squared length 1 and long roots 2.
 """
 
 from functools import cache, cached_property
-from itertools import accumulate, permutations, product
+from itertools import accumulate
 from math import prod
 from operator import sub
 
@@ -35,9 +35,6 @@ class RootSystemC(Record):
     simple_roots: tuple
     positive_roots: tuple
     rho: tuple
-
-    def is_negative(self, v) -> bool:
-        return tuple(-c for c in v) in self._positive_set
 
     @cached_property
     def _positive_set(self):
@@ -83,43 +80,6 @@ def build_root_system(r: int) -> RootSystemC:
     return RootSystemC(r, simple, positives, tuple(range(1, r + 1)))
 
 
-class WeylElement(Record):
-    """A signed permutation (sigma, eps) acting on R^r by
-    w(t)_i = eps^(i) * t_{sigma^{-1}(i)}.
-
-    `sigma` is in one-line notation, sigma[m-1] = sigma(m); `eps` holds the
-    signs eps^(1..r).
-    """
-
-    sigma: tuple
-    eps: tuple
-
-    def __post_init__(self):
-        r = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, r + 1)):
-            raise ValueError("sigma is not a permutation of 1..r")
-        if len(self.eps) != r or any(e not in (1, -1) for e in self.eps):
-            raise ValueError("eps must be a length-r sequence of +-1")
-
-    @property
-    def rank(self) -> int:
-        return len(self.sigma)
-
-    def sigma_inv(self, i: int) -> int:
-        return self.sigma.index(i) + 1
-
-    def act(self, vec):
-        return tuple(self.eps[i] * vec[self.sigma_inv(i + 1) - 1]
-                     for i in range(self.rank))
-
-    @staticmethod
-    def all_elements(r: int):
-        """All 2^r r! elements in canonical sorted (sigma, eps) order."""
-        for sigma in permutations(range(1, r + 1)):
-            for eps in product((-1, 1), repeat=r):
-                yield WeylElement(sigma, eps)
-
-
 class LambdaTwist(Record):
     """The twisting exponents l_i together with the partial sums
     L_j = l_1 + ... + l_j + j."""
@@ -162,13 +122,6 @@ def stability_bound(twist: LambdaTwist) -> int:
     """The largest d_lambda over the positive roots."""
     return max(d_lambda(twist, alpha)
                for alpha in build_root_system(twist.rank).positive_roots)
-
-
-def phi_w(w: WeylElement):
-    """The positive roots sent negative by w."""
-    rs = build_root_system(w.rank)
-    return tuple(alpha for alpha in rs.positive_roots
-                 if rs.is_negative(w.act(alpha)))
 
 
 def _check_partition(lam):

@@ -2,19 +2,86 @@
 
 `verify stable` checks the theorem itself: at n at or above the stability
 bound the table values are the products over Phi(w), and the support is the
-Weyl orbit.  The helpers here are the steps of its proof - the typed
-decomposition of Phi(w), the maximal-entry counts and the bijection between
-stable patterns and signed permutations - together with the Weyl-group and
-root-system facts that only these checks read.  No command reaches them.
+Weyl orbit, both read off v = w(lambda+rho).  The helpers here are the
+signed permutations as group elements, with Phi(w), k(w) and the product
+over Phi(w) computed from each element: the oracle that the orbit walk of
+`verify stable` must equal.  Then the steps of the theorem's proof - the
+typed decomposition of Phi(w), the maximal-entry counts and the bijection
+between stable patterns and signed permutations - together with the
+Weyl-group and root-system facts that only these checks read.  No command
+reaches them.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 
+from weylmds.gauss import GaussValue, gauss_eval
 from weylmds.patterns import GTPattern, is_strict, pair_entries
-from weylmds.roots import (LambdaTwist, RootSystemC, WeylElement,
-                           build_root_system, d_lambda, inner,
-                           stability_bound)
+from weylmds.record import Record
+from weylmds.roots import (LambdaTwist, RootSystemC, build_root_system,
+                           d_lambda, inner, norm_sq, stability_bound,
+                           support_vector)
+
+
+class WeylElement(Record):
+    """A signed permutation (sigma, eps) acting on R^r by
+    w(t)_i = eps^(i) * t_{sigma^{-1}(i)}.
+
+    `sigma` is in one-line notation, sigma[m-1] = sigma(m); `eps` holds the
+    signs eps^(1..r).
+    """
+
+    sigma: tuple
+    eps: tuple
+
+    def __post_init__(self):
+        r = len(self.sigma)
+        if sorted(self.sigma) != list(range(1, r + 1)):
+            raise ValueError("sigma is not a permutation of 1..r")
+        if len(self.eps) != r or any(e not in (1, -1) for e in self.eps):
+            raise ValueError("eps must be a length-r sequence of +-1")
+
+    @property
+    def rank(self) -> int:
+        return len(self.sigma)
+
+    def sigma_inv(self, i: int) -> int:
+        return self.sigma.index(i) + 1
+
+    def act(self, vec):
+        return tuple(self.eps[i] * vec[self.sigma_inv(i + 1) - 1]
+                     for i in range(self.rank))
+
+    @staticmethod
+    def all_elements(r: int):
+        """All 2^r r! elements in canonical sorted (sigma, eps) order."""
+        for sigma in permutations(range(1, r + 1)):
+            for eps in product((-1, 1), repeat=r):
+                yield WeylElement(sigma, eps)
+
+
+def phi_w(w: WeylElement):
+    """The positive roots sent negative by w."""
+    positive = build_root_system(w.rank).positive_roots
+    return tuple(alpha for alpha in positive
+                 if tuple(-c for c in w.act(alpha)) in positive)
+
+
+def k_of_weyl(w: WeylElement, twist: LambdaTwist) -> tuple:
+    """Solve lambda+rho - w(lambda+rho) = sum k_i alpha_i for k."""
+    L = twist.L
+    return support_vector([a - b for a, b in zip(L, w.act(L))])
+
+
+def h_stable_long(w: WeylElement, twist: LambdaTwist, n: int) -> GaussValue:
+    """prod over Phi(w) of g_{|alpha|^2}(p^{d-1}, p^d), d = d_lambda(alpha):
+    the stable-case value at k(w), one signed permutation at a time."""
+    out = GaussValue.one(n)
+    for alpha in phi_w(w):
+        d = d_lambda(twist, alpha)
+        out = out * gauss_eval(norm_sq(alpha), d - 1, d, n)
+    return out
 
 
 # Signed permutations as a group: composition applies the right factor

@@ -19,10 +19,10 @@ from weylmds.coeffs import h_table
 from weylmds.gauss import GaussValue
 from weylmds.laurent import LaurentPoly
 from weylmds.patterns import enumerate_patterns
-from weylmds.roots import LambdaTwist, WeylElement, weyl_dimension
+from weylmds.roots import LambdaTwist, weyl_dimension
 from weylmds.tableaux import standard_tableaux, tableau_stats
 
-from stable_lemmas import records, sign
+from stable_lemmas import WeylElement, records, sign
 from test_laurent import eval_at, variable
 
 

@@ -516,13 +516,14 @@ def _negated_gauss_eval(*args):
 
 
 # mutants of the product side: every Gauss sum negated (the products over
-# an odd number of inverted roots change sign), and k(w) = 0 for every w
-# (the first w takes k = 0 and mismatches there, the other seven are
-# duplicates, and the table's seven other nonzero keys lie outside the
-# orbit)
+# an odd number of inverted roots change sign), and the orbit walk's key
+# k = 0 for every w, through the support_vector that stable reads and
+# h_table does not (the first w takes k = 0 and mismatches there, the other
+# seven are duplicates, and the table's seven other nonzero keys lie
+# outside the orbit)
 @pytest.mark.parametrize("name, mutant, checked, reasons", [
     ("gauss_eval", _negated_gauss_eval, 8, {"symbolic mismatch": 4}),
-    ("k_of_weyl", lambda w, twist: (0,) * w.rank, 1,
+    ("support_vector", lambda weight: (0,) * len(weight), 1,
      {"duplicate support vector": 7, "support outside the orbit": 7,
       "symbolic mismatch": 1}),
 ], ids=["negated-gauss-sums", "zero-support-vectors"])

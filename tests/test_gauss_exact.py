@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from weylmds.coeffs import h_table
 from weylmds.gauss import ArithContext, gauss_eval
-from weylmds.roots import (LambdaTwist, WeylElement, d_lambda, norm_sq, phi_w,
-                           stability_bound)
-from weylmds.stable import k_of_weyl
+from weylmds.roots import LambdaTwist, d_lambda, norm_sq, stability_bound
 
+from stable_lemmas import WeylElement, k_of_weyl, phi_w
 from test_gauss import _SHAPES, shaped
 
 

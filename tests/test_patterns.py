@@ -1,7 +1,7 @@
 import json
 from collections import Counter
-from itertools import (combinations, combinations_with_replacement, islice,
-                       permutations, product)
+from itertools import (combinations_with_replacement, islice, permutations,
+                       product)
 from math import prod
 
 import pytest
@@ -12,11 +12,11 @@ from weylmds.patterns import (GTPattern, enumerate_patterns, interleave_bounds,
                               is_strict, pair_classes, pair_entries,
                               pair_positions, pair_rows, pair_sums,
                               pair_weight)
-from weylmds.roots import WeylElement, support_vector, weyl_dimension
+from weylmds.roots import support_vector, weyl_dimension
 
-from stable_lemmas import (identity_element, is_stable, long_element,
-                           pair_records, record, records, stable_pattern_for,
-                           weyl_from_stable)
+from stable_lemmas import (WeylElement, identity_element, is_stable,
+                           long_element, pair_records, record, records,
+                           stable_pattern_for, weyl_from_stable)
 
 
 FIG1 = GTPattern(

@@ -8,8 +8,10 @@ from weylmds.coeffs import HTable
 from weylmds.gauss import ArithContext, GaussValue, gauss_brute
 from weylmds.patterns import GTPattern
 from weylmds.record import Record
-from weylmds.roots import LambdaTwist, RootSystemC, WeylElement
+from weylmds.roots import LambdaTwist, RootSystemC
 from weylmds.tableaux import ShiftedTableau, TableauStats
+
+from stable_lemmas import WeylElement
 
 # (build a fresh record, its field values, its repr)
 CASES = [
@@ -73,7 +75,7 @@ def test_cached_properties_still_cache():
         first = getattr(obj, name)
         assert vars(obj)[name] is first and getattr(obj, name) is first
     assert table.value((0,)) == GaussValue.one(1)
-    assert rs.is_negative((-2,))
+    assert rs._positive_set == {(2,)}
 
 
 def test_context_compares_on_degree_prime_and_root():

@@ -4,14 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylmds.roots import (LambdaTwist, WeylElement, _partial_counts,
-                           build_root_system, check_pattern_count, d_lambda,
-                           inner, norm_sq, phi_w, stability_bound,
-                           support_vector, weyl_dimension)
+from weylmds.roots import (LambdaTwist, _partial_counts, build_root_system,
+                           check_pattern_count, d_lambda, inner, norm_sq,
+                           stability_bound, support_vector, weyl_dimension)
 
-from stable_lemmas import (compose, d_lambda_fraction, fundamental_weights,
-                           identity_element, inv_pr_counts, inverse,
-                           long_element, s_action, stability_min_n)
+from stable_lemmas import (WeylElement, compose, d_lambda_fraction,
+                           fundamental_weights, identity_element,
+                           inv_pr_counts, inverse, long_element, phi_w,
+                           s_action, stability_min_n)
 
 
 def simple_coords(r: int, alpha):

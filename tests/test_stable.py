@@ -4,43 +4,95 @@ from math import factorial
 from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylmds.chars import character_gt
-from weylmds.coeffs import h_table, pattern_G
-from weylmds.gauss import ArithContext, GaussValue, gauss_eval
-from weylmds.patterns import enumerate_patterns, is_strict
-from weylmds.roots import (LambdaTwist, WeylElement, build_root_system,
-                           d_lambda, norm_sq, phi_w, stability_bound,
-                           support_vector)
-from weylmds.stable import h_stable, k_of_weyl, verify_stable_match
+from weylmds.coeffs import h_table, pair_G, pattern_G
+from weylmds.gauss import ArithContext, GaussValue
+from weylmds.patterns import (_slot, enumerate_patterns, is_strict, pair_sums,
+                              pair_weight)
+from weylmds.roots import (LambdaTwist, build_root_system, d_lambda, norm_sq,
+                           stability_bound, support_vector)
+from weylmds.stable import h_stable, verify_stable_match, weyl_orbit
 
-from stable_lemmas import (d_sets, identity_element, long_element,
-                           maximal_count, maximal_count_formula, phi_w_typed,
-                           records, stability_min_n, stable_pattern_for,
-                           weyl_from_stable)
+from stable_lemmas import (WeylElement, d_sets, h_stable_long,
+                           identity_element, k_of_weyl, long_element,
+                           maximal_count, maximal_count_formula, phi_w,
+                           phi_w_typed, records, stability_min_n,
+                           stable_pattern_for, weyl_from_stable)
 
 
 def test_h_stable_identity_is_empty_product():
-    assert h_stable(identity_element(2), LambdaTwist((0, 0)), 3) \
-        == GaussValue.one(3)
+    twist = LambdaTwist((0, 0))
+    assert h_stable(twist.L, 3) == h_stable_long(identity_element(2), twist,
+                                                 3) == GaussValue.one(3)
 
 
 def test_h_stable_rank1():
-    w = long_element(1)
-    assert h_stable(w, LambdaTwist((0,)), 1) == GaussValue.q_power(1, 0, -1)
+    w, twist = long_element(1), LambdaTwist((0,))
+    assert h_stable(w.act(twist.L), 1) == h_stable_long(w, twist, 1) \
+        == GaussValue.q_power(1, 0, -1)
 
 
 def test_h_stable_r2_long_element():
-    val = h_stable(long_element(2), LambdaTwist((0, 0)), 3)
+    w, twist = long_element(2), LambdaTwist((0, 0))
     expected = (GaussValue.q_power(3, 3, -1)
                 * GaussValue.symbol(3, 1) * GaussValue.symbol(3, 1)
                 * GaussValue.symbol(3, 2))
-    assert val == expected
+    assert h_stable(w.act(twist.L), 3) == h_stable_long(w, twist, 3) \
+        == expected
 
 
-def test_h_stable_rejects_below_bound():
-    with pytest.raises(ValueError):
-        h_stable(identity_element(2), LambdaTwist((0, 0)), 1)
+def test_verify_stable_match_rejects_a_degree_below_the_bound_or_even():
+    # h_stable is a product at any degree; the harness refuses the degrees
+    # the stable-case formula does not cover
+    for n, text in ((1, "degree below the stability bound"),
+                    (4, "degree below the stability bound"),
+                    (0, "degree must be positive")):
+        with pytest.raises(ValueError, match=text):
+            verify_stable_match(LambdaTwist((0, 0)), n)
+
+
+def orbit_walk(twist, n):
+    return [(sigma, eps, k, h_stable(v, n))
+            for sigma, eps, v, k in weyl_orbit(twist)]
+
+
+def orbit_oracle(twist, n):
+    return [(w.sigma, w.eps, k_of_weyl(w, twist), h_stable_long(w, twist, n))
+            for w in WeylElement.all_elements(twist.rank)]
+
+
+# every twist of rank 1 with l <= 6, rank 2 with l_i <= 3, rank 3 with
+# l_i <= 2 and rank 4 with l_i <= 1, at the first two odd n at or above the
+# stability bound: 66 twists, 132 cases
+ORBIT_GRID = [(l, stability_min_n(LambdaTwist(l)) + step)
+              for r, top in ((1, 6), (2, 3), (3, 2), (4, 1))
+              for l in product(range(top + 1), repeat=r) for step in (0, 2)]
+
+
+def test_orbit_walk_equals_the_per_element_oracle():
+    # v = w(lambda+rho) read as a signed permutation of L gives the same
+    # (sigma, eps, k, value) as the Weyl-group path, element by element and
+    # in order, with the same terms, so the same report bytes
+    assert len(ORBIT_GRID) == 132
+    for l, n in ORBIT_GRID:
+        twist = LambdaTwist(l)
+        walk, oracle = orbit_walk(twist, n), orbit_oracle(twist, n)
+        assert walk == oracle, (l, n)
+        assert [h.terms for *_, h in walk] == [h.terms for *_, h in oracle]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.lists(st.integers(0, 8 // r), min_size=r, max_size=r),
+    st.integers(0, 8))))
+def test_orbit_walk_equals_the_per_element_oracle_on_random_twists(drawn):
+    # any odd n, below the bound too: both sides are the product over Phi(w)
+    l, step = drawn
+    twist = LambdaTwist(tuple(l))
+    n = 2 * step + 1
+    assert orbit_walk(twist, n) == orbit_oracle(twist, n)
 
 
 def test_phi_w_typed_partitions_phi_w():
@@ -170,32 +222,54 @@ SHARP_TWISTS = [(l,) for l in range(5)] + [
 
 
 def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
-    # rank 1 with l <= 4, rank 2 with l_i <= 3 and rank 3 with l_i <= 1, at
-    # every odd n up to the first odd n at or above the bound.  Below the
-    # bound h_stable refuses, so the product over Phi(w) is taken here; that
-    # the orbit values match there is observed on these twists, not proved
+    # rank 1 with l <= 4, rank 2 with l_i <= 3, rank 3 with l_i <= 1 and
+    # rank 4 at l = 0 (bound 7), at every odd n up to the first odd n at or
+    # above the bound.  That the orbit values match below the bound too is
+    # observed on these twists, not proved
     assert len(SHARP_TWISTS) == 29
     off_orbit = {}
-    for l in SHARP_TWISTS:
+    for l in SHARP_TWISTS + [(0, 0, 0, 0)]:
         twist, r = LambdaTwist(l), len(l)
         bound = stability_bound(twist)
-        orbit = {k_of_weyl(w, twist): w for w in WeylElement.all_elements(r)}
+        orbit = {k: v for _, _, v, k in weyl_orbit(twist)}
         assert len(orbit) == 2 ** r * factorial(r), l
         for n in range(1, bound + 2, 2):
             table = h_table(twist, n)
-            for k, w in orbit.items():
-                stable = GaussValue.one(n)
-                for alpha in phi_w(w):
-                    d = d_lambda(twist, alpha)
-                    stable = stable * gauss_eval(norm_sq(alpha), d - 1, d, n)
-                assert table.value(k) == stable, (l, n, w)
+            for k, v in orbit.items():
+                assert table.value(k) == h_stable(v, n), (l, n, v)
             outside = sum(k not in orbit for k in table.nonzero_keys())
             assert (outside > 0) == (n < bound), (l, n, outside)
             off_orbit[l, n] = outside
     pins = {((1, 1), 3): 6, ((1, 1), 5): 4, ((0, 0, 0), 3): 8,
             ((1, 1, 1), 3): 228, ((1, 1, 1), 5): 90, ((1, 1, 1), 7): 48,
-            ((1, 1, 1), 9): 24}
+            ((1, 1, 1), 9): 24, ((0, 0, 0, 0), 1): 1881,
+            ((0, 0, 0, 0), 3): 272, ((0, 0, 0, 0), 5): 64,
+            ((0, 0, 0, 0), 7): 0}
     assert {key: off_orbit[key] for key in pins} == pins
+
+
+@pytest.mark.parametrize("l", SHARP_TWISTS + [
+    (0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 0), (0, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0)])
+def test_at_the_bound_each_orbit_key_has_one_nonzero_pattern(l):
+    # the stable case at pattern level: at the first odd n at or above the
+    # bound, the strict patterns whose row-pair factors are all nonzero
+    # number exactly 2^r r!, one at each orbit key, folded over the row
+    # pairs without visiting a pattern.  Checked on each of these twists,
+    # not proved
+    twist, r = LambdaTwist(l), len(l)
+    n = stability_min_n(twist)
+
+    def weigh(r, i, *rows):
+        if pair_G(r, i, *rows, n).is_zero():
+            return None
+        return _slot(r, i, pair_weight(*rows)), 1
+
+    sums = pair_sums(twist.top_row, weigh, strict=True)
+    assert sum(sums.values()) == 2 ** r * factorial(r)
+    keys = [support_vector(tuple(map(add, twist.L, wgt))) for wgt in sums]
+    assert sorted(keys) == sorted(k for *_, k in weyl_orbit(twist))
+    assert set(sums.values()) == {1}
 
 
 def test_each_orbit_key_has_exactly_one_pattern():
