@@ -14,7 +14,8 @@ from operator import add, mul
 from .coeffs import HTable, h_table
 from .gauss import GaussValue
 from .laurent import LaurentPoly
-from .patterns import _slot, pair_classes, pair_sums, pair_weight
+from .patterns import (_slot, is_degenerate, pair_classes, pair_sums,
+                       pair_weight)
 from .roots import (LambdaTwist, _check_partition, build_root_system,
                     check_pattern_count, support_vector)
 from .tableaux import pair_tableau_stats
@@ -66,9 +67,8 @@ def class_weight(m: int, g: int):
 
 def _standard_pair(r, i, above, b, below):
     """((wgt, str, barred, height), 1) of row pair i of a standard tableau;
-    None at a degenerate entry, whose tableau is not standard
-    (coeffs.gamma_b)."""
-    if pair_classes(r, i, above, b, below)[2]:
+    None at a degenerate entry (is_degenerate): the tableau is not standard."""
+    if is_degenerate(above):
         return None
     w, str_total, barred, height = pair_tableau_stats(r, i, above, b, below)
     return (*_slot(r, i, w), str_total, barred, height), 1
@@ -113,8 +113,7 @@ def verify_deformation_identity(twist: LambdaTwist):
 
 def _reduced_factor(m: int, g: int, degenerate: int) -> GaussValue:
     """t^m (1 + t)^g at t = -1/q, the reduced factor of m maximal and g
-    generic entries, as an n = 1 Gauss value; zero at a degenerate entry
-    (minimal at zero slack, see coeffs.gamma_b)."""
+    generic entries, as an n = 1 Gauss value, or zero when `degenerate`."""
     return GaussValue._canonical(1, {} if degenerate else {
         ((), -j): (-1) ** j * c for j, c in class_weight(m, g)})
 
@@ -125,9 +124,10 @@ def h_tilde_table(twist: LambdaTwist) -> dict:
     generic and maximal entries.  The walk folds each row pair's reduced
     factor (pair_classes); a pattern with the degenerate coincidence weighs
     zero but keeps its key k, where lambda+rho + wgt = sum k_i alpha_i."""
-    sums = pair_sums(twist.top_row, lambda r, i, *rows: (
-        _slot(r, i, pair_weight(*rows)),
-        _reduced_factor(*pair_classes(r, i, *rows))), strict=True)
+    sums = pair_sums(twist.top_row, lambda r, i, above, *rows: (
+        _slot(r, i, pair_weight(above, *rows)),
+        _reduced_factor(*pair_classes(r, i, above, *rows),
+                        is_degenerate(above))), strict=True)
     return {support_vector(tuple(map(add, twist.L, wgt))): value
             for wgt, value in sums.items()}
 

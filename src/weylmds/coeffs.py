@@ -9,7 +9,9 @@ Degenerate coincidence: an entry b_{i,r} = a_{i-1,r} = 0 meets both the
 minimal and the maximal equality at once.  Its factor is zero - the only
 convention under which the stable-case product formula and the n = 1
 character identities both hold (such patterns correspond to fillings that
-are not standard shifted tableaux).
+are not standard shifted tableaux).  In strict rows it is the one entry
+minimal at zero slack, in pair i exactly when a_{i-1} ends in 0
+(patterns.is_degenerate); a tie in a row squeezes the entry below it too.
 """
 
 from functools import cached_property, lru_cache

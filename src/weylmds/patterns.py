@@ -18,7 +18,7 @@ of a b-row acts as the lower bound 0).
 """
 
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import cache
 from itertools import product
 from operator import add, gt
 
@@ -59,13 +59,6 @@ class GTPattern(Record):
     def row_pairs(self):
         """(a_{i-1}, b_i, a_i) for each row pair i = 1..r, with a_r = ()."""
         return zip(self.a, self.b, (*self.a[1:], ()))
-
-    def classes(self) -> tuple:
-        """(#maximal, #generic, #degenerate) over every entry, summed from
-        pair_classes."""
-        return tuple(map(sum, zip(*[
-            pair_classes(self.rank, i, *pair)
-            for i, pair in enumerate(self.row_pairs(), 1)])))
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
@@ -131,7 +124,7 @@ class EntryRecord(namedtuple("EntryRecord", "pos is_min slack exp t")):
     @property
     def tag(self) -> str:
         """minimal / maximal / generic; maximal whenever the slack is 0,
-        also at the coincidence b_{i,r} = a_{i-1,r} = 0 (see coeffs)."""
+        also minimal at zero slack, the degenerate coincidence (coeffs)."""
         if not self.slack:
             return "maximal"
         return "minimal" if self.is_min else "generic"
@@ -152,16 +145,18 @@ def pair_entries(r: int, i: int, above, b, below):
         yield EntryRecord(pos, x == lo, hi - x, exp, 1)
 
 
-@lru_cache(maxsize=2 ** 14)
 def pair_classes(r: int, i: int, above, b, below) -> tuple:
-    """(#maximal, #generic, #degenerate) over the entries of row pair i, by
-    EntryRecord.tag, from the rows a_{i-1} (`above`), b_i and a_i (`below`).
-    A degenerate entry (minimal at zero slack, see coeffs) is tagged
-    maximal, so it is counted among the maximal entries too."""
-    entries = list(pair_entries(r, i, above, b, below))
-    tags = [e.tag for e in entries]
-    return (tags.count("maximal"), tags.count("generic"),
-            sum(e.is_min and not e.slack for e in entries))
+    """(#maximal, #generic) over the entries of row pair i, by
+    EntryRecord.tag, from the rows a_{i-1} (`above`), b_i and a_i (`below`);
+    a degenerate entry (is_degenerate) counts among the maximal ones."""
+    tags = [e.tag for e in pair_entries(r, i, above, b, below)]
+    return tags.count("maximal"), tags.count("generic")
+
+
+def is_degenerate(above) -> bool:
+    """True iff a strict row pair below the a-row `above` has the degenerate
+    coincidence b_{i,r} = a_{i-1,r} = 0 (coeffs), i.e. `above` ends in 0."""
+    return not above[-1]
 
 
 def is_strict(P: GTPattern) -> bool:

@@ -21,7 +21,8 @@ those with letters <= (r-i+1)'.
 from bisect import bisect_left, bisect_right
 
 from .patterns import (GTPattern, _decreasing, _slot, enumerate_patterns,
-                       is_strict, pair_classes, pair_sums, pair_weight)
+                       is_degenerate, is_strict, pair_classes, pair_sums,
+                       pair_weight)
 from .record import Record
 from .roots import LambdaTwist
 
@@ -109,10 +110,11 @@ def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
 
 def standard_tableaux(top_row):
     """The standard tableaux of shape top_row, read off the strict patterns
-    in canonical order: those with no degenerate entry (coeffs.gamma_b)."""
+    in canonical order: those whose a-rows all end positive, so that no
+    pair has a degenerate entry (is_degenerate, coeffs.gamma_b)."""
     return (tableau_from_pattern(P)
             for P in enumerate_patterns(top_row, strict=True)
-            if not P.classes()[2])
+            if not any(map(is_degenerate, P.a)))
 
 
 class TableauStats(Record):
@@ -182,7 +184,7 @@ def pair_tableau_stats(r: int, i: int, above, b, below) -> tuple:
 def _lemma4_pair(r, i, above, b, below):
     """((*wgt offset, #maximal - height, #generic - str), 1) of row pair i,
     from pair_classes, pair_tableau_stats and pair_weight."""
-    maximal, generic, _ = pair_classes(r, i, above, b, below)
+    maximal, generic = pair_classes(r, i, above, b, below)
     w, str_total, _, height = pair_tableau_stats(r, i, above, b, below)
     return (*_slot(r, i, w - pair_weight(above, b, below)),
             maximal - height, generic - str_total), 1

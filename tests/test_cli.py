@@ -225,21 +225,22 @@ def test_lemma4_reports_the_classes_of_a_miscounted_pair(capsys,
     # a mutant entry count: a degenerate entry is left out of its pair's
     # maximal count, so #maximal - height is one low per degenerate entry;
     # the report holds the classes of the degenerate patterns, and the
-    # non-degenerate ones pass
+    # non-degenerate ones pass.  A strict pattern has one degenerate entry
+    # below each a-row that ends in 0
     from collections import Counter
     from weylmds import tableaux
-    from weylmds.patterns import enumerate_patterns
+    from weylmds.patterns import enumerate_patterns, is_degenerate
     classes = tableaux.pair_classes
 
-    def degenerate_not_maximal(*rows):
-        maximal, generic, degenerate = classes(*rows)
-        return maximal - degenerate, generic, degenerate
+    def degenerate_not_maximal(r, i, above, b, below):
+        maximal, generic = classes(r, i, above, b, below)
+        return maximal - is_degenerate(above), generic
 
     monkeypatch.setattr(tableaux, "pair_classes", degenerate_not_maximal)
     code, out, err = run(capsys, "verify", "lemma4", "--rank", "3",
                          "--l", "0,0,0")
     assert (code, err) == (1, "")
-    degenerate = Counter(P.classes()[2]
+    degenerate = Counter(sum(not row[-1] for row in P.a)
                          for P in enumerate_patterns((3, 2, 1), strict=True))
     assert degenerate == {0: 208, 1: 78, 2: 14}
     assert json.loads(out) == {"ok": False, "failures": [

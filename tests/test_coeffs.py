@@ -10,9 +10,9 @@ from weylmds.chars import _reduced_factor
 from weylmds.coeffs import (HTable, gamma_a, gamma_b, h_table, k_sum_classes,
                             pair_G, pattern_G)
 from weylmds.gauss import ArithContext, GaussValue, gauss_eval, numeric_eval
-from weylmds.patterns import (GTPattern, enumerate_patterns, is_strict,
-                              pair_classes, pair_entries, pair_rows,
-                              pair_sums)
+from weylmds.patterns import (GTPattern, enumerate_patterns, is_degenerate,
+                              is_strict, pair_classes, pair_entries,
+                              pair_rows, pair_sums)
 from weylmds.roots import LambdaTwist, support_vector
 
 from stable_lemmas import record, records
@@ -175,7 +175,6 @@ def test_row_pair_caches_are_bounded():
     # one entry per distinct row triple: hcoeff --rank 1 --l 99999 meets
     # 100,001 of them, and an unbounded cache holds every value to the end
     assert pair_G.cache_info().maxsize == 2 ** 14
-    assert pair_classes.cache_info().maxsize == 2 ** 14
 
 
 @settings(max_examples=30, deadline=None)
@@ -208,6 +207,19 @@ def h_table_fold(twist: LambdaTwist, n: int) -> tuple:
                         for wgt, value in sums.items()))
 
 
+def nonzero_fold(twist: LambdaTwist, n: int) -> dict:
+    """{k: H(p^k)} over the nonzero values of h_table, from the row-pair
+    fold over the strict patterns pruned at every zero pair_G: a pattern
+    through a zero pair is dropped, its key with it."""
+    def weigh(r, i, *rows):
+        g = pair_G(r, i, *rows, n)
+        return None if g.is_zero() else (wgt_slot(r, i, *rows), g)
+
+    sums = pair_sums(twist.top_row, weigh, strict=True)
+    return {support_vector(tuple(map(add, twist.L, wgt))): value
+            for wgt, value in sums.items() if not value.is_zero()}
+
+
 # every twist of rank <= 2 with l_i <= 2 and of rank 3 with l_i <= 1
 FOLD_GRID = [l for r in (1, 2) for l in product(range(3), repeat=r)]
 FOLD_GRID += list(product((0, 1), repeat=3))
@@ -216,8 +228,13 @@ FOLD_GRID += list(product((0, 1), repeat=3))
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 @pytest.mark.parametrize("l", FOLD_GRID)
 def test_row_pair_fold_equals_h_table(l, n):
+    # the fold with pair_G as its factor, and the fold pruned at zero
+    # factors against the nonzero values
     twist = LambdaTwist(l)
-    assert h_table_fold(twist, n) == h_table(twist, n).entries
+    table = h_table(twist, n)
+    assert h_table_fold(twist, n) == table.entries
+    assert nonzero_fold(twist, n) == {k: table.value(k)
+                                      for k in table.nonzero_keys()}
 
 
 def test_row_pair_fold_keeps_the_keys_of_zero_sums():
@@ -254,7 +271,8 @@ def test_n1_pair_factor_is_a_q_power_times_the_reduced_factor():
                     rows = (r, i, above, b, below)
                     e = sum(x.exp for x in pair_entries(*rows))
                     assert pair_G(*rows, 1) == GaussValue.q_power(1, e) \
-                        * _reduced_factor(*pair_classes(*rows)), rows
+                        * _reduced_factor(*pair_classes(*rows),
+                                          is_degenerate(above)), rows
                     triples += 1
     assert triples == 35037
 

@@ -1,7 +1,7 @@
 import json
 from collections import Counter
-from itertools import (combinations_with_replacement, islice, permutations,
-                       product)
+from itertools import (combinations, combinations_with_replacement, islice,
+                       permutations, product)
 from math import prod
 
 import pytest
@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmds.patterns import (GTPattern, enumerate_patterns, interleave_bounds,
-                              is_strict, pair_classes, pair_entries,
-                              pair_positions, pair_rows, pair_sums,
-                              pair_weight)
+                              is_degenerate, is_strict, pair_classes,
+                              pair_entries, pair_positions, pair_rows,
+                              pair_sums, pair_weight)
 from weylmds.roots import support_vector, weyl_dimension
 
 from stable_lemmas import (WeylElement, identity_element, is_stable,
@@ -290,21 +290,66 @@ def classes_long(records):
 
 
 def test_pair_classes_equal_the_per_record_tag_count():
+    # pair by pair and summed over the pairs; on a strict pattern the
+    # degenerate entries are the pairs below an a-row that ends in 0
     tops = [(2, 1), (3, 1), (4, 2), (2, 2), (1, 0), (3, 2, 1), (4, 2, 1),
             (3, 1, 0), (2, 2, 1), (1, 1, 1), (0, 0, 0)]
     seen = set()  # (strict, class) of every class some pattern has
     for top in tops:
         r = len(top)
         for P in enumerate_patterns(top):
-            below = P.a[1:] + ((),)
-            for i in range(1, r + 1):
-                assert (pair_classes(r, i, P.a[i - 1], P.b[i - 1],
-                                     below[i - 1])
-                        == classes_long(pair_records(P, i)))
-            counts = P.classes()
-            assert counts == classes_long(records(P))
+            pairs = [pair_classes(r, i, *rows)
+                     for i, rows in enumerate(P.row_pairs(), 1)]
+            assert pairs == [classes_long(pair_records(P, i))[:2]
+                             for i in range(1, r + 1)]
+            counts = classes_long(records(P))
+            assert tuple(map(sum, zip(*pairs))) == counts[:2]
+            if is_strict(P):
+                assert counts[2] == sum(map(is_degenerate, P.a))
             seen |= {(is_strict(P), c) for c, x in enumerate(counts) if x}
     assert len(seen) == 6
+
+
+def has_degenerate_record(r, i, above, b, below) -> bool:
+    """Oracle: some entry of the row pair is minimal at zero slack, the
+    case where coeffs.gamma_b is zero by definition."""
+    return any(e.is_min and not e.slack
+               for e in pair_entries(r, i, above, b, below))
+
+
+def test_is_degenerate_equals_a_record_minimal_at_zero_slack():
+    # every strict row triple that the strict walks below the strict top
+    # rows of ranks 1-4 with entries <= 6 meet, once per top row
+    triples = 0
+    for r in range(1, 5):
+        for top in combinations(range(6, -1, -1), r):
+            rows = {top}
+            for i in range(1, r + 1):
+                reached = set()
+                for above in rows:
+                    for b, below in pair_rows(above, strict=True):
+                        assert is_degenerate(above) == has_degenerate_record(
+                            r, i, above, b, below), (r, i, above, b, below)
+                        reached.add(below)
+                        triples += 1
+                rows = reached
+    assert triples == 83191
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_degenerate_equals_a_record_minimal_at_zero_slack_on_random_rows(
+        data):
+    r = data.draw(st.integers(1, 5), label="rank")
+    i = data.draw(st.integers(1, r), label="pair")
+    above = tuple(sorted(data.draw(st.sets(st.integers(0, 9),
+                                           min_size=r - i + 1,
+                                           max_size=r - i + 1)),
+                         reverse=True))
+    b, below = data.draw(st.sampled_from(list(pair_rows(above, strict=True))),
+                         label="rows")
+    assert is_degenerate(above) == has_degenerate_record(r, i, above, b,
+                                                         below)
 
 
 def _rows(r, flat):

@@ -20,6 +20,7 @@ from stable_lemmas import (WeylElement, d_sets, h_stable_long,
                            maximal_count, maximal_count_formula, phi_w,
                            phi_w_typed, records, stability_min_n,
                            stable_pattern_for, weyl_from_stable)
+from test_coeffs import nonzero_fold
 
 
 def test_h_stable_identity_is_empty_product():
@@ -223,21 +224,29 @@ SHARP_TWISTS = [(l,) for l in range(5)] + [
 
 def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
     # rank 1 with l <= 4, rank 2 with l_i <= 3, rank 3 with l_i <= 1 and
-    # rank 4 at l = 0 (bound 7), at every odd n up to the first odd n at or
-    # above the bound.  That the orbit values match below the bound too is
-    # observed on these twists, not proved
+    # rank 4 at l = 0 (bound 7) through h_table, and rank 4 at (1,0,0,0)
+    # and (0,2,1,0), where h_table is slow, through the fold pruned at zero
+    # factors, at every odd n up to the first odd n at or above the bound.
+    # That the orbit values match below the bound too is observed on these
+    # twists, not proved
     assert len(SHARP_TWISTS) == 29
+    folded = [(1, 0, 0, 0), (0, 2, 1, 0)]
     off_orbit = {}
-    for l in SHARP_TWISTS + [(0, 0, 0, 0)]:
+    for l in SHARP_TWISTS + [(0, 0, 0, 0)] + folded:
         twist, r = LambdaTwist(l), len(l)
         bound = stability_bound(twist)
         orbit = {k: v for _, _, v, k in weyl_orbit(twist)}
         assert len(orbit) == 2 ** r * factorial(r), l
         for n in range(1, bound + 2, 2):
-            table = h_table(twist, n)
+            if l in folded:
+                values = nonzero_fold(twist, n)
+            else:
+                table = h_table(twist, n)
+                values = {k: table.value(k) for k in table.nonzero_keys()}
             for k, v in orbit.items():
-                assert table.value(k) == h_stable(v, n), (l, n, v)
-            outside = sum(k not in orbit for k in table.nonzero_keys())
+                assert values.get(k, GaussValue.zero(n)) == h_stable(v, n), \
+                    (l, n, v)
+            outside = sum(k not in orbit for k in values)
             assert (outside > 0) == (n < bound), (l, n, outside)
             off_orbit[l, n] = outside
     pins = {((1, 1), 3): 6, ((1, 1), 5): 4, ((0, 0, 0), 3): 8,
@@ -245,6 +254,12 @@ def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
             ((1, 1, 1), 9): 24, ((0, 0, 0, 0), 1): 1881,
             ((0, 0, 0, 0), 3): 272, ((0, 0, 0, 0), 5): 64,
             ((0, 0, 0, 0), 7): 0}
+    # the count need not fall as n grows: 240 at n = 7, 576 at n = 9
+    pins |= {((1, 0, 0, 0), n): c for n, c in
+             {1: 5409, 3: 1290, 5: 304, 7: 64, 9: 0}.items()}
+    pins |= {((0, 2, 1, 0), n): c for n, c in
+             {1: 19545, 3: 4152, 5: 903, 7: 240, 9: 576, 11: 64,
+              13: 0}.items()}
     assert {key: off_orbit[key] for key in pins} == pins
 
 

@@ -15,7 +15,8 @@ from weylmds.tableaux import (ShiftedTableau, TableauStats, lemma4_class,
                               tableau_from_pattern, tableau_stats,
                               verify_tableau_stats)
 
-from test_patterns import FIG1, a_entry, b_entry
+from stable_lemmas import records
+from test_patterns import FIG1, a_entry, b_entry, classes_long
 
 
 def parse_letter(s: str) -> int:
@@ -185,7 +186,7 @@ def verify_tableau_stats_long(P: GTPattern) -> bool:
     except ValueError:
         return False
     stats = tableau_stats(S)
-    mx, gen, _ = P.classes()
+    mx, gen, _ = classes_long(records(P))
     r = P.rank
     return (gen == stats.str_total - r
             and mx == stats.height + r * (r + 1) // 2
@@ -199,7 +200,7 @@ def lemma4_classes_long(twist: LambdaTwist) -> dict:
     classes = Counter()
     for P in enumerate_patterns(twist.top_row, strict=True):
         stats = tableau_stats(tableau_from_pattern(P))
-        mx, gen, _ = P.classes()
+        mx, gen, _ = classes_long(records(P))
         classes[(*map(sub, stats.wgt, P.wgt), mx - stats.height,
                  gen - stats.str_total)] += 1
     return dict(classes)
@@ -271,8 +272,9 @@ def test_fill_matches_per_box_oracle():
                 # degenerate patterns included
                 assert summed_pair_stats(P) == \
                     tableau_stats(tableau_from_pattern(P))
-                # standard_tableaux keeps the patterns with no degenerate entry
-                assert (P.classes()[2] == 0) == \
+                # standard_tableaux keeps the patterns whose a-rows all end
+                # positive, those with no degenerate entry
+                assert all(row[-1] for row in P.a) == \
                     is_standard(tableau_from_pattern(P))
                 checked += 1
     assert checked == 33955
