@@ -66,17 +66,19 @@ def class_weight(m: int, g: int):
 
 
 def _standard_pair(r, i, above, b, below):
-    """((wgt, str, barred, height), 1) of row pair i of a standard tableau;
-    None at a degenerate entry (is_degenerate): the tableau is not standard."""
+    """((wgt, str, bridge mark, height), 1) of row pair i of a standard
+    tableau, the mark 1 unless w_i + 2 barred_i = s(a_{i-1}) - s(a_i); None
+    at a degenerate entry (is_degenerate): the tableau is not standard."""
     if is_degenerate(above):
         return None
     w, str_total, barred, height = pair_tableau_stats(r, i, above, b, below)
-    return (*_slot(r, i, w), str_total, barred, height), 1
+    mark = int(w + 2 * barred != sum(above) - sum(below))
+    return (*_slot(r, i, w), str_total, mark, height), 1
 
 
 def tableau_classes(twist: LambdaTwist) -> dict:
-    """{(*wgt, str, barred, height): number of standard tableaux} over the
-    standard tableaux of shape twist.top_row, summed per row pair."""
+    """{(*wgt, str, bridge marks, height): number of standard tableaux} of
+    shape twist.top_row, summed per row pair (_standard_pair)."""
     return pair_sums(twist.top_row, _standard_pair, strict=True)
 
 
@@ -94,17 +96,13 @@ def tableau_side(r: int, classes: dict) -> LaurentPoly:
 
 def verify_deformation_identity(twist: LambdaTwist):
     """D(tx; t) sp_lam(x), with sp_lam times each factor of D(tx; t) in
-    turn, against the tableau statistic sum, plus the weight-sum bridging
-    identity for every tableau class.  Returns (ok, difference polynomial)."""
+    turn, against the tableau statistic sum, and the weight-barred bridge on
+    every row pair (no bridge mark).  Returns (ok, difference polynomial)."""
     r = twist.rank
-    offset = r * (r + 1) // 2
-    fixed = offset + sum((r - i) * li for i, li in enumerate(twist.l))
     classes = tableau_classes(twist)
-    bridging = all(sum(wgt) == fixed - 2 * barred
-                   for *wgt, _, barred, _ in classes)
     lhs = reduce(mul, deformation_factors(r), character_gt(twist.partition))
     diff = lhs - tableau_side(r, classes)
-    return (diff.is_zero() and bridging), diff
+    return diff.is_zero() and not any(key[-2] for key in classes), diff
 
 
 # ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ letter in that order (letter_key); the letters themselves appear only in
 the JSON and text forms (render_letter).  The readers of those forms, the
 standardness predicate, the inverse bijection pattern_from_tableau and
 lemma 4 checked one tableau at a time are test oracles in
-tests/test_tableaux.py.
+tests/test_tableaux.py; verify_tableau_stats checks it row pair by row pair.
 
 The correspondence with strict patterns: the pattern entry a_{i-1,j} counts
 the boxes in tableau row j-i+1 with letters <= r-i+1, and b_{i,j} counts
@@ -20,7 +20,7 @@ those with letters <= (r-i+1)'.
 
 from bisect import bisect_left, bisect_right
 
-from .patterns import (GTPattern, _decreasing, _slot, enumerate_patterns,
+from .patterns import (GTPattern, _decreasing, enumerate_patterns,
                        is_degenerate, is_strict, pair_classes, pair_sums,
                        pair_weight)
 from .record import Record
@@ -181,27 +181,29 @@ def pair_tableau_stats(r: int, i: int, above, b, below) -> tuple:
     return wgt[v - 1], str_total, barred, height
 
 
-def _lemma4_pair(r, i, above, b, below):
-    """((*wgt offset, #maximal - height, #generic - str), 1) of row pair i,
-    from pair_classes, pair_tableau_stats and pair_weight."""
+def _lemma4_pair(r, i, above, b, below) -> tuple:
+    """Lemma 4 on row pair i as three residuals, all zero: the weight slot
+    less pair_weight, #maximal - height - (r - i + 1) and #generic - str +
+    1 - z(a_{i-1}) + z(a_i), z(row) = is_degenerate(row), z(()) = 0."""
     maximal, generic = pair_classes(r, i, above, b, below)
     w, str_total, _, height = pair_tableau_stats(r, i, above, b, below)
-    return (*_slot(r, i, w - pair_weight(above, b, below)),
-            maximal - height, generic - str_total), 1
-
-
-def lemma4_class(r: int) -> tuple:
-    """The class every strict pattern falls in by lemma 4: equal wgt,
-    #maximal = height + r(r+1)/2 and #generic = str - r."""
-    return (*[0] * r, r * (r + 1) // 2, -r)
+    z = is_degenerate(above) - (below != () and is_degenerate(below))
+    return (w - pair_weight(above, b, below), maximal - height - (r - i + 1),
+            generic - str_total + 1 - z)
 
 
 def verify_tableau_stats(twist: LambdaTwist) -> tuple:
-    """Lemma 4 folded over the row pairs: (ok, classes), classes being
-    {summed _lemma4_pair: number of patterns} over the strict patterns of
-    GT(lambda+rho), degenerate ones included.  Both sides of the lemma sum
-    over the pairs, so a pattern obeys it exactly when its class is
-    lemma4_class(r).  No tableau is built: tests/test_tableaux.py checks
-    the fill rules and read-back."""
-    classes = pair_sums(twist.top_row, _lemma4_pair, strict=True)
-    return set(classes) <= {lemma4_class(twist.rank)}, classes
+    """Lemma 4 on each row triple of the strict patterns of GT(lambda+rho),
+    met once by the pair_sums walk: (ok, sorted (i, rows, residuals) where
+    _lemma4_pair is not zero).  No tableau is built (tests/test_tableaux.py
+    checks the fill rules and read-back)."""
+    bad = []
+
+    def weigh(r, i, *rows):
+        residuals = _lemma4_pair(r, i, *rows)
+        if any(residuals):
+            bad.append((i, rows, residuals))
+        return (), 1
+
+    pair_sums(twist.top_row, weigh, strict=True)
+    return not bad, sorted(bad)

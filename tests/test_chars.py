@@ -374,7 +374,13 @@ def test_tableau_side_equals_the_per_tableau_sum():
         twist = LambdaTwist(l)
         r = twist.rank
         stats = [tableau_stats(S) for S in standard_tableaux(twist.top_row)]
-        assert tableau_side(r, tableau_classes(twist)) == hk_rhs(r, stats), l
+        classes = tableau_classes(twist)
+        assert tableau_side(r, classes) == hk_rhs(r, stats), l
+        # no pair marks the weight-barred bridge, and each tableau obeys it
+        # summed, |wgt| = |lambda+rho| - 2 barred
+        assert not any(key[-2] for key in classes), l
+        assert all(sum(s.wgt) == sum(twist.top_row) - 2 * s.barred
+                   for s in stats), l
 
 
 def test_euler_bridge_small_ranks():

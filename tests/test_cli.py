@@ -223,11 +223,9 @@ def test_lemma4_reports_a_tableau_that_breaks_a_fill_rule(monkeypatch):
 def test_lemma4_reports_the_classes_of_a_miscounted_pair(capsys,
                                                          monkeypatch):
     # a mutant entry count: a degenerate entry is left out of its pair's
-    # maximal count, so #maximal - height is one low per degenerate entry;
-    # the report holds the classes of the degenerate patterns, and the
-    # non-degenerate ones pass.  A strict pattern has one degenerate entry
-    # below each a-row that ends in 0
-    from collections import Counter
+    # maximal count, so #maximal - height - (r - i + 1) is -1 on each row
+    # triple below an a-row that ends in 0; the report lists those triples,
+    # each once, and the others pass
     from weylmds import tableaux
     from weylmds.patterns import enumerate_patterns, is_degenerate
     classes = tableaux.pair_classes
@@ -240,13 +238,53 @@ def test_lemma4_reports_the_classes_of_a_miscounted_pair(capsys,
     code, out, err = run(capsys, "verify", "lemma4", "--rank", "3",
                          "--l", "0,0,0")
     assert (code, err) == (1, "")
-    degenerate = Counter(sum(not row[-1] for row in P.a)
-                         for P in enumerate_patterns((3, 2, 1), strict=True))
-    assert degenerate == {0: 208, 1: 78, 2: 14}
+    degenerate = {(i, rows)
+                  for P in enumerate_patterns((3, 2, 1), strict=True)
+                  for i, rows in enumerate(P.row_pairs(), 1)
+                  if is_degenerate(rows[0])}
+    assert len(degenerate) == 17
     assert json.loads(out) == {"ok": False, "failures": [
-        {"wgt_offset": [0, 0, 0], "maximal_minus_height": 6 - d,
-         "generic_minus_str": -3, "patterns": degenerate[d]}
-        for d in (2, 1)]}
+        {"pair": i, "rows": [list(row) for row in rows],
+         "residuals": [0, -1, 0]} for i, rows in sorted(degenerate)]}
+
+
+def _moved_between_pairs(monkeypatch, slot):
+    """Patch pair_tableau_stats, where both commands read it, so that one
+    unit of its statistic in `slot` moves from row pair 2 to row pair 1:
+    every pattern's sum of it stays the same."""
+    from weylmds import chars, tableaux
+    stats = tableaux.pair_tableau_stats
+
+    def moved(r, i, *rows):
+        out = list(stats(r, i, *rows))
+        out[slot] += (i == 1) - (i == 2)
+        return tuple(out)
+
+    monkeypatch.setattr(tableaux, "pair_tableau_stats", moved)
+    monkeypatch.setattr(chars, "pair_tableau_stats", moved)
+
+
+def test_lemma4_fails_on_a_height_moved_between_pairs(capsys, monkeypatch):
+    # each pattern's height sum holds, but pair 1's #maximal - height is
+    # one low and pair 2's one high
+    _moved_between_pairs(monkeypatch, 3)
+    code, out, err = run(capsys, "verify", "lemma4", "--rank", "3",
+                         "--l", "1,0,0")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["ok"] is False
+    assert {(f["pair"], tuple(f["residuals"]))
+            for f in report["failures"]} == {(1, (0, -1, 0)), (2, (0, 1, 0))}
+
+
+def test_hamel_king_fails_on_a_barred_count_moved_between_pairs(
+        capsys, monkeypatch):
+    # each pattern's barred sum holds, and the tableau side reads no barred
+    # count, so only the bridge on each pair sees the move
+    _moved_between_pairs(monkeypatch, 2)
+    code, out, err = run(capsys, "verify", "hamel-king", "--rank", "3",
+                         "--l", "1,0,0")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "residual": []}
 
 
 def _lemma3_failures(capsys, shift):

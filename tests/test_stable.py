@@ -222,6 +222,14 @@ SHARP_TWISTS = [(l,) for l in range(5)] + [
     l for r, top in ((2, 3), (3, 1)) for l in product(range(top + 1), repeat=r)]
 
 
+def off_orbit_count(orbit, n, values) -> int:
+    """The number of keys of `values`, {k: nonzero H(p^k)} at degree n, off
+    `orbit`, {k: v}, once each orbit value is checked to be h_stable(v, n)."""
+    for k, v in orbit.items():
+        assert values.get(k, GaussValue.zero(n)) == h_stable(v, n), (n, v)
+    return sum(k not in orbit for k in values)
+
+
 def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
     # rank 1 with l <= 4, rank 2 with l_i <= 3, rank 3 with l_i <= 1 and
     # rank 4 at l = 0 (bound 7) through h_table, and rank 4 at (1,0,0,0)
@@ -243,10 +251,7 @@ def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
             else:
                 table = h_table(twist, n)
                 values = {k: table.value(k) for k in table.nonzero_keys()}
-            for k, v in orbit.items():
-                assert values.get(k, GaussValue.zero(n)) == h_stable(v, n), \
-                    (l, n, v)
-            outside = sum(k not in orbit for k in values)
+            outside = off_orbit_count(orbit, n, values)
             assert (outside > 0) == (n < bound), (l, n, outside)
             off_orbit[l, n] = outside
     pins = {((1, 1), 3): 6, ((1, 1), 5): 4, ((0, 0, 0), 3): 8,
@@ -261,6 +266,18 @@ def test_stability_bound_is_sharp_and_orbit_values_match_below_it():
              {1: 19545, 3: 4152, 5: 903, 7: 240, 9: 576, 11: 64,
               13: 0}.items()}
     assert {key: off_orbit[key] for key in pins} == pins
+
+
+def test_stability_bound_is_sharp_at_rank_5():
+    # rank 5 at l = 0 (bound 9) through the fold pruned at zero factors, at
+    # every odd n up to the bound; verify stable refuses this twist, whose
+    # top row has 2^25 patterns
+    twist = LambdaTwist((0,) * 5)
+    assert stability_bound(twist) == 9
+    orbit = {k: v for _, _, v, k in weyl_orbit(twist)}
+    assert {n: off_orbit_count(orbit, n, nonzero_fold(twist, n))
+            for n in range(1, 10, 2)} == {1: 46734, 3: 7492, 5: 2048,
+                                          7: 640, 9: 0}
 
 
 @pytest.mark.parametrize("l", SHARP_TWISTS + [

@@ -1,16 +1,18 @@
 import json
 from bisect import bisect_right
-from collections import Counter
 from itertools import combinations, repeat
-from operator import sub
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from weylmds.patterns import GTPattern, enumerate_patterns, is_strict
+from weylmds import patterns, tableaux
+from weylmds.chars import _standard_pair
+from weylmds.patterns import (EntryRecord, GTPattern, enumerate_patterns,
+                              interleave_bounds, is_degenerate, is_strict,
+                              pair_entries, pair_sums, pair_weight)
 from weylmds.roots import LambdaTwist
-from weylmds.tableaux import (ShiftedTableau, TableauStats, lemma4_class,
+from weylmds.tableaux import (ShiftedTableau, TableauStats, _lemma4_pair,
                               letter_key, pair_tableau_stats,
                               tableau_from_pattern, tableau_stats,
                               verify_tableau_stats)
@@ -194,18 +196,6 @@ def verify_tableau_stats_long(P: GTPattern) -> bool:
             and _pattern_rows(S) == (P.a, P.b))
 
 
-def lemma4_classes_long(twist: LambdaTwist) -> dict:
-    """Oracle: verify_tableau_stats' classes pattern by pattern, from the
-    statistics of each tableau, its pattern's entry classes and wgt."""
-    classes = Counter()
-    for P in enumerate_patterns(twist.top_row, strict=True):
-        stats = tableau_stats(tableau_from_pattern(P))
-        mx, gen, _ = classes_long(records(P))
-        classes[(*map(sub, stats.wgt, P.wgt), mx - stats.height,
-                 gen - stats.str_total)] += 1
-    return dict(classes)
-
-
 def twist_of(top) -> LambdaTwist:
     """The twist whose lambda+rho is the strictly decreasing positive
     `top`."""
@@ -316,13 +306,44 @@ def test_statistics_identities_exhaustive_small():
             assert pattern_from_tableau(S) == P
 
 
+def _never_joined(run_stats):
+    """A mutant run rule: an empty row between any two tableau rows, so no
+    letter's run joins the run above it."""
+    return lambda r, rows: run_stats(r, (runs for row in rows
+                                         for runs in (row, {})))
+
+
+def _slack_one_maximal(tag):
+    """A mutant entry class: an entry at slack 1 reads maximal."""
+    return property(lambda e: "maximal" if e.slack == 1 else tag.fget(e))
+
+
+def _pair_r_heavier(weight):
+    """A mutant pair weight: two more (so k stays in the root lattice) at
+    row pair r, whose a-row above has one entry."""
+    return lambda above, *rows: weight(above, *rows) + 2 * (len(above) == 1)
+
+
+# each mutant changes a piece that both the fold and the per-pattern oracle
+# read: the run rule of both statistic readers, the entry class of both
+# entry counts, and the pair weight of GTPattern.wgt and of _lemma4_pair
+LEMMA4_MUTANTS = [
+    [(tableaux, "_run_stats", _never_joined)],
+    [(EntryRecord, "tag", _slack_one_maximal)],
+    [(patterns, "pair_weight", _pair_r_heavier),
+     (tableaux, "pair_weight", _pair_r_heavier)],
+]
+
+
 def assert_fold_matches_oracle(twist):
-    ok, classes = verify_tableau_stats(twist)
-    assert classes == lemma4_classes_long(twist), twist
-    assert ok and set(classes) == {lemma4_class(twist.rank)}, twist
+    """verify_tableau_stats finds no failing triple, and every strict
+    pattern passes the per-pattern oracle."""
+    assert verify_tableau_stats(twist) == (True, []), twist
+    assert all(map(verify_tableau_stats_long,
+                   enumerate_patterns(twist.top_row, strict=True))), twist
 
 
-def test_lemma4_fold_equals_the_per_pattern_classes():
+def test_lemma4_fold_agrees_with_the_per_pattern_check():
     # every top row of positive entries <= 5 at ranks 1-3 (criterion 6's
     # grid), then rank 4 at l = 0; degenerate patterns are included
     for r in range(1, 4):
@@ -331,10 +352,30 @@ def test_lemma4_fold_equals_the_per_pattern_classes():
     assert_fold_matches_oracle(LambdaTwist((0, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("mutant", LEMMA4_MUTANTS,
+                         ids=lambda m: m[0][1].strip("_"))
+def test_lemma4_fold_reports_a_triple_of_each_pattern_the_oracle_fails(
+        monkeypatch, mutant):
+    # every top row of positive entries <= 4 at ranks 1-3
+    for owner, name, make in mutant:
+        monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    failed = 0
+    for r in range(1, 4):
+        for top in combinations(range(4, 0, -1), r):
+            ok, bad = verify_tableau_stats(twist_of(top))
+            failing = {(i, rows) for i, rows, _ in bad}
+            for P in enumerate_patterns(top, strict=True):
+                if not verify_tableau_stats_long(P):
+                    failed += 1
+                    assert not ok and failing & set(
+                        enumerate(P.row_pairs(), 1)), P.to_json()
+    assert failed
+
+
 # l_1 + ... + l_r <= 6, 3, 2, 0 at rank 1, 2, 3, 4
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_lemma4_fold_equals_the_per_pattern_classes_on_random_twists(data):
+def test_lemma4_fold_agrees_with_the_per_pattern_check_on_random_twists(data):
     r = data.draw(st.integers(1, 4), label="rank")
     most = (6, 3, 2, 0)[r - 1]
     l = data.draw(st.lists(st.integers(0, most), min_size=r, max_size=r)
@@ -342,11 +383,70 @@ def test_lemma4_fold_equals_the_per_pattern_classes_on_random_twists(data):
     assert_fold_matches_oracle(LambdaTwist(tuple(l)))
 
 
-def test_lemma4_fold_at_rank_5():
-    # 3,516,240 strict patterns; the command refuses this twist, as
-    # (5,4,3,2,1) has more than 10^7 patterns
-    ok, classes = verify_tableau_stats(LambdaTwist((0,) * 5))
-    assert ok and classes == {lemma4_class(5): 3516240}
+def test_lemma4_fold_at_rank_5(monkeypatch):
+    # 3,516,240 strict patterns through 2,054 distinct row triples, each
+    # checked once; the command refuses this twist, as (5,4,3,2,1) has more
+    # than 10^7 patterns
+    twist = LambdaTwist((0,) * 5)
+    assert pair_sums(twist.top_row, lambda *_: ((), 1), strict=True) == {
+        (): 3516240}
+    seen, pair = [], tableaux._lemma4_pair
+    monkeypatch.setattr(tableaux, "_lemma4_pair", lambda r, i, *rows: (
+        seen.append((i, rows)) or pair(r, i, *rows)))
+    assert verify_tableau_stats(twist) == (True, [])
+    assert len(seen) == len(set(seen)) == 2054
+
+
+@st.composite
+def row_triples(draw, strict):
+    """(r, i, a_{i-1}, b_i, a_i) of a row pair of rank 1-8 with entries at
+    most 13, each entry drawn within interleave_bounds from the right; with
+    `strict`, every row strictly decreases."""
+    r = draw(st.integers(1, 8), label="rank")
+    i = draw(st.integers(1, r), label="pair")
+
+    def row_below(over, pad):
+        row = []  # right to left
+        for hi, lo in reversed(interleave_bounds(over, pad)):
+            lo = max(lo, row[-1] + 1) if strict and row else lo
+            row.append(draw(st.integers(lo, hi)))
+        return tuple(row[::-1])
+
+    above = tuple(sorted(draw(st.lists(
+        st.integers(0, 13), min_size=r - i + 1, max_size=r - i + 1,
+        unique=strict)), reverse=True))
+    b = row_below(above, (0,))
+    return r, i, above, b, row_below(b, ())
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_triples(strict=True))
+def test_lemma4_and_the_bridge_hold_on_random_strict_triples(triple):
+    # ranks where no walk of patterns runs; the bridge is checked by hand
+    # and through the mark of chars._standard_pair
+    r, i, above, b, below = triple
+    assert _lemma4_pair(*triple) == (0, 0, 0)
+    w, _, barred, _ = pair_tableau_stats(*triple)
+    assert w + 2 * barred == sum(above) - sum(below)
+    if not is_degenerate(above):
+        assert _standard_pair(*triple)[0][-2] == 0
+
+
+def G_row(row) -> int:
+    """sum_p (2|row| - 2p - 1) row_p, p counted from 0."""
+    return sum((2 * len(row) - 2 * p - 1) * x for p, x in enumerate(row))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans().flatmap(row_triples))
+def test_lemma3_holds_on_each_random_triple(triple):
+    # lemma 3 pair by pair, strict or not: an identity of linear forms in
+    # the entries, which pins pair_entries' exponents; summed over the
+    # pairs it is lemma 3, as G(top) = sum_j (2j - 1) L_j
+    r, i, above, b, below = triple
+    exps = sum(e.exp for e in pair_entries(*triple))
+    assert (2 * exps - (2 * r + 1 - 2 * i) * pair_weight(above, b, below)
+            == G_row(above) - G_row(below))
 
 
 def test_stats_bounds():
