@@ -3,7 +3,8 @@
 All generating functions live in one Laurent ring with variables
 x_1 .. x_r, t, q (in that order).  Characters are weight generating
 functions over pattern enumerations.  The deformed-denominator and
-Euler-factor identities are verified as exact polynomial equalities.
+Euler-factor identities are verified as exact polynomial equalities, with
+each row pair's t^m (1 + t)^g expanded by class_weight on both walks.
 """
 
 from array import array
@@ -60,49 +61,41 @@ def t_to_minus_one_over_q(poly: LaurentPoly) -> LaurentPoly:
 
 
 def class_weight(m: int, g: int):
-    """t^m (1 + t)^g, the weight of m maximal and g generic entries, as
-    (t exponent, coefficient) pairs."""
+    """t^m (1 + t)^g as (t exponent, coefficient) pairs: the weight of m
+    maximal and g generic entries, and of a standard tableau's row pair."""
     return [(m + j, comb(g, j)) for j in range(g + 1)]
 
 
-def _standard_pair(r, i, above, b, below):
-    """((wgt, str, bridge mark, height), 1) of row pair i of a standard
-    tableau, the mark 1 unless w_i + 2 barred_i = s(a_{i-1}) - s(a_i); None
-    at a degenerate entry (is_degenerate): the tableau is not standard."""
-    if is_degenerate(above):
-        return None
-    w, str_total, barred, height = pair_tableau_stats(r, i, above, b, below)
-    mark = int(w + 2 * barred != sum(above) - sum(below))
-    return (*_slot(r, i, w), str_total, mark, height), 1
+def tableau_side(twist: LambdaTwist) -> tuple:
+    """(sum of t^{height + r(r+1)/2} (1 + t)^{str - r} x^{wgt} over the
+    standard tableaux of shape twist.top_row, sorted (i, rows) of the pairs
+    off the bridge w_i + 2 barred_i = s(a_{i-1}) - s(a_i)).  Pair i weighs
+    x^{w_i} t^{height_i + r - i + 1} (1 + t)^{str_i - 1}, str_i >= 1 as row
+    v's diagonal box holds v' or v; a degenerate pair is not standard."""
+    nvars, bad = ring_size(twist.rank), []
 
+    def weigh(r, i, *rows):
+        above, _, below = rows
+        if is_degenerate(above):
+            return None
+        w, str_total, barred, height = pair_tableau_stats(r, i, *rows)
+        if w + 2 * barred != sum(above) - sum(below):
+            bad.append((i, rows))
+        terms = class_weight(height + r - i + 1, str_total - 1)
+        return (), LaurentPoly(nvars, {(*_slot(r, i, w), j, 0): c
+                                       for j, c in terms})
 
-def tableau_classes(twist: LambdaTwist) -> dict:
-    """{(*wgt, str, bridge marks, height): number of standard tableaux} of
-    shape twist.top_row, summed per row pair (_standard_pair)."""
-    return pair_sums(twist.top_row, _standard_pair, strict=True)
-
-
-def tableau_side(r: int, classes: dict) -> LaurentPoly:
-    """sum over the tableau classes of
-    t^{height + r(r+1)/2} (1 + t)^{str - r} x^{wgt}."""
-    offset = r * (r + 1) // 2
-    acc = {}
-    for (*wgt, str_total, _, height), count in classes.items():
-        for j, c in class_weight(height + offset, str_total - r):
-            e = (*wgt, j, 0)
-            acc[e] = acc.get(e, 0) + c * count
-    return LaurentPoly(ring_size(r), acc)
+    # b_i = a_{i-1} and a_i its tail give lambda+rho a standard tableau
+    return pair_sums(twist.top_row, weigh, strict=True)[()], sorted(bad)
 
 
 def verify_deformation_identity(twist: LambdaTwist):
-    """D(tx; t) sp_lam(x), with sp_lam times each factor of D(tx; t) in
-    turn, against the tableau statistic sum, and the weight-barred bridge on
-    every row pair (no bridge mark).  Returns (ok, difference polynomial)."""
-    r = twist.rank
-    classes = tableau_classes(twist)
-    lhs = reduce(mul, deformation_factors(r), character_gt(twist.partition))
-    diff = lhs - tableau_side(r, classes)
-    return diff.is_zero() and not any(key[-2] for key in classes), diff
+    """(ok, D(tx; t) sp_lam(x) - tableau side), sp_lam times each factor in
+    turn; ok when the difference is 0 and every pair is on the bridge."""
+    side, bad = tableau_side(twist)
+    diff = reduce(mul, deformation_factors(twist.rank),
+                  character_gt(twist.partition)) - side
+    return diff.is_zero() and not bad, diff
 
 
 # ---------------------------------------------------------------------

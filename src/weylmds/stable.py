@@ -32,15 +32,21 @@ def h_stable(v, n: int) -> GaussValue:
     """H(p^k) for the w with v = w(lambda+rho): the product over the
     positive roots beta with <v, beta> < 0 of g_{|beta|^2}(p^{d-1}, p^d),
     d = 2|<v, beta>| / <beta, beta>.  These beta are -w(alpha) for the
-    alpha in Phi(w), with the same length and d = d_lambda(alpha)."""
-    out = GaussValue.one(n)
+    alpha in Phi(w), with the same length and d = d_lambda(alpha).  Each
+    factor is one term, so the product is counted outside the ring."""
+    coeff, q_exp, syms = 1, 0, []
     for beta in build_root_system(len(v)).positive_roots:
         pairing = inner(v, beta)
         if pairing < 0:
             t = norm_sq(beta)
             d = -pairing // t  # <beta, beta> = 2t in the dot product
-            out = out * gauss_eval(t, d - 1, d, n)
-    return out
+            ((s, e, c),) = gauss_eval(t, d - 1, d, n).terms  # <= 1 symbol
+            if n % 2 and s and n - s[0] in syms:  # G[s] G[n-s] = q
+                syms.remove(n - s[0])
+                s, e = (), e + 1
+            coeff, q_exp = coeff * c, q_exp + e
+            syms += s
+    return GaussValue(n, ((tuple(sorted(syms)), q_exp, coeff),))
 
 
 def verify_stable_match(twist: LambdaTwist, n: int,

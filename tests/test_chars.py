@@ -11,8 +11,7 @@ from weylmds import chars
 from weylmds.chars import (character_gt, class_weight, deformation_factors,
                            euler_factors, euler_product_n1,
                            h_generating_function, h_tilde_table,
-                           ring_size, t_to_minus_one_over_q,
-                           tableau_classes, tableau_side,
+                           ring_size, t_to_minus_one_over_q, tableau_side,
                            verify_deformation_identity, verify_euler_bridge,
                            verify_euler_factor_identity, verify_h_tilde)
 from weylmds.coeffs import h_table
@@ -372,15 +371,21 @@ def test_n1_tables_have_the_same_keys_and_no_zero_value():
 def test_tableau_side_equals_the_per_tableau_sum():
     for l in H_TILDE_GRID:
         twist = LambdaTwist(l)
-        r = twist.rank
         stats = [tableau_stats(S) for S in standard_tableaux(twist.top_row)]
-        classes = tableau_classes(twist)
-        assert tableau_side(r, classes) == hk_rhs(r, stats), l
-        # no pair marks the weight-barred bridge, and each tableau obeys it
+        # no pair fails the weight-barred bridge, and each tableau obeys it
         # summed, |wgt| = |lambda+rho| - 2 barred
-        assert not any(key[-2] for key in classes), l
+        assert tableau_side(twist) == (hk_rhs(twist.rank, stats), []), l
         assert all(sum(s.wgt) == sum(twist.top_row) - 2 * s.barred
                    for s in stats), l
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda r: st.tuples(*[st.integers(0, 2)] * r)))
+def test_tableau_side_equals_the_per_tableau_sum_random(l):
+    twist = LambdaTwist(l)
+    stats = [tableau_stats(S) for S in standard_tableaux(twist.top_row)]
+    assert tableau_side(twist) == (hk_rhs(twist.rank, stats), [])
 
 
 def test_euler_bridge_small_ranks():

@@ -579,6 +579,31 @@ def test_verify_stable_fails_on_a_wrong_product_side(capsys, monkeypatch,
     assert Counter(m["reason"] for m in report["mismatches"]) == reasons
 
 
+def test_verify_stable_fails_on_a_ring_that_pairs_conjugates_to_minus_q(
+        capsys, monkeypatch):
+    # a mutant ring: G[s] G[n-s] gives -q in place of q.  The table is
+    # multiplied in the ring and the product side is counted outside it,
+    # so the two sides part where a pair meets in one but not the other
+    from weylmds.gauss import GaussValue, _symbol_product
+
+    def minus_q(self, other):
+        acc = {}
+        for s1, e1, c1 in self.terms:
+            for s2, e2, c2 in other.terms:
+                extra, syms = _symbol_product(self.n, s1, s2)
+                key = (syms, e1 + e2 + extra)
+                acc[key] = acc.get(key, 0) + (-1) ** extra * c1 * c2
+        return GaussValue._canonical(self.n, acc)
+
+    monkeypatch.setattr(GaussValue, "__mul__", minus_q)
+    code, out, err = run(capsys, "verify", "stable", "--rank", "2",
+                         "--l", "0,0", "--n", "3")
+    report = json.loads(out)
+    assert (code, err) == (1, "") and report["checked"] == 8
+    assert [m["reason"] for m in report["mismatches"]] == [
+        "symbolic mismatch"] * 2
+
+
 def test_verify_stable_refuses_a_bad_degree_before_the_table(capsys,
                                                              monkeypatch):
     # rank 4 at l = (1,0,0,0) has stability bound 9 and 516,096 patterns;
