@@ -107,26 +107,14 @@ class HTable(Record):
 
 
 def h_table(twist: LambdaTwist, n: int) -> HTable:
-    """Group pattern products over GT(lambda+rho) by support vector.  A
-    key holds its first nonzero product as it is, and from the second on
-    a {(syms, q_exp): coeff} map, canonicalized once at the end."""
+    """Group pattern products over GT(lambda+rho) by support vector.  Each
+    key holds one {(syms, q_exp): coeff} map, canonicalized once when the
+    table is built, so a key that only zero products reach, or whose
+    products cancel, holds zero."""
     if n < 1:
         raise ValueError("degree must be positive")
-    zero = GaussValue.zero(n)
     acc = {}
     for P in enumerate_patterns(twist.top_row):
-        k = P.k_vec
-        g = pattern_G(P, n)
-        if g.is_zero():  # a zero G(P) only keeps its k as a key
-            acc.setdefault(k, zero)
-            continue
-        held = acc.get(k, zero)
-        if held is zero:
-            acc[k] = g
-        elif type(held) is dict:
-            add_terms(held, g.terms)
-        else:
-            acc[k] = add_terms(add_terms({}, held.terms), g.terms)
-    return HTable(twist, n, tuple(
-        (k, GaussValue._canonical(n, v) if type(v) is dict else v)
-        for k, v in sorted(acc.items())))
+        add_terms(acc.setdefault(P.k_vec, {}), pattern_G(P, n).terms)
+    return HTable(twist, n, tuple((k, GaussValue._canonical(n, terms))
+                                  for k, terms in sorted(acc.items())))

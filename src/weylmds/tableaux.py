@@ -7,11 +7,14 @@ weakly increasing along rows and columns and strictly increasing along
 northwest-southeast diagonals.  Standardness additionally requires the
 diagonal entry of row R to be R' or R; fillings read off strict patterns
 always satisfy every other condition.  Each box holds the position of its
-letter in that order (letter_key); the letters themselves appear only in
-the JSON and text forms (render_letter).  The readers of those forms, the
-standardness predicate, the inverse bijection pattern_from_tableau and
-lemma 4 checked one tableau at a time are test oracles in
-tests/test_tableaux.py; verify_tableau_stats checks it row pair by row pair.
+letter in that order, its key: 2v - 1 for v' and 2v for v, odd exactly
+when the letter is barred; the letters themselves appear only in the JSON
+and text forms (render_letter).  No command reads a tableau it did not
+fill, so the fill-rule check, the letter keys, the readers of those forms,
+the standardness predicate, the inverse bijection pattern_from_tableau
+and lemma 4 checked one tableau at a time are test oracles in
+tests/test_tableaux.py; verify_tableau_stats checks lemma 4 row pair by
+row pair.
 
 The correspondence with strict patterns: the pattern entry a_{i-1,j} counts
 the boxes in tableau row j-i+1 with letters <= r-i+1, and b_{i,j} counts
@@ -20,18 +23,10 @@ those with letters <= (r-i+1)'.
 
 from bisect import bisect_left, bisect_right
 
-from .patterns import (GTPattern, _decreasing, enumerate_patterns,
-                       is_degenerate, is_strict, pair_classes, pair_sums,
-                       pair_weight)
+from .patterns import (GTPattern, enumerate_patterns, is_degenerate,
+                       is_strict, pair_classes, pair_sums, pair_weight)
 from .record import Record
 from .roots import LambdaTwist
-
-
-def letter_key(value: int, barred: bool) -> int:
-    """Position of a letter in the alphabet order; barred sorts first.
-    The key is 2v - 1 for v' and 2v for v, so it is odd exactly when the
-    letter is barred."""
-    return 2 * value - (1 if barred else 0)
 
 
 class ShiftedTableau(Record):
@@ -43,29 +38,6 @@ class ShiftedTableau(Record):
     @property
     def mu(self) -> tuple:
         return tuple(len(row) for row in self.rows)
-
-    def validate(self) -> None:
-        """Check the fill rules box by box in reading order, and name the
-        first one broken."""
-        mu = self.mu
-        if len(mu) != self.rank:
-            raise ValueError("tableau must have exactly r rows")
-        if not _decreasing(mu) or mu[-1] < 1:
-            raise ValueError("row lengths must strictly decrease")
-        rows, top = self.rows, 2 * self.rank
-        for k, below in zip(rows, rows[1:] + ((),)):
-            # 1 <= key <= 2r exactly when 1 <= value <= r; row R + 1 starts
-            # one column right of row R, so below[j - 1] lies under k[j] and
-            # below[j] follows it on its diagonal
-            for j, x in enumerate(k):
-                if not 1 <= x <= top:
-                    raise ValueError("letter value out of range")
-                if j + 1 < len(k) and k[j + 1] < x:
-                    raise ValueError("rows must weakly increase")
-                if 0 < j <= len(below) and below[j - 1] < x:
-                    raise ValueError("columns must weakly increase")
-                if j < len(below) and below[j] <= x:
-                    raise ValueError("diagonals must strictly increase")
 
     def to_json(self) -> dict:
         return {"rank": self.rank,
@@ -92,7 +64,7 @@ def tableau_from_pattern(P: GTPattern) -> ShiftedTableau:
     holds no letter below R; for val >= R its letters <= val' number
     P.b[r - val][R - 1] and its letters <= val number P.a[r - val][R - 1],
     so each letter fills one run.  The fill of a strict pattern with a
-    positive top row obeys the fill rules, so it is not validated here."""
+    positive top row obeys the fill rules, which the tests check."""
     if not is_strict(P) or not P.a[0][-1]:
         raise ValueError("only strict patterns with a positive top row "
                          "correspond to tableaux")

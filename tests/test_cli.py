@@ -122,6 +122,18 @@ def test_nonpositive_rank_names_the_rank_flag(capsys, argv, rank):
         2, "", "error: --rank must be positive\n")
 
 
+# nonpositive values that parse as integers, refused by the function that
+# reads them: the degree by h_table, the entries of --m by euler_product_n1
+@pytest.mark.parametrize("argv, text", [
+    (("hcoeff", "--rank", "1", "--l", "0", "--n", "0"),
+     "degree must be positive"),
+    (("euler", "--rank", "2", "--m", "0,1", "--bound", "5"),
+     "m entries must be positive integers"),
+], ids=["hcoeff-degree", "euler-m"])
+def test_nonpositive_values_refused_where_they_are_read(capsys, argv, text):
+    assert run(capsys, *argv) == (2, "", f"error: {text}\n")
+
+
 # the command grammar: each command path with the flags it reads, and for
 # each flag values that fit a command of rank r <= 3 with twist entries 0
 # or 1 (so that every call stays near a second), or values that are empty,
@@ -371,6 +383,18 @@ def test_euler_command(capsys):
     assert code == 0
     rows = {tuple(r["c"]): int(r["value"]) for r in json.loads(out)}
     assert rows[(1,)] == 1 and rows[(2,)] == -1
+
+
+def test_euler_csv_rows_are_the_json_entries(capsys):
+    argv = ("euler", "--rank", "2", "--m", "2,3", "--bound", "4")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    entries = [(*e["c"], int(e["value"])) for e in json.loads(out)]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [tuple(map(int, line.split(","))) for line in out.splitlines()]
+    assert rows == entries
+    assert rows[:3] == [(1, 1, 1), (1, 2, -1), (1, 3, 2)]
 
 
 def test_csv_format(capsys):
@@ -781,6 +805,29 @@ def test_verify_cs_builds_one_table(capsys, monkeypatch):
 def test_zero_degree_is_not_absent(capsys):
     assert run(capsys, "verify", "gauss", "--n", "0")[0] == 2
     assert run(capsys, "verify", "gauss", "--n", "0", "--p", "7")[0] == 2
+
+
+def test_verify_gauss_fails_on_a_top_sum_with_the_wrong_sign(capsys,
+                                                            monkeypatch):
+    # a mutant gauss_eval: g_t(p^{v-1}, p^v) = +q^{v-1} where n | t v.  The
+    # command reads gauss_eval through the module, so each (t, c, v) of
+    # that branch fails: v = 3 alone at n = 3, v = 1..4 for both t at n = 1
+    from weylmds import gauss
+    right = gauss.gauss_eval
+
+    def flipped(t, c, v, n):
+        if v and c == v - 1 and (t * v) % n == 0:
+            return -right(t, c, v, n)
+        return right(t, c, v, n)
+
+    monkeypatch.setattr(gauss, "gauss_eval", flipped)
+    code, out, err = run(capsys, "verify", "gauss", "--n", "3", "--p", "7")
+    report = json.loads(out)
+    assert (code, err, report["ok"]) == (1, "", False)
+    assert [(f["t"], f["c"], f["v"]) for f in report["failures"]] == [
+        (1, 2, 3), (2, 2, 3)]
+    code, out, err = run(capsys, "verify", "gauss", "--n", "1")
+    assert (code, err, len(json.loads(out)["failures"])) == (1, "", 8)
 
 
 def test_verify_gauss_refuses_large_modulus_before_summing(capsys,

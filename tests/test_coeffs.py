@@ -237,6 +237,23 @@ def test_row_pair_fold_equals_h_table(l, n):
                                       for k in table.nonzero_keys()}
 
 
+def test_h_table_keeps_the_keys_of_cancelled_and_zero_only_sums():
+    # at (0,2), n = 3, 22 of the 32 keys hold zero: the products that reach
+    # (3,3) are nonzero and cancel, and the other 21 keys are reached by
+    # zero products only
+    twist = LambdaTwist((0, 2))
+    table = h_table(twist, 3)
+    products = {}
+    for P in enumerate_patterns(twist.top_row):
+        products.setdefault(P.k_vec, []).append(pattern_G_long(P, 3))
+    assert table.keys() == sorted(products)
+    zero = [k for k, v in table.entries if v.is_zero()]
+    cancelled = [k for k in zero
+                 if not all(g.is_zero() for g in products[k])]
+    assert (len(zero), len(table.keys())) == (22, 32)
+    assert cancelled == [(3, 3)]
+
+
 def test_row_pair_fold_keeps_the_keys_of_zero_sums():
     # at (0,0), n = 3, 4 of the 12 keys are reached by zero products only
     fold = h_table_fold(LambdaTwist((0, 0)), 3)
